@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or schema error,
 from __future__ import annotations
 
 import argparse
+import ast
 import json
+import operator
 import os
 import sys
 
@@ -62,24 +64,68 @@ _EXPR_NAMES = {
     "e": np.e,
 }
 
+_EXPR_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod,
+    ast.Pow: operator.pow,
+    ast.UAdd: operator.pos,
+    ast.USub: operator.neg,
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
+}
+
+
+def _eval_node(node, ns: dict):
+    """Evaluate a whitelisted expression tree: numeric constants, names in
+    `ns`, arithmetic, comparisons and calls of named functions."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)    # no unbounded integer arithmetic
+    if isinstance(node, ast.Name):
+        if node.id not in ns:
+            raise CliError(2, f"unknown name {node.id!r}")
+        return ns[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+        return _EXPR_OPS[type(node.op)](_eval_node(node.left, ns), _eval_node(node.right, ns))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPS:
+        return _EXPR_OPS[type(node.op)](_eval_node(node.operand, ns))
+    if isinstance(node, ast.Compare) and all(type(op) in _EXPR_OPS for op in node.ops):
+        left, out = _eval_node(node.left, ns), True
+        for op, right in zip(node.ops, node.comparators):
+            right = _eval_node(right, ns)
+            out = np.logical_and(out, _EXPR_OPS[type(op)](left, right))
+            left = right
+        return out
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+        fn = _EXPR_NAMES.get(node.func.id)
+        if not callable(fn):
+            raise CliError(2, f"unknown function {node.func.id!r}")
+        return fn(*(_eval_node(arg, ns) for arg in node.args))
+    raise CliError(2, f"unsupported syntax: {type(node).__name__}")
+
 
 def _eval_expr(expr: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if not isinstance(expr, str):
         raise CliError(2, f"expression must be a string, got {type(expr).__name__}")
-    ns = dict(_EXPR_NAMES)
-    ns["x"] = x
-    ns["y"] = y
+    ns = dict(_EXPR_NAMES, x=x, y=y)
     try:
-        code = compile(expr, "<expression>", "eval")
-        for name in code.co_names:
-            if name not in ns:
-                raise CliError(2, f"unknown name {name!r} in expression {expr!r}")
-        out = eval(code, {"__builtins__": {}}, ns)
-    except CliError:
-        raise
+        with np.errstate(all="ignore"):
+            out = _eval_node(ast.parse(expr, mode="eval").body, ns)
+            out = np.broadcast_to(np.asarray(out, dtype=np.float64), x.shape).copy()
+    except CliError as exc:
+        raise CliError(2, f"{exc.message} in expression {expr!r}") from exc
     except Exception as exc:
         raise CliError(2, f"failed to evaluate expression {expr!r}: {exc}") from exc
-    return np.broadcast_to(np.asarray(out, dtype=np.float64), x.shape).copy()
+    if not np.isfinite(out).all():
+        raise CliError(2, f"expression {expr!r} is not finite everywhere on the grid")
+    return out
 
 
 def _load_config(path: str) -> dict:

@@ -76,6 +76,58 @@ def test_solve_bad_expression(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "expression",
+    [
+        "(lambda: ().__class__.__mro__[-1].__subclasses__().__len__())() * 0 + x",
+        "x.__class__",
+        "[x][0]",
+        "10**10**10",
+        "foo(x)",
+    ],
+)
+def test_solve_rejects_hostile_expressions(tmp_path, capsys, expression):
+    payload = dict(SOLVE_XY, boundary={"expression": expression})
+    cfg = write_cfg(tmp_path, "solve.json", payload)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err)["exit_code"] == 2
+
+
+def test_expression_grammar(tmp_path):
+    payload = {
+        "domain": {"extents": [[-1, 1], [-1, 1]], "n_cells": [8, 8]},
+        "kind": "euclidean",
+        "field": {"expression": "where(0 < x <= 0.5, -x**2 % 1, 2.0*pi*y // 1) + hypot(+x, e)"},
+    }
+    cfg = write_cfg(tmp_path, "area.json", payload)
+    assert main(["area", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_solve_nonfinite_boundary(tmp_path, capsys):
+    payload = dict(SOLVE_XY, boundary={"expression": "log(x)"})
+    cfg = write_cfg(tmp_path, "solve.json", payload)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["exit_code"] == 2 and "finite" in diag["error"]
+
+
+@pytest.mark.parametrize(
+    "solver, message",
+    [
+        ({"cg_rtol": 1e-12}, "unknown solver option"),
+        ({"line_search_factor": 1.5}, "line_search_factor"),
+        ({"newton_tol": -1}, "newton_tol"),
+        ({"max_newton_iters": 0}, "max_newton_iters"),
+    ],
+)
+def test_solve_bad_solver_options(tmp_path, capsys, solver, message):
+    payload = dict(SOLVE_XY, solver=solver)
+    cfg = write_cfg(tmp_path, "solve.json", payload)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["exit_code"] == 2 and message in diag["error"]
+
+
 def test_solve_nonconvergence_exit_code(tmp_path):
     payload = dict(
         SOLVE_XY,

@@ -7,6 +7,7 @@ import pytest
 from areavar.grids import EnergySpec, GridDomain, ScalarField, area_energy, singular_set
 from areavar.solver import (
     SolverConfig,
+    _Assembler,
     comparison_check,
     continuation_minimize,
     energy_bound_check,
@@ -279,6 +280,53 @@ def test_local_energy_bound_refuses_non_solutions():
     assert rep["refused"]
 
 
+# ---- assembly ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("a", [1.0, 1e-2])
+def test_assembled_matrices_are_derivatives_of_the_gradients(a):
+    dom = dom_n(6)
+    asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3), 4)
+    rng = np.random.RandomState(5)
+    u = rng.randn(7, 7)
+    v_int = rng.randn(asm.n_int)
+    v = asm.scatter_interior(np.zeros((7, 7)), v_int)
+    coeff = rng.uniform(0.5, 2.0, (6, 6, asm.G))
+    eps = 1e-6
+
+    def central(grad):
+        diff = (grad(u + eps * v) - grad(u - eps * v)) / (2 * eps)
+        return diff.ravel()[asm.interior]
+
+    def rel(x, y):
+        return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+    H = asm.hessian_interior(u, a)
+    assert rel(H @ v_int, central(lambda w: asm.gradient_full(w, a))) <= 1e-6
+    Q = asm.quadratic_matrix(coeff)
+    assert rel(Q @ v_int, central(lambda w: asm.quadratic_gradient_full(w, coeff))) <= 1e-6
+    for A in (H, Q):
+        assert A.shape == (asm.n_int, asm.n_int)
+        assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
+
+
+def test_stiffness_matches_per_point_reference():
+    asm = _Assembler(dom_n(6), P_AREA, 4)
+    a11, a12, a22 = np.random.RandomState(6).randn(3, 6, 6, asm.G)
+    # one cell and one Gauss point at a time
+    ref = np.zeros((asm.n_nodes, asm.n_nodes))
+    for i in range(6):
+        for j in range(6):
+            nodes = asm.corner_nodes[i, j]
+            for g in range(asm.G):
+                B = np.stack([asm.Dx[g], asm.Dy[g]])
+                C = np.array([[a11[i, j, g], a12[i, j, g]], [a12[i, j, g], a22[i, j, g]]])
+                ref[np.ix_(nodes, nodes)] += asm.wq[g] * asm.vol * B.T @ C @ B
+    ref = ref[np.ix_(asm.interior, asm.interior)]
+    K = asm.stiffness(a11, a12, a22).toarray()
+    assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 # ---- configuration and failure paths ----------------------------------------------
 
 
@@ -289,8 +337,27 @@ def test_solver_config_validation():
         SolverConfig(a_schedule=(1.0, -0.5))
     with pytest.raises(ValueError):
         SolverConfig.from_dict({"not_a_knob": 1})
+    with pytest.raises(ValueError):
+        SolverConfig.from_dict({"cg_rtol": 1e-12})   # removed option
+    for bad in (
+        {"newton_tol": 0.0},
+        {"newton_tol": -1.0},
+        {"newton_tol": math.nan},
+        {"continuation_stop": -1e-6},
+        {"line_search_factor": 0.0},
+        {"line_search_factor": 1.0},
+        {"line_search_factor": 1.5},
+        {"max_newton_iters": 0},
+        {"line_search_max": -1},
+        {"quad_order": 0},
+    ):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
     cfg = SolverConfig.from_dict({"a_schedule": [1, 0.5], "newton_tol": 1e-8})
     assert cfg.a_schedule == (1.0, 0.5) and cfg.newton_tol == 1e-8
+    # the boundary values themselves are accepted
+    cfg = SolverConfig(continuation_stop=0.0, line_search_max=0, max_newton_iters=1)
+    assert cfg.continuation_stop == 0.0
 
 
 def test_rejects_nonpositive_a():
