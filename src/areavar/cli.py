@@ -147,20 +147,30 @@ def _require(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
+def _object(cfg: dict, key: str, default: dict) -> dict:
+    value = cfg.get(key, default)
+    if not isinstance(value, dict):
+        raise CliError(2, f"{key} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _domain_from(cfg: dict) -> GridDomain:
     dcfg = _require(cfg, "domain")
     try:
         extents = tuple((float(a), float(b)) for a, b in _require(dcfg, "extents", "domain"))
         n_cells = tuple(int(n) for n in _require(dcfg, "n_cells", "domain"))
-        return GridDomain(extents, n_cells)
+        dom = GridDomain(extents, n_cells)
     except CliError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(2, f"bad domain: {exc}") from exc
+    if dom.m != 2:
+        raise CliError(2, f"bad domain: the CLI supports 2 axes, got {dom.m}")
+    return dom
 
 
 def _spec_from(cfg: dict, dom: GridDomain) -> EnergySpec:
-    scfg = cfg.get("spec", {"preset": "zero"})
+    scfg = _object(cfg, "spec", {"preset": "zero"})
     preset = scfg.get("preset", "zero")
     H = scfg.get("H", 0.0)
     try:
@@ -179,7 +189,7 @@ def _spec_from(cfg: dict, dom: GridDomain) -> EnergySpec:
         return EnergySpec(preset=preset, H=H)
     except CliError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(2, f"bad spec: {exc}") from exc
 
 
@@ -187,11 +197,11 @@ def _scalar_field(fcfg: dict, dom: GridDomain, what: str) -> ScalarField:
     if not isinstance(fcfg, dict):
         raise CliError(2, f"{what} must be an object with 'expression' or 'csv'")
     if "expression" in fcfg:
-        xs = dom.axis_nodes(0)
-        ys = dom.axis_nodes(1)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        X, Y = dom.node_coords()
         return ScalarField(dom, _eval_expr(fcfg["expression"], X, Y))
     if "csv" in fcfg:
+        if not isinstance(fcfg["csv"], str):
+            raise CliError(2, f"{what}.csv must be a path string")
         try:
             f = read_scalar_csv(fcfg["csv"])
         except OSError as exc:
@@ -205,11 +215,18 @@ def _scalar_field(fcfg: dict, dom: GridDomain, what: str) -> ScalarField:
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
-    scfg = cfg.get("solver", {})
+    scfg = _object(cfg, "solver", {})
     try:
         return SolverConfig.from_dict(scfg)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(2, f"bad solver config: {exc}") from exc
+
+
+def _float(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliError(2, f"{what} must be a number: {exc}") from exc
 
 
 def _write_json(path: str, obj) -> None:
@@ -218,13 +235,7 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _out_dir(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _solve_from_config(cfg: dict, seed: int):
+def _solve_from_config(cfg: dict):
     dom = _domain_from(cfg)
     spec = _spec_from(cfg, dom)
     phi = _scalar_field(_require(cfg, "boundary"), dom, "boundary")
@@ -236,11 +247,8 @@ def _solve_from_config(cfg: dict, seed: int):
 # ---- subcommands ---------------------------------------------------------------
 
 
-def cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    out = _out_dir(args)
-    dom, spec, phi, res = _solve_from_config(cfg, seed)
+def cmd_solve(cfg: dict, seed: int, out: str) -> int:
+    dom, spec, phi, res = _solve_from_config(cfg)
     write_scalar_csv(res.u, os.path.join(out, "solution.csv"))
     sing = singular_set(res.u, spec)
     report = {
@@ -264,12 +272,9 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_vary(args) -> int:
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    out = _out_dir(args)
-    dom, spec, phi, res = _solve_from_config(cfg, seed)
-    dcfg = cfg.get("direction", {"random": True})
+def cmd_vary(cfg: dict, seed: int, out: str) -> int:
+    dom, spec, phi, res = _solve_from_config(cfg)
+    dcfg = _object(cfg, "direction", {"random": True})
     if dcfg.get("random", False):
         rng = np.random.RandomState(seed)
         direction = acceptance._rand_direction(dom, rng)
@@ -300,14 +305,13 @@ def cmd_vary(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 2026))
+def cmd_verify(cfg: dict, seed: int, out: str) -> int:
     profile = cfg.get("profile", "full")
+    if not isinstance(profile, str):
+        raise CliError(2, f"profile must be a string, got {type(profile).__name__}")
     override = cfg.get("threshold_override", None)
     if override is not None:
-        override = float(override)
-    out = _out_dir(args)
+        override = _float(override, "threshold_override")
     try:
         report = acceptance.run_all(seed=seed, profile=profile, threshold_override=override)
     except ValueError as exc:
@@ -332,27 +336,15 @@ def _density_field(cfg: dict, dom: GridDomain) -> CellScalarField:
         raise CliError(2, f"unknown density kind {kind!r}")
     u = _scalar_field(_require(cfg, "field"), dom, "field")
     g = gradient(u).values
-    Xc, Yc = dom.center_coords()
-    ncx, ncy = dom.n_cells
-    vals = np.empty((ncx, ncy))
     if kind == "intrinsic":
-        phi_c = u.cell_average()
-        for i in range(ncx):
-            for j in range(ncy):
-                vals[i, j] = graph_area_density(
-                    "intrinsic", None, (phi_c[i, j], g[i, j, 0], g[i, j, 1])
-                )
+        point, jet = None, np.stack([u.cell_average(), g[..., 0], g[..., 1]], axis=-1)
     else:
-        for i in range(ncx):
-            for j in range(ncy):
-                vals[i, j] = graph_area_density(kind, (Xc[i, j], Yc[i, j]), g[i, j])
-    return CellScalarField(dom, vals, np.ones((ncx, ncy), dtype=bool))
+        point, jet = np.stack(dom.center_coords(), axis=-1), g
+    vals = graph_area_density(kind, point, jet)
+    return CellScalarField(dom, vals, np.ones(vals.shape, dtype=bool))
 
 
-def cmd_area(args) -> int:
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    out = _out_dir(args)
+def cmd_area(cfg: dict, seed: int, out: str) -> int:
     dom = _domain_from(cfg)
     dens = _density_field(cfg, dom)
     write_cell_csv(dens, os.path.join(out, "density.csv"))
@@ -368,10 +360,7 @@ def cmd_area(args) -> int:
     return 0
 
 
-def cmd_curvature(args) -> int:
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    out = _out_dir(args)
+def cmd_curvature(cfg: dict, seed: int, out: str) -> int:
     dom = _domain_from(cfg)
     op = cfg.get("operator", "euclidean")
     u = _scalar_field(_require(cfg, "field"), dom, "field")
@@ -399,6 +388,8 @@ def cmd_curvature(args) -> int:
 def _measure_from(cfg, what: str) -> measures.VectorMeasure:
     data = cfg
     if isinstance(data, dict) and "path" in data:
+        if not isinstance(data["path"], str):
+            raise CliError(2, f"{what}.path must be a string")
         data = _load_config(data["path"])
     try:
         return measures.VectorMeasure.from_json_dict(data)
@@ -406,13 +397,10 @@ def _measure_from(cfg, what: str) -> measures.VectorMeasure:
         raise CliError(2, f"bad {what} measure: {exc}") from exc
 
 
-def cmd_decompose(args) -> int:
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    out = _out_dir(args)
+def cmd_decompose(cfg: dict, seed: int, out: str) -> int:
     mu = _measure_from(_require(cfg, "mu"), "mu")
     nu = _measure_from(_require(cfg, "nu"), "nu")
-    eps = float(cfg.get("eps", 0.0))
+    eps = _float(cfg.get("eps", 0.0), "eps")
     try:
         dec = measures.decompose(nu, measures.add_scaled(mu, nu, eps) if eps else mu)
         fm, fp = measures.first_variation_pm(mu, nu, eps)
@@ -475,14 +463,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command][0](args)
+        cfg = _load_config(args.config) if args.config else {}
+        default_seed = 2026 if args.command == "verify" else 0
+        seed = args.seed if args.seed is not None else cfg.get("seed", default_seed)
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**32:
+            raise CliError(2, f"seed must be an integer in [0, 2**32), got {seed!r}")
+        out = args.out or "."
+        os.makedirs(out, exist_ok=True)
+        return _COMMANDS[args.command][0](cfg, seed, out)
     except CliError as exc:
-        diag = {"error": exc.message, "exit_code": exc.code, "command": args.command}
-        print(to_json(diag), file=sys.stderr)
-        return exc.code
+        code, message = exc.code, exc.message
     except OSError as exc:
-        print(to_json({"error": str(exc), "exit_code": 2, "command": args.command}), file=sys.stderr)
-        return 2
+        code, message = 2, str(exc)
+    # one line, so it stays parseable after any warnings printed before it
+    diag = {"error": message, "exit_code": code, "command": args.command}
+    print(json.dumps(diag, sort_keys=True), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -119,7 +119,7 @@ class VectorMeasure:
                 (a["site"], np.asarray(a["mass"], dtype=np.float64))
                 for a in data.get("atoms", [])
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed measure JSON: {exc}") from exc
         return VectorMeasure(d, weights, density, atoms)
 

@@ -331,3 +331,83 @@ def test_console_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 2
+
+
+# ---- area on a non-square, off-centre grid ----------------------------------------
+
+# Bilinear field: its cell gradient and corner average are exact at cell centres.
+BILINEAR = "0.3 + 0.7*x - 1.2*y + 0.5*x*y"
+
+
+def _bilinear_density(kind, x, y):
+    u, ux, uy = 0.3 + 0.7 * x - 1.2 * y + 0.5 * x * y, 0.7 + 0.5 * y, -1.2 + 0.5 * x
+    if kind == "euclidean":
+        return np.sqrt(1.0 + ux * ux + uy * uy)
+    if kind == "heisenberg":
+        return np.hypot(y - ux, x + uy)
+    return np.sqrt(1.0 + (ux - 2.0 * u * uy) ** 2)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "heisenberg", "intrinsic"])
+def test_area_non_square_grid(tmp_path, kind):
+    payload = {
+        "domain": {"extents": [[-0.4, 1.3], [0.2, 1.1]], "n_cells": [12, 7]},
+        "kind": kind,
+        "field": {"expression": BILINEAR},
+    }
+    cfg = write_cfg(tmp_path, "area.json", payload)
+    out = tmp_path / "out"
+    assert main(["area", "--config", cfg, "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (12 * 7, 5)
+    i, j, x, y, dens = rows.T
+    assert np.array_equal(i, np.repeat(np.arange(12), 7))
+    assert np.array_equal(j, np.tile(np.arange(7), 12))
+    assert np.allclose(x, -0.4 + (i + 0.5) * 1.7 / 12, rtol=0, atol=1e-15)
+    assert np.allclose(y, 0.2 + (j + 0.5) * 0.9 / 7, rtol=0, atol=1e-15)
+    exact = _bilinear_density(kind, x, y)
+    assert np.max(np.abs(dens - exact) / exact) <= 1e-12
+    rep = load(out / "report.json")
+    assert rep["cells"] == 84 and rep["max_density"] == dens.max()
+
+
+# ---- malformed config sections ----------------------------------------------------
+
+GRID4 = {"extents": [[-1, 1], [-1, 1]], "n_cells": [4, 4]}
+TINY_SOLVE = {"domain": GRID4, "boundary": {"expression": "x*y"},
+              "solver": {"a_schedule": [1.0, 0.5]}}
+ONE_CELL = {"d": 2, "cells": [{"id": 0, "weight": 1.0, "density": [1.0, 0.0]}]}
+VALID = {
+    "solve": TINY_SOLVE,
+    "vary": TINY_SOLVE,
+    "verify": {"profile": "fast"},
+    "area": {"domain": GRID4, "kind": "euclidean", "field": {"expression": "x"}},
+    "curvature": {"domain": GRID4, "operator": "horizontal", "field": {"expression": "x*y"}},
+    "decompose": {"mu": ONE_CELL, "nu": ONE_CELL},
+}
+THREE_AXES = {"extents": [[-1, 1], [-1, 1], [-1, 1]], "n_cells": [2, 2, 2]}
+
+
+@pytest.mark.parametrize(
+    "command, patch, key",
+    [
+        ("solve", {"spec": "p_area"}, "spec"),
+        ("curvature", {"spec": []}, "spec"),
+        ("solve", {"solver": []}, "solver"),
+        ("vary", {"direction": 5}, "direction"),
+        *[(command, {"seed": "abc"}, "seed") for command in VALID],
+        ("area", {"seed": -1}, "seed"),
+        ("verify", {"threshold_override": "abc"}, "threshold_override"),
+        ("verify", {"profile": ["fast"]}, "profile"),
+        ("decompose", {"eps": "x"}, "eps"),
+        ("decompose", {"mu": {"path": 0}}, "mu.path"),
+        ("area", {"field": {"csv": 1}}, "field.csv"),
+        ("area", {"domain": THREE_AXES}, "domain"),
+        ("solve", {"domain": THREE_AXES}, "domain"),
+    ],
+)
+def test_malformed_config_sections_exit_2(tmp_path, capsys, command, patch, key):
+    cfg = write_cfg(tmp_path, "cfg.json", dict(VALID[command], **patch))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["exit_code"] == 2 and key in diag["error"]

@@ -1,0 +1,154 @@
+"""Property test of the CLI boundary: hostile configs never escape as tracebacks.
+
+Configs for `area`, `curvature`, `decompose` and a tiny `solve` are drawn with
+top-level values of the wrong type, expressions from the grammar mixed with
+hostile tokens, and measure JSON of the wrong shape.  Every run must exit 0,
+2 or 3, and a non-zero exit must end stderr with a one-line JSON diagnostic.
+Grids stay at <= 4 cells per axis; `quad_order` and large cell counts are
+never generated, because the grid's memory is not bounded by the CLI.
+"""
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from areavar.cli import main
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+SMALL_TEXT = st.text(max_size=2)
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    FLOATS,
+    st.just(10**400),
+    SMALL_TEXT,
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(SMALL_TEXT, st.integers(-2, 2), max_size=2),
+)
+
+# ---- expressions: the grammar, plus tokens it must reject -------------------------
+
+ATOMS = st.sampled_from(["x", "y", "pi", "e", "0", "1", "2.5", "1e308", "-3"])
+FUNCS = st.sampled_from(
+    ["sin", "cos", "tan", "exp", "log", "sqrt", "abs", "hypot", "tanh", "atan2",
+     "minimum", "maximum", "where"]
+)
+OPS = st.sampled_from(["+", "-", "*", "/", "//", "%", "**", "<", "<=", ">", ">=", "==", "!="])
+HOSTILE = st.sampled_from(
+    ["__import__('os')", "x.__class__", "[x][0]", "(lambda: x)()", "x if y else 1", "{}",
+     "'s'", "open", "x[0]", "exec('1')", "f'{x}'", "10**10**10", "*", ")", "", "not x",
+     "x and y", "x @ y", "b'x'", "1j", "True", "None", "...", "(x := 1)", "sin(x, y)",
+     "where(x)", "sin(x=1)", "((((((((((x))))))))))", "x" * 300]
+)
+
+
+def _compound(children):
+    return st.one_of(
+        st.tuples(children, OPS, children).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(FUNCS, st.lists(children, min_size=1, max_size=3)).map(
+            lambda t: f"{t[0]}({', '.join(t[1])})"
+        ),
+        children.map(lambda c: f"-{c}"),
+    )
+
+
+EXPR = st.recursive(st.one_of(ATOMS, HOSTILE), _compound, max_leaves=8)
+FIELD = st.one_of(
+    st.fixed_dictionaries({"expression": st.one_of(EXPR, JUNK)}),
+    st.fixed_dictionaries({"csv": JUNK}),
+    JUNK,
+)
+
+# ---- grids (at most 4 cells per axis) and energy specs ------------------------------
+
+BOUND = st.one_of(FLOATS, st.just(10**400))
+EXTENT = st.one_of(st.tuples(BOUND, BOUND).map(list), JUNK)
+CELLS = st.one_of(st.integers(-1, 4), st.none(), st.floats(max_value=4.0), SMALL_TEXT)
+DOMAIN = st.one_of(
+    st.fixed_dictionaries({"extents": st.just([[-1.0, 1.0], [-0.5, 1.5]]),
+                           "n_cells": st.lists(st.integers(2, 4), min_size=2, max_size=2)}),
+    st.fixed_dictionaries({"extents": st.one_of(st.lists(EXTENT, max_size=3), JUNK),
+                           "n_cells": st.one_of(st.lists(CELLS, max_size=3), JUNK)}),
+    JUNK,
+)
+SPEC = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "preset": st.one_of(st.sampled_from(["zero", "p_area", "custom", "bogus"]), JUNK),
+            "H": st.one_of(FLOATS, EXPR, JUNK),
+            "F": st.one_of(st.lists(EXPR, max_size=3), JUNK),
+        },
+    ),
+    JUNK,
+)
+SOLVER = st.one_of(
+    st.just({"a_schedule": [1.0, 0.5]}),
+    st.sampled_from(
+        ["newton_tol", "max_newton_iters", "line_search_factor", "line_search_max",
+         "continuation_stop"]
+    ).flatmap(lambda key: st.fixed_dictionaries({"a_schedule": st.just([1.0, 0.5]), key: JUNK})),
+    JUNK,
+)
+SEED = {"seed": st.one_of(st.integers(0, 9), JUNK)}
+
+# ---- measures ------------------------------------------------------------------------
+
+VECTOR = st.one_of(st.lists(FLOATS, max_size=3), JUNK)
+CELL = st.fixed_dictionaries(
+    {"id": st.one_of(st.integers(0, 3), JUNK), "weight": st.one_of(FLOATS, JUNK),
+     "density": VECTOR}
+)
+ATOM = st.fixed_dictionaries({"site": st.one_of(SMALL_TEXT, JUNK), "mass": VECTOR})
+MEASURE = st.one_of(
+    st.fixed_dictionaries(
+        {"d": st.one_of(st.integers(0, 3), JUNK), "cells": st.one_of(st.lists(CELL, max_size=3), JUNK)},
+        optional={"atoms": st.one_of(st.lists(ATOM, max_size=2), JUNK)},
+    ),
+    st.fixed_dictionaries({"path": JUNK}),
+    JUNK,
+)
+
+CONFIGS = {
+    "area": st.fixed_dictionaries(
+        {"domain": DOMAIN, "field": FIELD,
+         "kind": st.one_of(st.sampled_from(["euclidean", "heisenberg", "intrinsic"]), JUNK)},
+        optional=SEED,
+    ),
+    "curvature": st.fixed_dictionaries(
+        {"domain": DOMAIN, "field": FIELD,
+         "operator": st.one_of(st.sampled_from(["euclidean", "horizontal"]), JUNK)},
+        optional=dict(SEED, spec=SPEC),
+    ),
+    "decompose": st.fixed_dictionaries(
+        {"mu": MEASURE, "nu": MEASURE}, optional=dict(SEED, eps=st.one_of(FLOATS, JUNK))
+    ),
+    "solve": st.fixed_dictionaries(
+        {"domain": DOMAIN, "boundary": FIELD, "solver": SOLVER},
+        optional=dict(SEED, spec=SPEC),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_exits_cleanly_on_any_config(command, data):
+    cfg = data.draw(CONFIGS[command], label="config")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 2, 3)
+    if code:
+        diag = json.loads(err.getvalue().splitlines()[-1])
+        assert diag["exit_code"] == code and diag["command"] == command

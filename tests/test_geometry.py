@@ -190,6 +190,64 @@ def test_heisenberg_defining_higher_n():
         heisenberg_defining(point, grad[:2], n=2)
 
 
+# ---- arrays of jets ------------------------------------------------------------------
+
+BATCH_KINDS = [("euclidean", 2), ("euclidean", 4), ("heisenberg", 2), ("heisenberg", 4), ("intrinsic", 3)]
+
+
+def _batch(kind, dim, rng):
+    point = rng.randn(5, 7, dim) * 2.0 if kind == "heisenberg" else None
+    return point, rng.randn(5, 7, dim) * 2.0
+
+
+@pytest.mark.parametrize("kind, dim", BATCH_KINDS)
+def test_area_element_batch_matches_per_jet(kind, dim):
+    rng = np.random.RandomState(67 + dim)
+    point, jet = _batch(kind, dim, rng)
+    sign, dens = area_element(kind, point, jet)
+    assert sign.shape == dens.shape == (5, 7)
+    assert np.array_equal(graph_area_density(kind, point, jet), dens)
+    for i in range(5):
+        for j in range(7):
+            p = None if point is None else point[i, j]
+            s1, d1 = area_element(kind, p, jet[i, j])
+            assert np.ndim(s1) == 0 and np.ndim(d1) == 0
+            assert sign[i, j] == s1
+            assert abs(dens[i, j] - d1) <= 1e-15 * d1
+            assert abs(graph_area_density(kind, p, jet[i, j]) - dens[i, j]) <= 1e-15 * d1
+
+
+def test_area_element_coeff_batch_signs():
+    rng = np.random.RandomState(70)
+    v = rng.randn(5, 7, 3)
+    coeff = area_element_coeff(intrinsic_graph_frame(), DefiningData(v))
+    assert coeff.shape == (5, 7)
+    for idx in np.ndindex(5, 7):
+        one = area_element_coeff(intrinsic_graph_frame(), DefiningData(v[idx]))
+        assert np.sign(coeff[idx]) == np.sign(one) == np.sign(v[idx][-1])
+        assert abs(coeff[idx] - one) <= 1e-15 * abs(one)
+
+
+def test_area_element_batch_rejects_zero_last_component():
+    v = np.random.RandomState(71).randn(5, 7, 3)
+    v[3, 2, -1] = 0.0
+    with pytest.raises(ValueError, match="nonzero"):
+        DefiningData(v)
+    v[3, 2, -1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        DefiningData(v)
+
+
+def test_area_element_batch_rejects_length_mismatch():
+    rng = np.random.RandomState(73)
+    with pytest.raises(ValueError):
+        area_element_coeff(heisenberg_graph_frame(1), DefiningData(rng.randn(5, 7, 4) + 5.0))
+    with pytest.raises(ValueError):
+        area_element("intrinsic", None, rng.randn(5, 7, 2))
+    with pytest.raises(ValueError):
+        area_element("heisenberg", rng.randn(5, 7, 2), rng.randn(5, 7, 3))
+
+
 # ---- mean curvature --------------------------------------------------------------------
 
 
