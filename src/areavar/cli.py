@@ -107,6 +107,11 @@ def _eval_node(node, ns: dict):
         fn = _EXPR_NAMES.get(node.func.id)
         if not callable(fn):
             raise CliError(2, f"unknown function {node.func.id!r}")
+        # a ufunc takes a surplus positional argument as its output array
+        if isinstance(fn, np.ufunc) and len(node.args) != fn.nin:
+            raise CliError(
+                2, f"{node.func.id} takes {fn.nin} argument(s), got {len(node.args)}"
+            )
         return fn(*(_eval_node(arg, ns) for arg in node.args))
     raise CliError(2, f"unsupported syntax: {type(node).__name__}")
 

@@ -382,16 +382,36 @@ def hypothesis_checks(
 # ---- CSV I/O -----------------------------------------------------------------
 
 
+def _g17_column(a: np.ndarray) -> list[str]:
+    """Every value of `a`, row-major, formatted by g17."""
+    return list(map(g17, np.ravel(a).tolist()))
+
+
+def _write_grid_csv(path, header: list[str], xs: np.ndarray, ys: np.ndarray, columns) -> None:
+    """One CSV row i, j, x, y, *values per point of the xs x ys grid, i-major;
+    each of `columns` has shape (xs.size, ys.size).
+
+    Every field is a numeral, nan or inf, which csv.writer's excel dialect
+    never quotes, so rows are joined with that dialect's delimiter and line
+    terminator directly: the same bytes at a sixth of writerows' cost.  Rows
+    are formatted one i at a time, so memory stays O(ys.size).
+    """
+    ny = ys.size
+    js = [str(j) for j in range(ny)]
+    y17 = _g17_column(ys)
+    sep, end = csv.excel.delimiter, csv.excel.lineterminator
+    with open(path, "w", newline="") as fh:
+        fh.write(sep.join(header) + end)
+        for i, x17 in enumerate(_g17_column(xs)):
+            rows = zip([str(i)] * ny, js, [x17] * ny, y17, *(_g17_column(c[i]) for c in columns))
+            fh.writelines(sep.join(row) + end for row in rows)
+
+
 def write_scalar_csv(u: ScalarField, path) -> None:
     dom = u.dom
-    xs = dom.axis_nodes(0)
-    ys = dom.axis_nodes(1)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "x", "y", "value"])
-        for i in range(xs.size):
-            for j in range(ys.size):
-                w.writerow([i, j, g17(xs[i]), g17(ys[j]), g17(u.values[i, j])])
+    _write_grid_csv(
+        path, ["i", "j", "x", "y", "value"], dom.axis_nodes(0), dom.axis_nodes(1), [u.values]
+    )
 
 
 def read_scalar_csv(path) -> ScalarField:
@@ -429,22 +449,12 @@ def read_scalar_csv(path) -> ScalarField:
 
 def write_cell_csv(field: VectorField | CellScalarField, path) -> None:
     dom = field.dom
-    xc = dom.axis_centers(0)
-    yc = dom.axis_centers(1)
-    vec = isinstance(field, VectorField)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if vec:
-            w.writerow(["i", "j", "x", "y"] + [f"v{k+1}" for k in range(field.d)])
-        else:
-            w.writerow(["i", "j", "x", "y", "value"])
-        for i in range(xc.size):
-            for j in range(yc.size):
-                pos = [i, j, g17(xc[i]), g17(yc[j])]
-                if vec:
-                    w.writerow(pos + [g17(v) for v in field.values[i, j]])
-                else:
-                    val = field.values[i, j]
-                    if not field.mask[i, j]:
-                        val = float("nan")
-                    w.writerow(pos + [format(val, ".17g")])
+    if isinstance(field, VectorField):
+        header = [f"v{k + 1}" for k in range(field.d)]
+        columns = np.moveaxis(field.values, -1, 0)
+    else:
+        header = ["value"]
+        columns = [np.where(field.mask, field.values, np.nan)]
+    _write_grid_csv(
+        path, ["i", "j", "x", "y"] + header, dom.axis_centers(0), dom.axis_centers(1), columns
+    )

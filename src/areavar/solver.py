@@ -289,28 +289,6 @@ def _quad_coords(dom, Xg, Yg, spec):
     )
 
 
-# Frozen-coefficient (Laplace / Picard) systems are solved by Jacobi-CG, not
-# LU, to keep memory low: at 256^2 a SuperLU factorization of the Laplacian
-# raises a process's peak RSS from 128 MB to 192 MB (MMD on A^T+A) or
-# 233 MB (COLAMD); CG adds nothing measurable.
-_CG_RTOL = 1e-12
-_CG_MAXITER = 4000
-
-
-def _cg_solve(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Solve the SPD system by Jacobi-preconditioned CG; fall back to a
-    direct factorization when CG does not reach _CG_RTOL."""
-    if b.size == 0:
-        return b.copy()
-    diag = A.diagonal()
-    diag = np.where(diag > 0, diag, 1.0)
-    M = spla.LinearOperator(A.shape, matvec=lambda x: x / diag)
-    x, info = spla.cg(A, b, rtol=_CG_RTOL, atol=0.0, M=M, maxiter=_CG_MAXITER)
-    if info == 0:
-        return x
-    return spla.splu(A.tocsc()).solve(b)
-
-
 def _apply_boundary(values: np.ndarray, phi: ScalarField, dom: GridDomain) -> np.ndarray:
     out = values.copy()
     mask = dom.boundary_mask()
@@ -318,20 +296,33 @@ def _apply_boundary(values: np.ndarray, phi: ScalarField, dom: GridDomain) -> np
     return out
 
 
-def harmonic_extension(dom: GridDomain, phi: ScalarField, quad_order: int = 2) -> ScalarField:
+def harmonic_extension(dom: GridDomain, phi: ScalarField) -> ScalarField:
     """Extend boundary data into the interior by one Laplace solve.
 
     This is the standard initial guess: cheap, and already exact whenever
     the target solution happens to be harmonic (affine data, saddle data).
+    The 2-point Gauss rule integrates Q1 gradient products exactly, so on
+    the uniform grid the matrix is Kx (x) My + Mx (x) Ky with 1D stiffness
+    K = tridiag(-1, 2, -1)/h and mass M = h tridiag(1, 4, 1)/6, both
+    diagonalized by the type-I sine transform: the solve is exact.
     """
-    spec0 = EnergySpec(preset="zero", H=0.0)
-    asm = _Assembler(dom, spec0, quad_order)
-    values = _apply_boundary(phi.values, phi, dom)
-    coeff = np.ones((asm.ncx, asm.ncy, asm.G))
-    A = asm.quadratic_matrix(coeff)
-    r = asm.quadratic_gradient_full(values, coeff).ravel()[asm.interior]
-    d = _cg_solve(A, -r)
-    return ScalarField(dom, asm.scatter_interior(values, d))
+    # imported here: scipy.fft adds about 75 ms and 5 MB to a process's
+    # start-up, which the CLI's field commands never need
+    from scipy.fft import dstn, idstn
+
+    asm = _Assembler(dom, EnergySpec(preset="zero", H=0.0), 2)
+    values = phi.values.copy()
+    r = asm.quadratic_gradient_full(values, np.ones((asm.ncx, asm.ncy, asm.G)))
+    (Kx, Mx), (Ky, My) = (_laplace_eigs(n, h) for n, h in zip(dom.n_cells, dom.spacing))
+    lam = Kx[:, None] * My[None, :] + Mx[:, None] * Ky[None, :]
+    values[1:-1, 1:-1] += idstn(dstn(-r[1:-1, 1:-1], type=1) / lam, type=1)
+    return ScalarField(dom, values)
+
+
+def _laplace_eigs(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the 1D Q1 stiffness and mass on n cells of width h."""
+    c = np.cos(np.pi * np.arange(1, n) / n)
+    return (2.0 - 2.0 * c) / h, h * (4.0 + 2.0 * c) / 6.0
 
 
 def solve_regularized(
@@ -354,7 +345,6 @@ def solve_regularized(
     asm = _Assembler(dom, spec, cfg.quad_order)
     if u0 is None:
         values = harmonic_extension(dom, phi).values
-        values = _apply_boundary(values, phi, dom)
     else:
         values = _apply_boundary(u0.values, phi, dom)
 
@@ -474,7 +464,6 @@ def solve_fixed_point(
         raise ValueError("regularization parameter a must be positive")
     asm = _Assembler(dom, spec, quad_order)
     values = harmonic_extension(dom, phi).values
-    values = _apply_boundary(values, phi, dom)
     iterations = 0
     converged = False
     for _ in range(max_iters):
@@ -486,7 +475,7 @@ def solve_fixed_point(
         coeff = 1.0 / np.sqrt(a * a + mx * mx + my * my)
         A = asm.quadratic_matrix(coeff)
         r = asm.quadratic_gradient_full(values, coeff).ravel()[asm.interior]
-        d = _cg_solve(A, -r)
+        d = spla.splu(A.tocsc()).solve(-r)
         values = asm.scatter_interior(values, damping * d)
         iterations += 1
     u = ScalarField(dom, values)

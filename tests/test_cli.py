@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -84,6 +85,9 @@ def test_solve_bad_expression(tmp_path, capsys):
         "[x][0]",
         "10**10**10",
         "foo(x)",
+        "sin(x, y) + y",     # a surplus ufunc argument would be taken as out=
+        "hypot(x, y, x)",
+        "sin()",
     ],
 )
 def test_solve_rejects_hostile_expressions(tmp_path, capsys, expression):
@@ -325,10 +329,14 @@ def test_verify_threshold_override_forces_failures(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
+    # the subprocess imports areavar from this checkout, installed or not
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "areavar.cli", "nonsense"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 2
 

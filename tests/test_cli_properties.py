@@ -2,8 +2,9 @@
 
 Configs for `area`, `curvature`, `decompose` and a tiny `solve` are drawn with
 top-level values of the wrong type, expressions from the grammar mixed with
-hostile tokens, and measure JSON of the wrong shape.  Every run must exit 0,
-2 or 3, and a non-zero exit must end stderr with a one-line JSON diagnostic.
+hostile tokens and over-arity ufunc calls, and measure JSON of the wrong
+shape.  Every run must exit 0, 2 or 3, and a non-zero exit must end stderr with
+a one-line JSON diagnostic; an over-arity call must exit 2.
 Grids stay at <= 4 cells per axis; `quad_order` and large cell counts are
 never generated, because the grid's memory is not bounded by the CLI.
 """
@@ -13,11 +14,12 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from areavar.cli import main
+from areavar.cli import _EXPR_NAMES, main
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 SMALL_TEXT = st.text(max_size=2)
@@ -47,6 +49,14 @@ HOSTILE = st.sampled_from(
      "where(x)", "sin(x=1)", "((((((((((x))))))))))", "x" * 300]
 )
 
+# a whitelisted ufunc called with a surplus positional argument, which numpy
+# would take as its output array
+UFUNC_ARITY = {name: fn.nin for name, fn in _EXPR_NAMES.items() if isinstance(fn, np.ufunc)}
+OVER_ARITY = st.sampled_from(sorted(UFUNC_ARITY)).flatmap(
+    lambda name: st.lists(ATOMS, min_size=UFUNC_ARITY[name] + 1, max_size=UFUNC_ARITY[name] + 2)
+    .map(lambda args: f"{name}({', '.join(args)})")
+)
+
 
 def _compound(children):
     return st.one_of(
@@ -58,7 +68,7 @@ def _compound(children):
     )
 
 
-EXPR = st.recursive(st.one_of(ATOMS, HOSTILE), _compound, max_leaves=8)
+EXPR = st.recursive(st.one_of(ATOMS, HOSTILE, OVER_ARITY), _compound, max_leaves=8)
 FIELD = st.one_of(
     st.fixed_dictionaries({"expression": st.one_of(EXPR, JUNK)}),
     st.fixed_dictionaries({"csv": JUNK}),
@@ -152,3 +162,20 @@ def test_cli_exits_cleanly_on_any_config(command, data):
     if code:
         diag = json.loads(err.getvalue().splitlines()[-1])
         assert diag["exit_code"] == code and diag["command"] == command
+
+
+@settings(max_examples=40, deadline=None)
+@given(call=OVER_ARITY, rest=st.sampled_from(["", " + y", " * x"]))
+def test_over_arity_ufunc_call_exits_2(call, rest):
+    cfg = {"domain": {"extents": [[-1.0, 1.0], [-0.5, 1.5]], "n_cells": [3, 4]},
+           "kind": "euclidean", "field": {"expression": call + rest}}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["area", "--config", path, "--out", os.path.join(tmp, "out")])
+    diag = json.loads(err.getvalue().splitlines()[-1])
+    assert code == 2 and diag["exit_code"] == 2
+    assert "argument" in diag["error"]

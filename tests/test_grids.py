@@ -5,6 +5,7 @@ import pytest
 
 from areavar import measures
 from areavar.grids import (
+    CellScalarField,
     EnergySpec,
     GridDomain,
     ScalarField,
@@ -396,6 +397,38 @@ def test_cell_csv_vector_and_masked_scalar(tmp_path):
     assert any(v == "nan" for v in values)  # masked boundary ring
     finite = [float(v) for v in values if v != "nan"]
     assert len(finite) == 6 * 6
+
+
+def test_cell_csv_exact_bytes(tmp_path):
+    # 17 significant digits, -0, tiny and huge values, masked cells as nan,
+    # excel line endings: the bytes the CLI's density and curvature files carry
+    dom = GridDomain(((-1.0, 0.5), (0.0, 1.0)), (3, 2))
+    vals = np.array([[[0.1, -0.0], [1.0 / 3.0, 1e-300]],
+                     [[-2.5, 7.0], [1e17, 123456789.0]],
+                     [[2.0 ** -40, -1.0 / 7.0], [0.0, 3.0]]])
+    vec_path = tmp_path / "vec.csv"
+    write_cell_csv(VectorField(dom, vals), vec_path)
+    assert vec_path.read_bytes() == (
+        b"i,j,x,y,v1,v2\r\n"
+        b"0,0,-0.75,0.25,0.10000000000000001,-0\r\n"
+        b"0,1,-0.75,0.75,0.33333333333333331,1e-300\r\n"
+        b"1,0,-0.25,0.25,-2.5,7\r\n"
+        b"1,1,-0.25,0.75,1e+17,123456789\r\n"
+        b"2,0,0.25,0.25,9.0949470177292824e-13,-0.14285714285714285\r\n"
+        b"2,1,0.25,0.75,0,3\r\n"
+    )
+    mask = np.array([[True, False], [True, True], [False, True]])
+    cell_path = tmp_path / "cell.csv"
+    write_cell_csv(CellScalarField(dom, vals[..., 0], mask), cell_path)
+    assert cell_path.read_bytes() == (
+        b"i,j,x,y,value\r\n"
+        b"0,0,-0.75,0.25,0.10000000000000001\r\n"
+        b"0,1,-0.75,0.75,nan\r\n"
+        b"1,0,-0.25,0.25,-2.5\r\n"
+        b"1,1,-0.25,0.75,1e+17\r\n"
+        b"2,0,0.25,0.25,nan\r\n"
+        b"2,1,0.25,0.75,0\r\n"
+    )
 
 
 def test_read_scalar_csv_rejects_garbage(tmp_path):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from areavar.grids import EnergySpec, GridDomain, ScalarField, area_energy, singular_set
 from areavar.solver import (
@@ -11,6 +12,7 @@ from areavar.solver import (
     comparison_check,
     continuation_minimize,
     energy_bound_check,
+    harmonic_extension,
     local_energy_bound_check,
     solve_fixed_point,
     solve_regularized,
@@ -69,6 +71,28 @@ def test_agrees_with_damped_fixed_point_oracle():
     picard = solve_fixed_point(dom, ZERO, 1.0, phi)
     assert newton.converged and picard.converged
     assert np.abs(newton.u.values - picard.u.values).max() <= 1e-6
+
+
+OFFSET_BOX = ((-1.0, 0.4), (0.2, 1.1))
+
+
+@pytest.mark.parametrize("n_cells", [(2, 2), (2, 5), (7, 3), (32, 35)])
+def test_harmonic_extension_matches_assembled_direct_solve(n_cells):
+    # non-square grids: swapped eigenvalue axes would not survive this
+    dom = GridDomain(OFFSET_BOX, n_cells)
+    phi = field(dom, lambda x, y: np.sin(3 * x) * np.exp(y) + x * y * y)
+    asm = _Assembler(dom, ZERO, 2)
+    ones = np.ones((asm.ncx, asm.ncy, asm.G))
+    r = asm.quadratic_gradient_full(phi.values, ones).ravel()[asm.interior]
+    d = spla.spsolve(asm.quadratic_matrix(ones).tocsc(), -r)
+    direct = asm.scatter_interior(phi.values, d)
+    assert np.abs(harmonic_extension(dom, phi).values - direct).max() <= 1e-12
+
+
+def test_harmonic_extension_keeps_bilinear_data():
+    dom = GridDomain(OFFSET_BOX, (7, 3))
+    phi = field(dom, lambda x, y: 0.3 - 1.1 * x + 0.8 * y + 2.0 * x * y)
+    assert np.abs(harmonic_extension(dom, phi).values - phi.values).max() <= 1e-14
 
 
 def test_xy_limit_energy_and_band():
