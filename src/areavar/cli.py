@@ -46,6 +46,13 @@ class CliError(Exception):
 
 # ---- config parsing ----------------------------------------------------------
 
+# Size bounds, so that no config asks for more memory than a small machine
+# has (measured peaks in README): cells in a domain, the Gauss order, and the
+# quadrature points (cells * quad_order**2) a solve allocates per-point arrays for.
+_MAX_CELLS = 512 * 512
+_MAX_QUAD_ORDER = 8
+_MAX_QUAD_POINTS = 16 * _MAX_CELLS
+
 _EXPR_NAMES = {
     "sin": np.sin,
     "cos": np.cos,
@@ -171,6 +178,8 @@ def _domain_from(cfg: dict) -> GridDomain:
         raise CliError(2, f"bad domain: {exc}") from exc
     if dom.m != 2:
         raise CliError(2, f"bad domain: the CLI supports 2 axes, got {dom.m}")
+    if dom.n_cells[0] * dom.n_cells[1] > _MAX_CELLS:
+        raise CliError(2, f"bad domain: more than {_MAX_CELLS} cells")
     return dom
 
 
@@ -222,9 +231,12 @@ def _scalar_field(fcfg: dict, dom: GridDomain, what: str) -> ScalarField:
 def _solver_config(cfg: dict) -> SolverConfig:
     scfg = _object(cfg, "solver", {})
     try:
-        return SolverConfig.from_dict(scfg)
+        scfg = SolverConfig.from_dict(scfg)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(2, f"bad solver config: {exc}") from exc
+    if scfg.quad_order > _MAX_QUAD_ORDER:
+        raise CliError(2, f"bad solver config: quad_order must be <= {_MAX_QUAD_ORDER}")
+    return scfg
 
 
 def _float(value, what: str) -> float:
@@ -242,9 +254,13 @@ def _write_json(path: str, obj) -> None:
 
 def _solve_from_config(cfg: dict):
     dom = _domain_from(cfg)
+    scfg = _solver_config(cfg)
+    if dom.n_cells[0] * dom.n_cells[1] * scfg.quad_order**2 > _MAX_QUAD_POINTS:
+        raise CliError(
+            2, f"bad solver config: cells * quad_order**2 must be <= {_MAX_QUAD_POINTS}"
+        )
     spec = _spec_from(cfg, dom)
     phi = _scalar_field(_require(cfg, "boundary"), dom, "boundary")
-    scfg = _solver_config(cfg)
     res = continuation_minimize(dom, spec, phi, scfg)
     return dom, spec, phi, res
 

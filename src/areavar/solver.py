@@ -161,29 +161,36 @@ class _Assembler:
             [n00, n00 + ny1, n00 + 1, n00 + ny1 + 1], axis=-1
         )  # (ncx, ncy, 4)
 
-        bmask = dom.boundary_mask().ravel()
-        self.n_nodes = bmask.size
-        self.interior = ~bmask
-        self.idx_of_node = -np.ones(self.n_nodes, dtype=np.int64)
-        self.idx_of_node[self.interior] = np.arange(int(self.interior.sum()))
-        self.n_int = int(self.interior.sum())
+        # interior node indices in nested-dissection order: the Hessian is
+        # assembled already permuted, and its natural-order LU has the fill
+        # of a nested-dissection factorization
+        self.n_nodes = (ncx + 1) * ny1
+        self.interior = _nested_dissection(ncx, ncy)
+        self.n_int = self.interior.size
+        self.idx_of_node = np.full(self.n_nodes, -1, dtype=np.int32)
+        self.idx_of_node[self.interior] = np.arange(self.n_int, dtype=np.int32)
 
-        rows = np.repeat(self.corner_nodes.reshape(-1, 4), 4, axis=1).ravel()
-        cols = np.tile(self.corner_nodes.reshape(-1, 4), (1, 4)).ravel()
-        keep = self.interior[rows] & self.interior[cols]
-        self._asm_rows = self.idx_of_node[rows[keep]]
-        self._asm_cols = self.idx_of_node[cols[keep]]
+        local = self.idx_of_node[self.corner_nodes].reshape(-1, 4)
+        rows = np.repeat(local, 4, axis=1).ravel()
+        cols = np.tile(local, (1, 4)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        self._asm_rows = rows[keep]
+        self._asm_cols = cols[keep]
         self._asm_keep = keep
 
-        # weighted shape-gradient outer products per quadrature point, (G,4,4):
-        # the cell stiffness is sum_g a11 Txx + a12 Txy + a22 Tyy
-        wv = (self.wq * self.vol)[:, None, None]
-        self.Txx = wv * self.Dx[:, :, None] * self.Dx[:, None, :]
-        self.Tyy = wv * self.Dy[:, :, None] * self.Dy[:, None, :]
-        self.Txy = wv * (
-            self.Dx[:, :, None] * self.Dy[:, None, :]
-            + self.Dy[:, :, None] * self.Dx[:, None, :]
-        )
+        # shape gradients with the weights wq * vol folded in, (G, 4): the
+        # nodal load of the fluxes (wx, wy) is wx @ WDx + wy @ WDy
+        wv = (self.wq * self.vol)[:, None]
+        self.WDx = wv * self.Dx
+        self.WDy = wv * self.Dy
+        # weighted shape-gradient outer products per quadrature point, (G,16):
+        # the cell stiffness is a11 @ Txx + a12 @ Txy + a22 @ Tyy
+        self.Txx = (self.WDx[:, :, None] * self.Dx[:, None, :]).reshape(G, 16)
+        self.Tyy = (self.WDy[:, :, None] * self.Dy[:, None, :]).reshape(G, 16)
+        self.Txy = (
+            self.WDx[:, :, None] * self.Dy[:, None, :]
+            + self.WDy[:, :, None] * self.Dx[:, None, :]
+        ).reshape(G, 16)
 
     # -- kinematics ---------------------------------------------------------
 
@@ -194,29 +201,32 @@ class _Assembler:
         )
 
     def field_at_quad(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        U = self.corners(values)
-        mx = np.einsum("gk,ijk->ijg", self.Dx, U) + self.Fx
-        my = np.einsum("gk,ijk->ijg", self.Dy, U) + self.Fy
+        U = self.corners(values).reshape(-1, 4)
+        shape = (self.ncx, self.ncy, self.G)
+        mx = (U @ self.Dx.T).reshape(shape)
+        my = (U @ self.Dy.T).reshape(shape)
+        mx += self.Fx
+        my += self.Fy
         return mx, my
 
     # -- energy / gradient / hessian ----------------------------------------
 
     def energy(self, values: np.ndarray, a: float) -> float:
         mx, my = self.field_at_quad(values)
-        r = np.sqrt(a * a + mx * mx + my * my)
-        cell = self.vol * np.einsum("g,ijg->ij", self.wq, r)
-        U = self.corners(values)
-        cell = cell + np.einsum("ijk,ijk->ij", self.Hlin, U)
+        r = np.sqrt(a * a + mx * mx + my * my).reshape(-1, self.G)
+        cell = self.vol * (r @ self.wq)
+        U = self.corners(values).reshape(-1, 4)
+        cell += np.einsum("ck,ck->c", self.Hlin.reshape(-1, 4), U)
         return pairwise_sum(cell)
 
     def _node_gradient(self, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
         """Nodal load of the quadrature fluxes (wx, wy) plus the H term,
         shape (nx+1, ny+1)."""
-        C = self.vol * (
-            np.einsum("ijg,g,gk->ijk", wx, self.wq, self.Dx)
-            + np.einsum("ijg,g,gk->ijk", wy, self.wq, self.Dy)
-        )
-        C = C + self.Hlin
+        G = self.G
+        C = wx.reshape(-1, G) @ self.WDx
+        C += wy.reshape(-1, G) @ self.WDy
+        C += self.Hlin.reshape(-1, 4)
+        C = C.reshape(self.Hlin.shape)
         out = np.zeros((self.ncx + 1, self.ncy + 1))
         out[:-1, :-1] += C[..., 0]
         out[1:, :-1] += C[..., 1]
@@ -238,21 +248,23 @@ class _Assembler:
 
     def stiffness(
         self, a11: np.ndarray, a12: np.ndarray | None, a22: np.ndarray
-    ) -> sp.csr_matrix:
+    ) -> sp.csc_matrix:
         """Interior stiffness of the per-quadrature-point coefficient matrix
-        [[a11, a12], [a12, a22]] (each (ncx, ncy, G); a12=None means 0)."""
-        K = np.einsum("ijg,gkl->ijkl", a11, self.Txx)
-        K += np.einsum("ijg,gkl->ijkl", a22, self.Tyy)
+        [[a11, a12], [a12, a22]] (each (ncx, ncy, G); a12=None means 0),
+        in the order of `interior`."""
+        G = self.G
+        K = a11.reshape(-1, G) @ self.Txx
+        K += a22.reshape(-1, G) @ self.Tyy
         if a12 is not None:
-            K += np.einsum("ijg,gkl->ijkl", a12, self.Txy)
+            K += a12.reshape(-1, G) @ self.Txy
         vals = K.reshape(-1)[self._asm_keep]
-        A = sp.coo_matrix(
+        # CSC straight from the triplets: the format splu factorizes
+        return sp.csc_matrix(
             (vals, (self._asm_rows, self._asm_cols)),
             shape=(self.n_int, self.n_int),
         )
-        return A.tocsr()
 
-    def hessian_interior(self, values: np.ndarray, a: float) -> sp.csr_matrix:
+    def hessian_interior(self, values: np.ndarray, a: float) -> sp.csc_matrix:
         mx, my = self.field_at_quad(values)
         r2 = a * a + mx * mx + my * my
         inv_r = 1.0 / np.sqrt(r2)
@@ -261,7 +273,7 @@ class _Assembler:
             inv_r - mx * mx * inv_r3, -mx * my * inv_r3, inv_r - my * my * inv_r3
         )
 
-    def quadratic_matrix(self, coeff: np.ndarray) -> sp.csr_matrix:
+    def quadratic_matrix(self, coeff: np.ndarray) -> sp.csc_matrix:
         """Stiffness of the frozen quadratic 0.5 * sum wq * coeff * |grad u + F|^2."""
         return self.stiffness(coeff, None, coeff)
 
@@ -274,6 +286,43 @@ class _Assembler:
         out = values.ravel().copy()
         out[self.interior] += d_int
         return out.reshape(values.shape)
+
+
+def _nested_dissection(ncx: int, ncy: int) -> np.ndarray:
+    """Node indices of the interior of an ncx x ncy cell grid, numbered by
+    geometric nested dissection (George 1973): split the longer side at its
+    middle line, number both halves, then the separator; blocks of at most
+    16 nodes are numbered row by row."""
+    ny1 = ncy + 1
+    blocks = []
+
+    def number(i0, i1, j0, j1):      # interior nodes i0 <= i < i1, j0 <= j < j1
+        ni, nj = i1 - i0, j1 - j0
+        if ni * nj <= 16:
+            blocks.append((np.arange(i0, i1)[:, None] * ny1 + np.arange(j0, j1)).ravel())
+        elif ni >= nj:
+            mid = (i0 + i1) // 2
+            number(i0, mid, j0, j1)
+            number(mid + 1, i1, j0, j1)
+            blocks.append(mid * ny1 + np.arange(j0, j1))
+        else:
+            mid = (j0 + j1) // 2
+            number(i0, i1, j0, mid)
+            number(i0, i1, mid + 1, j1)
+            blocks.append(np.arange(i0, i1) * ny1 + mid)
+
+    number(1, ncx, 1, ncy)
+    return np.concatenate(blocks)
+
+
+def _spd_solve(A: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs for an SPD matrix assembled in nested-dissection
+    order: natural column order, pivots on the diagonal."""
+    lu = spla.splu(
+        A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    return lu.solve(rhs)
 
 
 def _quad_coords(dom, Xg, Yg, spec):
@@ -347,18 +396,21 @@ def solve_regularized(
         values = harmonic_extension(dom, phi).values
     else:
         values = _apply_boundary(u0.values, phi, dom)
+    return _newton(asm, a, values, cfg)
 
+
+def _newton(asm: _Assembler, a: float, values: np.ndarray, cfg: SolverConfig) -> SolveResult:
+    """Damped Newton on the energy at level a from `values`, whose boundary
+    already holds the Dirichlet data."""
     energies = []
     iterations = 0
     E = asm.energy(values, a)
     for _ in range(cfg.max_newton_iters):
-        g_full = asm.gradient_full(values, a)
-        res = float(np.abs(g_full.ravel()[asm.interior]).max()) / asm.vol if asm.n_int else 0.0
+        g_int = asm.gradient_full(values, a).ravel()[asm.interior]
+        res = float(np.abs(g_int).max()) / asm.vol if asm.n_int else 0.0
         if res <= cfg.newton_tol:
             break
-        g_int = g_full.ravel()[asm.interior]
-        A = asm.hessian_interior(values, a)
-        d = spla.splu(A.tocsc()).solve(-g_int)
+        d = _spd_solve(asm.hessian_interior(values, a), -g_int)
         slope = float(g_int @ d)
         if slope > 0:           # safeguard: fall back to steepest descent
             d = -g_int
@@ -388,7 +440,8 @@ def solve_regularized(
 
     res = asm.residual_norm(values, a)
     converged = res <= cfg.newton_tol
-    u = ScalarField(dom, values)
+    u = ScalarField(asm.dom, values)
+    spec = asm.spec
     spec_h0 = EnergySpec(preset=spec.preset, F_field=spec.F_field, H=0.0)
     return SolveResult(
         u=u,
@@ -415,15 +468,15 @@ def continuation_minimize(
     area energy of the final iterate.
     """
     cfg = cfg or SolverConfig()
+    asm = _Assembler(dom, spec, cfg.quad_order)
+    values = harmonic_extension(dom, phi).values
     stages = []
     result = None
     prev_values = None
     total_iters = 0
     for a in cfg.a_schedule:
-        result = solve_regularized(
-            dom, spec, a, phi, cfg,
-            u0=result.u if result is not None else None,
-        )
+        result = _newton(asm, a, values, cfg)
+        values = result.u.values
         total_iters += result.iterations
         diff = (
             float(np.abs(result.u.values - prev_values).max())
@@ -475,7 +528,7 @@ def solve_fixed_point(
         coeff = 1.0 / np.sqrt(a * a + mx * mx + my * my)
         A = asm.quadratic_matrix(coeff)
         r = asm.quadratic_gradient_full(values, coeff).ravel()[asm.interior]
-        d = spla.splu(A.tocsc()).solve(-r)
+        d = _spd_solve(A, -r)
         values = asm.scatter_interior(values, damping * d)
         iterations += 1
     u = ScalarField(dom, values)

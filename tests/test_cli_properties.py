@@ -5,8 +5,9 @@ top-level values of the wrong type, expressions from the grammar mixed with
 hostile tokens and over-arity ufunc calls, and measure JSON of the wrong
 shape.  Every run must exit 0, 2 or 3, and a non-zero exit must end stderr with
 a one-line JSON diagnostic; an over-arity call must exit 2.
-Grids stay at <= 4 cells per axis; `quad_order` and large cell counts are
-never generated, because the grid's memory is not bounded by the CLI.
+Grids that run stay at <= 4 cells per axis.  Cell counts, `quad_order`s and
+quadrature-point counts above the CLI's size bounds are drawn too, and must
+exit 2 before anything of that size is allocated.
 """
 import contextlib
 import io
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from areavar.cli import _EXPR_NAMES, main
+from areavar.cli import _EXPR_NAMES, _MAX_CELLS, _MAX_QUAD_ORDER, _MAX_QUAD_POINTS, main
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 SMALL_TEXT = st.text(max_size=2)
@@ -79,10 +80,17 @@ FIELD = st.one_of(
 
 BOUND = st.one_of(FLOATS, st.just(10**400))
 EXTENT = st.one_of(st.tuples(BOUND, BOUND).map(list), JUNK)
-CELLS = st.one_of(st.integers(-1, 4), st.none(), st.floats(max_value=4.0), SMALL_TEXT)
+# alone above the cell bound, so no drawn grid is large and allowed
+TOO_MANY_CELLS = st.one_of(st.integers(_MAX_CELLS + 1, 10**12), st.just(10**400))
+CELLS = st.one_of(st.integers(-1, 4), st.none(), st.floats(max_value=4.0), SMALL_TEXT,
+                  TOO_MANY_CELLS)
+GOOD_EXTENTS = st.just([[-1.0, 1.0], [-0.5, 1.5]])
 DOMAIN = st.one_of(
-    st.fixed_dictionaries({"extents": st.just([[-1.0, 1.0], [-0.5, 1.5]]),
+    st.fixed_dictionaries({"extents": GOOD_EXTENTS,
                            "n_cells": st.lists(st.integers(2, 4), min_size=2, max_size=2)}),
+    st.fixed_dictionaries({"extents": GOOD_EXTENTS,
+                           "n_cells": st.lists(st.one_of(st.integers(2, 4), TOO_MANY_CELLS),
+                                               min_size=2, max_size=2)}),
     st.fixed_dictionaries({"extents": st.one_of(st.lists(EXTENT, max_size=3), JUNK),
                            "n_cells": st.one_of(st.lists(CELLS, max_size=3), JUNK)}),
     JUNK,
@@ -102,8 +110,10 @@ SOLVER = st.one_of(
     st.just({"a_schedule": [1.0, 0.5]}),
     st.sampled_from(
         ["newton_tol", "max_newton_iters", "line_search_factor", "line_search_max",
-         "continuation_stop"]
+         "continuation_stop", "quad_order"]
     ).flatmap(lambda key: st.fixed_dictionaries({"a_schedule": st.just([1.0, 0.5]), key: JUNK})),
+    st.fixed_dictionaries({"a_schedule": st.just([1.0, 0.5]),
+                           "quad_order": st.integers(1, _MAX_QUAD_ORDER + 3)}),
     JUNK,
 )
 SEED = {"seed": st.one_of(st.integers(0, 9), JUNK)}
@@ -146,11 +156,9 @@ CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(CONFIGS))
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_cli_exits_cleanly_on_any_config(command, data):
-    cfg = data.draw(CONFIGS[command], label="config")
+def _run(command, cfg):
+    """Run one CLI command on `cfg`; return its exit code and, if non-zero,
+    the JSON diagnostic on the last line of stderr."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
@@ -158,9 +166,16 @@ def test_cli_exits_cleanly_on_any_config(command, data):
             json.dump(cfg, fh)
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+    return code, json.loads(err.getvalue().splitlines()[-1]) if code else None
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_exits_cleanly_on_any_config(command, data):
+    code, diag = _run(command, data.draw(CONFIGS[command], label="config"))
     assert code in (0, 2, 3)
     if code:
-        diag = json.loads(err.getvalue().splitlines()[-1])
         assert diag["exit_code"] == code and diag["command"] == command
 
 
@@ -169,13 +184,52 @@ def test_cli_exits_cleanly_on_any_config(command, data):
 def test_over_arity_ufunc_call_exits_2(call, rest):
     cfg = {"domain": {"extents": [[-1.0, 1.0], [-0.5, 1.5]], "n_cells": [3, 4]},
            "kind": "euclidean", "field": {"expression": call + rest}}
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "config.json")
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["area", "--config", path, "--out", os.path.join(tmp, "out")])
-    diag = json.loads(err.getvalue().splitlines()[-1])
+    code, diag = _run("area", cfg)
     assert code == 2 and diag["exit_code"] == 2
     assert "argument" in diag["error"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["area", "curvature", "solve", "vary"]),
+    n_cells=st.one_of(
+        st.tuples(st.integers(2, 2**21), st.integers(2, 2**21)).filter(
+            lambda n: n[0] * n[1] > _MAX_CELLS),
+        st.tuples(st.integers(2, 4), TOO_MANY_CELLS),
+    ),
+)
+def test_too_many_cells_exit_2(command, n_cells):
+    cfg = {"domain": {"extents": [[-1.0, 1.0], [-0.5, 1.5]], "n_cells": list(n_cells)},
+           "kind": "euclidean", "field": {"expression": "x"}, "boundary": {"expression": "x"}}
+    code, diag = _run(command, cfg)
+    assert code == 2 and diag["exit_code"] == 2
+    assert "cells" in diag["error"]
+
+
+# the lowest order at which a grid within the cell bound can exceed the point bound
+MIN_POINTS_ORDER = next(q for q in range(1, _MAX_QUAD_ORDER + 1)
+                        if _MAX_CELLS * q * q > _MAX_QUAD_POINTS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["solve", "vary"]),
+    grid_order=st.one_of(
+        # the order alone is too high, on a grid that would run
+        st.tuples(st.just((4, 4)), st.integers(_MAX_QUAD_ORDER + 1, 10**9)),
+        # a permitted order and grid, with too many points together
+        st.tuples(st.integers(2, 1024), st.integers(MIN_POINTS_ORDER, _MAX_QUAD_ORDER)).flatmap(
+            lambda t: st.tuples(
+                st.tuples(st.just(t[0]),
+                          st.integers(_MAX_QUAD_POINTS // (t[0] * t[1] ** 2) + 1,
+                                      _MAX_CELLS // t[0])),
+                st.just(t[1]))),
+    ),
+)
+def test_solver_size_bounds_exit_2(command, grid_order):
+    n_cells, quad_order = grid_order
+    cfg = {"domain": {"extents": [[-1.0, 1.0], [-0.5, 1.5]], "n_cells": list(n_cells)},
+           "boundary": {"expression": "x"}, "solver": {"quad_order": quad_order}}
+    code, diag = _run(command, cfg)
+    assert code == 2 and diag["exit_code"] == 2
+    assert "quad_order" in diag["error"]

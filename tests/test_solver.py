@@ -9,6 +9,7 @@ from areavar.grids import EnergySpec, GridDomain, ScalarField, area_energy, sing
 from areavar.solver import (
     SolverConfig,
     _Assembler,
+    _spd_solve,
     comparison_check,
     continuation_minimize,
     energy_bound_check,
@@ -349,6 +350,28 @@ def test_stiffness_matches_per_point_reference():
     ref = ref[np.ix_(asm.interior, asm.interior)]
     K = asm.stiffness(a11, a12, a22).toarray()
     assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n_cells", [(2, 2), (2, 5), (7, 3), (32, 35)])
+def test_interior_ordering_is_a_permutation_of_the_interior_nodes(n_cells):
+    dom = GridDomain(OFFSET_BOX, n_cells)
+    asm = _Assembler(dom, ZERO, 2)
+    expected = np.flatnonzero(~dom.boundary_mask().ravel())
+    assert asm.interior.size == asm.n_int == expected.size
+    assert np.array_equal(np.sort(asm.interior), expected)
+    assert np.array_equal(asm.idx_of_node[asm.interior], np.arange(asm.n_int))
+
+
+def test_newton_direction_matches_spsolve():
+    dom = GridDomain(OFFSET_BOX, (32, 35))
+    asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3), 4)
+    u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
+    for a in (1.0, 1e-3):
+        g = asm.gradient_full(u, a).ravel()[asm.interior]
+        A = asm.hessian_interior(u, a)
+        d = _spd_solve(A, -g)
+        ref = spla.spsolve(A, -g)
+        assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # ---- configuration and failure paths ----------------------------------------------

@@ -1,0 +1,97 @@
+"""Time `continuation_minimize` end to end and split it into phases.
+
+    python tools/bench_solver.py 64 128 256 [--src path/to/src]
+
+For each grid size n, one fresh process solves the p_area problem on
+[-1, 1]^2 with n x n cells, boundary data xy + 0.3 sin(2x + 0.3y) and the
+default SolverConfig: once untimed by the profiler (wall time, Newton steps,
+stages, peak RSS), then once under cProfile for the per-phase split.  Each
+line of output is one JSON object.  These are single runs.
+"""
+from __future__ import annotations
+
+import argparse
+import cProfile
+import json
+import pstats
+import resource
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _edge(stats: dict, callee: str, callers: tuple[str, ...], file: str = "") -> float:
+    """Cumulative seconds of `callee` when called from one of `callers`."""
+    total = 0.0
+    for (f, _, name), (_, _, _, _, edges) in stats.items():
+        if name == callee and f.endswith(file):
+            total += sum(e[3] for (_, _, c), e in edges.items() if c in callers)
+    return total
+
+
+def _own(stats: dict, name: str, column: int, file: str = "") -> float:
+    """Own (column 2) or cumulative (column 3) seconds of every `name`."""
+    return sum(v[column] for (f, _, n), v in stats.items() if n == name and f.endswith(file))
+
+
+def run_one(n: int) -> dict:
+    import numpy as np
+    from areavar.grids import EnergySpec, GridDomain, ScalarField
+    from areavar.solver import continuation_minimize
+
+    dom = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (n, n))
+    phi = ScalarField.from_function(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+    spec = EnergySpec(preset="p_area")
+    t0 = perf_counter()
+    res = continuation_minimize(dom, spec, phi)
+    wall = perf_counter() - t0
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+    prof = cProfile.Profile()
+    prof.runcall(continuation_minimize, dom, spec, phi)
+    st = pstats.Stats(prof).stats
+    newton = ("_newton", "solve_regularized")   # the Newton loop's home
+    phases = {
+        "assembler_setup": _edge(st, "__init__", ("continuation_minimize", "solve_regularized"),
+                                 "solver.py"),
+        "initial_guess": _own(st, "harmonic_extension", 3),
+        "gradient": _edge(st, "gradient_full", newton),
+        "hessian_assembly": _own(st, "hessian_interior", 3),
+        "factorization": _own(st, "<built-in method scipy.sparse.linalg._dsolve._superlu.gstrf>", 2),
+        "triangular_solve": _own(st, "<method 'solve' of 'SuperLU' objects>", 2),
+        "line_search": sum(_edge(st, f, newton) for f in ("energy", "residual_norm", "scatter_interior")),
+    }
+    total = _own(st, "continuation_minimize", 3)
+    phases["other"] = total - sum(phases.values())
+    return {
+        "n": n,
+        "wall_s": round(wall, 3),
+        "newton_steps": res.iterations,
+        "stages": len(res.stages),
+        "converged": bool(res.converged),
+        "peak_rss_mb": round(rss, 1),
+        "profiled_s": round(total, 3),
+        "phases_s": {k: round(v, 3) for k, v in phases.items()},
+    }
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("sizes", type=int, nargs="*")
+    p.add_argument("--src", default=str(ROOT / "src"), help="the areavar source tree to time")
+    p.add_argument("--one", type=int, help=argparse.SUPPRESS)
+    args = p.parse_args()
+    if args.one is not None:
+        sys.path.insert(0, args.src)
+        print(json.dumps(run_one(args.one)), flush=True)
+        return 0
+    for n in args.sizes:
+        subprocess.run([sys.executable, __file__, "--one", str(n), "--src", args.src], check=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
