@@ -99,6 +99,7 @@ class SolveResult:
     converged: bool
     energy_regularized: float = math.nan   # quadrature energy at a_final, incl. H
     newton_energies: tuple = ()   # energy after each accepted Newton step
+                                  # (of the last stage only, after a continuation)
     stages: tuple = ()            # continuation log: (a, iterations, sup diff)
 
 
@@ -170,13 +171,7 @@ class _Assembler:
         self.idx_of_node = np.full(self.n_nodes, -1, dtype=np.int32)
         self.idx_of_node[self.interior] = np.arange(self.n_int, dtype=np.int32)
 
-        local = self.idx_of_node[self.corner_nodes].reshape(-1, 4)
-        rows = np.repeat(local, 4, axis=1).ravel()
-        cols = np.tile(local, (1, 4)).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        self._asm_rows = rows[keep]
-        self._asm_cols = cols[keep]
-        self._asm_keep = keep
+        self._pattern = None             # CSC pattern of `stiffness`, built lazily
 
         # shape gradients with the weights wq * vol folded in, (G, 4): the
         # nodal load of the fluxes (wx, wy) is wx @ WDx + wy @ WDy
@@ -209,23 +204,30 @@ class _Assembler:
         my += self.Fy
         return mx, my
 
+    def kinematics(self, values: np.ndarray, a: float) -> tuple:
+        """(mx, my, r) at every quadrature point: m = grad u + F and
+        r = sqrt(a^2 + |m|^2).  The `kin` argument of the methods below
+        takes this tuple for the same values and a, to share it."""
+        mx, my = self.field_at_quad(values)
+        return mx, my, np.sqrt(a * a + mx * mx + my * my)
+
     # -- energy / gradient / hessian ----------------------------------------
 
-    def energy(self, values: np.ndarray, a: float) -> float:
-        mx, my = self.field_at_quad(values)
-        r = np.sqrt(a * a + mx * mx + my * my).reshape(-1, self.G)
-        cell = self.vol * (r @ self.wq)
+    def energy(self, values: np.ndarray, a: float, kin: tuple | None = None) -> float:
+        r = (kin or self.kinematics(values, a))[2]
+        cell = self.vol * (r.reshape(-1, self.G) @ self.wq)
         U = self.corners(values).reshape(-1, 4)
         cell += np.einsum("ck,ck->c", self.Hlin.reshape(-1, 4), U)
         return pairwise_sum(cell)
 
-    def _node_gradient(self, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
-        """Nodal load of the quadrature fluxes (wx, wy) plus the H term,
-        shape (nx+1, ny+1)."""
+    def _node_gradient(self, wx: np.ndarray, wy: np.ndarray, h_term: bool = True) -> np.ndarray:
+        """Nodal load of the quadrature fluxes (wx, wy), plus the H term
+        unless h_term is False, shape (nx+1, ny+1)."""
         G = self.G
         C = wx.reshape(-1, G) @ self.WDx
         C += wy.reshape(-1, G) @ self.WDy
-        C += self.Hlin.reshape(-1, 4)
+        if h_term:
+            C += self.Hlin.reshape(-1, 4)
         C = C.reshape(self.Hlin.shape)
         out = np.zeros((self.ncx + 1, self.ncy + 1))
         out[:-1, :-1] += C[..., 0]
@@ -234,14 +236,20 @@ class _Assembler:
         out[1:, 1:] += C[..., 3]
         return out
 
-    def gradient_full(self, values: np.ndarray, a: float) -> np.ndarray:
+    def gradient_full(self, values: np.ndarray, a: float, kin: tuple | None = None) -> np.ndarray:
         """dE/du at every node, shape (nx+1, ny+1)."""
-        mx, my = self.field_at_quad(values)
-        r = np.sqrt(a * a + mx * mx + my * my)
+        mx, my, r = kin or self.kinematics(values, a)
         return self._node_gradient(mx / r, my / r)
 
-    def residual_norm(self, values: np.ndarray, a: float) -> float:
-        g = self.gradient_full(values, a).ravel()
+    def gradient_a(self, values: np.ndarray, a: float, kin: tuple | None = None) -> np.ndarray:
+        """d/da of dE/du at every node: the load of -a m / r^3 (H does not
+        depend on a)."""
+        mx, my, r = kin or self.kinematics(values, a)
+        c = -a / (r * r * r)
+        return self._node_gradient(c * mx, c * my, h_term=False)
+
+    def residual_norm(self, values: np.ndarray, a: float, kin: tuple | None = None) -> float:
+        g = self.gradient_full(values, a, kin).ravel()
         if not self.n_int:
             return 0.0
         return float(np.abs(g[self.interior]).max()) / self.vol
@@ -257,21 +265,58 @@ class _Assembler:
         K += a22.reshape(-1, G) @ self.Tyy
         if a12 is not None:
             K += a12.reshape(-1, G) @ self.Txy
-        vals = K.reshape(-1)[self._asm_keep]
-        # CSC straight from the triplets: the format splu factorizes
-        return sp.csc_matrix(
-            (vals, (self._asm_rows, self._asm_cols)),
-            shape=(self.n_int, self.n_int),
-        )
+        gather, starts, indices, indptr = self._pattern or self._csc_pattern()
+        # the summed entries overwrite the front of K's own buffer, which the
+        # matrix keeps: one allocation of the matrix's size fewer per call.
+        # glibc keeps freed arrays of that size in its heap; at 512^2 a
+        # two-stage solve peaked at 711 MB with a separate array, 647-695 MB
+        # with this one
+        data = K.reshape(-1)[: starts.size]
+        np.add.reduceat(K.reshape(-1)[gather], starts, out=data)
+        A = sp.csc_matrix((data, indices, indptr), shape=(self.n_int, self.n_int))
+        A.has_canonical_format = True
+        return A
 
-    def hessian_interior(self, values: np.ndarray, a: float) -> sp.csc_matrix:
-        mx, my = self.field_at_quad(values)
-        r2 = a * a + mx * mx + my * my
-        inv_r = 1.0 / np.sqrt(r2)
-        inv_r3 = inv_r / r2
-        return self.stiffness(
-            inv_r - mx * mx * inv_r3, -mx * my * inv_r3, inv_r - my * my * inv_r3
-        )
+    def _csc_pattern(self) -> tuple:
+        """The CSC pattern of `stiffness`, computed once: the cell-matrix
+        entries in column-major (column, row) order as int32 positions into
+        the (cells, 16) block array, the first entry of each nonzero, and
+        the CSC `indices`/`indptr`."""
+        local = self.idx_of_node[self.corner_nodes].reshape(-1, 4)
+        rows = np.repeat(local, 4, axis=1).ravel()
+        cols = np.tile(local, (1, 4)).ravel()
+        keep = np.flatnonzero((rows >= 0) & (cols >= 0)).astype(np.int32)
+        rows, cols = rows[keep], cols[keep]
+        order = np.lexsort((rows, cols))        # stable: duplicates keep cell order
+        rows, cols = rows[order], cols[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(first).astype(np.int32)
+        indptr = np.zeros(self.n_int + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols[starts], minlength=self.n_int), out=indptr[1:])
+        self._pattern = (keep[order], starts, rows[starts], indptr)
+        return self._pattern
+
+    def hessian_interior(
+        self, values: np.ndarray, a: float, kin: tuple | None = None
+    ) -> sp.csc_matrix:
+        mx, my, r = kin or self.kinematics(values, a)
+        # coefficients 1/r - m m^T / r^3, formed in place: at 256^2 each
+        # temporary of this size is 8 MB at the Newton step's memory peak
+        inv_r = 1.0 / r
+        inv_r3 = inv_r / r
+        inv_r3 *= inv_r
+        a11 = mx * mx
+        a11 *= inv_r3
+        np.subtract(inv_r, a11, out=a11)
+        a22 = my * my
+        a22 *= inv_r3
+        np.subtract(inv_r, a22, out=a22)
+        a12 = np.negative(mx)
+        a12 *= my
+        a12 *= inv_r3
+        del inv_r, inv_r3
+        return self.stiffness(a11, a12, a22)
 
     def quadratic_matrix(self, coeff: np.ndarray) -> sp.csc_matrix:
         """Stiffness of the frozen quadratic 0.5 * sum wq * coeff * |grad u + F|^2."""
@@ -316,8 +361,10 @@ def _nested_dissection(ncx: int, ncy: int) -> np.ndarray:
 
 
 def _spd_solve(A: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for an SPD matrix assembled in nested-dissection
-    order: natural column order, pivots on the diagonal."""
+    """Solve A x = rhs (rhs of shape (n,) or (n, k)) for an SPD matrix
+    assembled in nested-dissection order: natural column order, pivots on
+    the diagonal.  The factorization is freed on return: kept alive, it
+    would hold its fill for the rest of the Newton step."""
     lu = spla.splu(
         A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
@@ -396,21 +443,39 @@ def solve_regularized(
         values = harmonic_extension(dom, phi).values
     else:
         values = _apply_boundary(u0.values, phi, dom)
-    return _newton(asm, a, values, cfg)
+    return _newton(asm, a, values, cfg)[0]
 
 
-def _newton(asm: _Assembler, a: float, values: np.ndarray, cfg: SolverConfig) -> SolveResult:
+def _newton(
+    asm: _Assembler, a: float, values: np.ndarray, cfg: SolverConfig,
+    step: np.ndarray | None = None,
+) -> tuple[SolveResult, np.ndarray | None]:
     """Damped Newton on the energy at level a from `values`, whose boundary
-    already holds the Dirichlet data."""
+    already holds the Dirichlet data, or from `values` moved by the
+    interior predictor `step` if that has the lower energy.
+
+    Also returns du/da on the interior, -H^-1 dg/da, solved with the last
+    Newton step's factorization; None when no step was taken.
+    """
     energies = []
     iterations = 0
-    E = asm.energy(values, a)
+    tangent = None
+    kin = None
+    if step is not None:
+        values, kin = _euler_predict(asm, a, values, step)
+    kin = kin or asm.kinematics(values, a)
+    E = asm.energy(values, a, kin)
     for _ in range(cfg.max_newton_iters):
-        g_int = asm.gradient_full(values, a).ravel()[asm.interior]
+        g_int = asm.gradient_full(values, a, kin).ravel()[asm.interior]
         res = float(np.abs(g_int).max()) / asm.vol if asm.n_int else 0.0
         if res <= cfg.newton_tol:
             break
-        d = _spd_solve(asm.hessian_interior(values, a), -g_int)
+        H = asm.hessian_interior(values, a, kin)
+        rhs = -np.column_stack([g_int, asm.gradient_a(values, a, kin).ravel()[asm.interior]])
+        # release the kinematics (both names of the accepted trial's) before
+        # the factorization, the step's memory peak
+        kin = kin_trial = None
+        d, tangent = _spd_solve(H, rhs).T
         slope = float(g_int @ d)
         if slope > 0:           # safeguard: fall back to steepest descent
             d = -g_int
@@ -423,27 +488,29 @@ def _newton(asm: _Assembler, a: float, values: np.ndarray, cfg: SolverConfig) ->
         accepted = False
         for _ in range(cfg.line_search_max + 1):
             trial = asm.scatter_interior(values, t * d)
-            E_trial = asm.energy(trial, a)
+            kin_trial = asm.kinematics(trial, a)
+            E_trial = asm.energy(trial, a, kin_trial)
             if E_trial <= E + 1e-4 * t * slope or E_trial <= E:
                 accepted = True
                 break
-            if endgame and asm.residual_norm(trial, a) <= 0.9 * res:
+            if endgame and asm.residual_norm(trial, a, kin_trial) <= 0.9 * res:
                 accepted = True
                 break
             t *= cfg.line_search_factor
         if not accepted:
-            break
-        values = trial
+            break               # `res` is still the residual of `values`
+        values, kin = trial, kin_trial
         E = E_trial
         energies.append(E)
         iterations += 1
+    else:
+        res = asm.residual_norm(values, a, kin)
 
-    res = asm.residual_norm(values, a)
     converged = res <= cfg.newton_tol
     u = ScalarField(asm.dom, values)
     spec = asm.spec
     spec_h0 = EnergySpec(preset=spec.preset, F_field=spec.F_field, H=0.0)
-    return SolveResult(
+    result = SolveResult(
         u=u,
         residual_norm=res,
         a_final=a,
@@ -453,6 +520,19 @@ def _newton(asm: _Assembler, a: float, values: np.ndarray, cfg: SolverConfig) ->
         energy_regularized=E,
         newton_energies=tuple(energies),
     )
+    return result, tangent
+
+
+def _euler_predict(
+    asm: _Assembler, a: float, values: np.ndarray, step: np.ndarray
+) -> tuple[np.ndarray, tuple | None]:
+    """`values` moved by `step` on the interior, with its kinematics, if
+    that lowers E_a; else `values` and None."""
+    cand = asm.scatter_interior(values, step)
+    kin = asm.kinematics(cand, a)
+    if asm.energy(cand, a, kin) < asm.energy(values, a):
+        return cand, kin
+    return values, None
 
 
 def continuation_minimize(
@@ -463,9 +543,13 @@ def continuation_minimize(
 ) -> SolveResult:
     """Drive the regularization parameter down the schedule with warm starts.
 
-    Stops early once consecutive stage solutions differ by less than
-    continuation_stop in sup norm; the reported energy is the unregularized
-    area energy of the final iterate.
+    Each stage after the first starts from the Euler predictor
+    u(a_prev) + (a - a_prev) du/da, where du/da comes from the previous
+    stage's last Newton factorization, unless that raises the energy at a;
+    every stage is still solved to newton_tol.  Stops early once
+    consecutive stage solutions differ by less than continuation_stop in
+    sup norm; the reported energy is the unregularized area energy of the
+    final iterate.
     """
     cfg = cfg or SolverConfig()
     asm = _Assembler(dom, spec, cfg.quad_order)
@@ -473,9 +557,13 @@ def continuation_minimize(
     stages = []
     result = None
     prev_values = None
+    tangent = None
+    a_prev = None
     total_iters = 0
     for a in cfg.a_schedule:
-        result = _newton(asm, a, values, cfg)
+        step = None if tangent is None else (a - a_prev) * tangent
+        result, tangent = _newton(asm, a, values, cfg, step)
+        a_prev = a
         values = result.u.values
         total_iters += result.iterations
         diff = (
@@ -520,12 +608,12 @@ def solve_fixed_point(
     iterations = 0
     converged = False
     for _ in range(max_iters):
-        res = asm.residual_norm(values, a)
+        kin = asm.kinematics(values, a)
+        res = asm.residual_norm(values, a, kin)
         if res <= tol:
             converged = True
             break
-        mx, my = asm.field_at_quad(values)
-        coeff = 1.0 / np.sqrt(a * a + mx * mx + my * my)
+        coeff = 1.0 / kin[2]
         A = asm.quadratic_matrix(coeff)
         r = asm.quadratic_gradient_full(values, coeff).ravel()[asm.interior]
         d = _spd_solve(A, -r)

@@ -9,6 +9,8 @@ from areavar.grids import EnergySpec, GridDomain, ScalarField, area_energy, sing
 from areavar.solver import (
     SolverConfig,
     _Assembler,
+    _euler_predict,
+    _newton,
     _spd_solve,
     comparison_check,
     continuation_minimize,
@@ -335,6 +337,22 @@ def test_assembled_matrices_are_derivatives_of_the_gradients(a):
         assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
 
 
+@pytest.mark.parametrize("a", [1.0, 1e-2])
+def test_gradient_a_is_the_a_derivative_of_the_gradient(a):
+    dom = dom_n(6)
+    asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3), 4)
+    u = np.random.RandomState(7).randn(7, 7)
+    eps = 1e-4 * a
+    central = (asm.gradient_full(u, a + eps) - asm.gradient_full(u, a - eps)) / (2 * eps)
+    ga = asm.gradient_a(u, a)
+    assert np.linalg.norm(ga - central) <= 1e-6 * np.linalg.norm(central)
+    # the shared kinematics give the same bits as fresh ones
+    kin = asm.kinematics(u, a)
+    assert np.array_equal(asm.gradient_a(u, a, kin), ga)
+    assert np.array_equal(asm.gradient_full(u, a, kin), asm.gradient_full(u, a))
+    assert asm.energy(u, a, kin) == asm.energy(u, a)
+
+
 def test_stiffness_matches_per_point_reference():
     asm = _Assembler(dom_n(6), P_AREA, 4)
     a11, a12, a22 = np.random.RandomState(6).randn(3, 6, 6, asm.G)
@@ -372,6 +390,91 @@ def test_newton_direction_matches_spsolve():
         d = _spd_solve(A, -g)
         ref = spla.spsolve(A, -g)
         assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_two_column_solve_matches_spsolve_per_column():
+    dom = GridDomain(OFFSET_BOX, (32, 35))
+    asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3), 4)
+    u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
+    a = 1e-2
+    A = asm.hessian_interior(u, a)
+    rhs = -np.column_stack([
+        asm.gradient_full(u, a).ravel()[asm.interior],
+        asm.gradient_a(u, a).ravel()[asm.interior],
+    ])
+    x = _spd_solve(A, rhs)
+    assert x.shape == rhs.shape
+    for k in range(2):
+        ref = spla.spsolve(A, rhs[:, k])
+        assert np.abs(x[:, k] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# ---- Euler predictor ----------------------------------------------------------------
+
+
+def test_continuation_matches_unpredicted_chain_in_fewer_steps():
+    dom = dom_n(32)
+    phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+    cfg = SolverConfig()
+    res = continuation_minimize(dom, P_AREA, phi, cfg)
+    assert res.converged
+    assert len(res.stages) == len(cfg.a_schedule)
+    chain = None
+    chain_steps = 0
+    for a in cfg.a_schedule:
+        chain = solve_regularized(dom, P_AREA, a, phi, cfg, u0=chain.u if chain else None)
+        assert chain.converged
+        chain_steps += chain.iterations
+    assert np.abs(res.u.values - chain.u.values).max() <= 1e-12
+    assert res.iterations < chain_steps
+
+
+@pytest.mark.parametrize("a", [0.5, 0.05])
+def test_newton_tangent_is_the_a_derivative_of_the_solution(a):
+    dom = dom_n(16)
+    phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+    cfg = SolverConfig()
+    asm = _Assembler(dom, P_AREA, cfg.quad_order)
+    result, tangent = _newton(asm, a, harmonic_extension(dom, phi).values, cfg)
+    assert result.converged
+    da = 1e-3 * a
+    up, _ = _newton(asm, a + da, result.u.values, cfg)
+    down, _ = _newton(asm, a - da, result.u.values, cfg)
+    fd = ((up.u.values - down.u.values) / (2 * da)).ravel()[asm.interior]
+    assert np.abs(tangent - fd).max() <= 1e-5 * np.abs(fd).max()
+
+
+def test_zero_step_stage_gives_no_prediction():
+    dom = dom_n(16)
+    phi = field(dom, lambda x, y: x * y)
+    cfg = SolverConfig()
+    asm = _Assembler(dom, P_AREA, cfg.quad_order)
+    result, tangent = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg)
+    assert result.iterations == 0 and tangent is None
+    res = continuation_minimize(dom, P_AREA, phi, cfg)
+    assert res.stages == ((1.0, 0, math.inf), (0.5, 0, 0.0))
+    assert np.array_equal(res.u.values, harmonic_extension(dom, phi).values)
+
+
+def test_predictor_is_used_only_when_it_lowers_the_energy():
+    dom = dom_n(16)
+    phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+    cfg = SolverConfig()
+    asm = _Assembler(dom, P_AREA, cfg.quad_order)
+    result, tangent = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg)
+    values, a = result.u.values, 0.5
+    pred, kin = _euler_predict(asm, a, values, (a - 1.0) * tangent)
+    assert pred is not values
+    assert asm.energy(pred, a) < asm.energy(values, a)
+    assert np.array_equal(kin[2], asm.kinematics(pred, a)[2])
+    # a step against the tangent raises the energy: keep the old start
+    bad = (1.0 - a) * tangent
+    kept, kin = _euler_predict(asm, a, values, bad)
+    assert kept is values and kin is None
+    unpredicted, _ = _newton(asm, a, values, cfg)
+    guarded, _ = _newton(asm, a, values, cfg, bad)
+    assert np.array_equal(guarded.u.values, unpredicted.u.values)
+    assert guarded.iterations == unpredicted.iterations
 
 
 # ---- configuration and failure paths ----------------------------------------------

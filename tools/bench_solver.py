@@ -4,9 +4,9 @@
 
 For each grid size n, one fresh process solves the p_area problem on
 [-1, 1]^2 with n x n cells, boundary data xy + 0.3 sin(2x + 0.3y) and the
-default SolverConfig: once untimed by the profiler (wall time, Newton steps,
-stages, peak RSS), then once under cProfile for the per-phase split.  Each
-line of output is one JSON object.  These are single runs.
+default SolverConfig: once untimed by the profiler (wall time, Newton steps
+in all and per stage, peak RSS), then once under cProfile for the per-phase
+split.  Each line of output is one JSON object.  These are single runs.
 """
 from __future__ import annotations
 
@@ -58,11 +58,14 @@ def run_one(n: int) -> dict:
         "assembler_setup": _edge(st, "__init__", ("continuation_minimize", "solve_regularized"),
                                  "solver.py"),
         "initial_guess": _own(st, "harmonic_extension", 3),
+        "kinematics": _edge(st, "kinematics", newton),
         "gradient": _edge(st, "gradient_full", newton),
-        "hessian_assembly": _own(st, "hessian_interior", 3),
+        "tangent_rhs": _edge(st, "gradient_a", newton),
+        "hessian_assembly": _edge(st, "hessian_interior", newton),
         "factorization": _own(st, "<built-in method scipy.sparse.linalg._dsolve._superlu.gstrf>", 2),
         "triangular_solve": _own(st, "<method 'solve' of 'SuperLU' objects>", 2),
         "line_search": sum(_edge(st, f, newton) for f in ("energy", "residual_norm", "scatter_interior")),
+        "predictor": _own(st, "_euler_predict", 3),
     }
     total = _own(st, "continuation_minimize", 3)
     phases["other"] = total - sum(phases.values())
@@ -71,6 +74,7 @@ def run_one(n: int) -> dict:
         "wall_s": round(wall, 3),
         "newton_steps": res.iterations,
         "stages": len(res.stages),
+        "stage_steps": [s[1] for s in res.stages],
         "converged": bool(res.converged),
         "peak_rss_mb": round(rss, 1),
         "profiled_s": round(total, 3),
