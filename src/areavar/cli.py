@@ -429,10 +429,10 @@ def cmd_decompose(cfg: dict, seed: int, out: str) -> int:
             "command": "decompose",
             "seed": seed,
             "eps": eps,
-            "density_N": [[float(v) for v in row] for row in dec.N],
-            "density_A": [[float(v) for v in row] for row in dec.A],
+            "density_N": dec.N.tolist(),
+            "density_A": dec.A.tolist(),
             "singular_part": dec.nu_s.to_json_dict(),
-            "support": [bool(b) for b in dec.support],
+            "support": dec.support.tolist(),
             "sites": [str(s) for s in dec.sites],
             "total_variation_mu": measures.total_variation(mu),
             "line_energy": measures.line_energy(mu, nu, eps),

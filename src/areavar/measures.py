@@ -93,16 +93,13 @@ class VectorMeasure:
         return {
             "d": self.dimension,
             "cells": [
-                {
-                    "id": i,
-                    "weight": float(self.cell_weights[i]),
-                    "density": [float(x) for x in self.ac_density[i]],
-                }
-                for i in range(self.n_cells)
+                {"id": i, "weight": w, "density": row}
+                for i, (w, row) in enumerate(
+                    zip(self.cell_weights.tolist(), self.ac_density.tolist())
+                )
             ],
             "atoms": [
-                {"site": site, "mass": [float(x) for x in mass]}
-                for site, mass in self.atoms
+                {"site": site, "mass": mass.tolist()} for site, mass in self.atoms
             ],
         }
 
@@ -195,6 +192,9 @@ def aligned_masses(*measures: VectorMeasure) -> tuple[list[np.ndarray], list]:
     sites = _sorted_sites(*measures)
     out = []
     for m in measures:
+        if not sites:
+            out.append(m.cell_masses())
+            continue
         lookup = {s: mass for s, mass in m.atoms}
         atom_block = np.zeros((len(sites), m.dimension))
         for k, s in enumerate(sites):
@@ -310,26 +310,23 @@ def singular_epsilons(mu: VectorMeasure, nu: VectorMeasure) -> list[float]:
     and y != 0 cancel at eps = 0.  Returns the sorted, deduplicated values.
     """
     (x, y), _ = aligned_masses(mu, nu)
-    nx = _entry_norms(x)
-    ny = _entry_norms(y)
-    supp_x = _support(nx)
-    supp_y = _support(ny)
-    candidates = []
-    for i in range(x.shape[0]):
-        if not supp_y[i]:
-            continue
-        if not supp_x[i]:
-            candidates.append(0.0)
-            continue
-        k = int(np.argmax(np.abs(y[i])))
-        eps = -x[i, k] / y[i, k]
-        resid = x[i] + eps * y[i]
-        scale = np.maximum(np.abs(x[i]), np.abs(eps * y[i]))
-        if np.all(np.abs(resid) <= CANCEL_REL_TOL * scale):
-            candidates.append(float(eps))
-    candidates.sort()
+    supp_x = _support(_entry_norms(x))
+    supp_y = _support(_entry_norms(y))
+    both = supp_x & supp_y
+    candidates = np.empty(0)
+    if np.any(both):
+        xb, yb = x[both], y[both]
+        rows = np.arange(xb.shape[0])
+        k = np.argmax(np.abs(yb), axis=1)
+        eps = -xb[rows, k] / yb[rows, k]
+        ey = eps[:, None] * yb
+        scale = np.maximum(np.abs(xb), np.abs(ey))
+        candidates = eps[np.all(np.abs(xb + ey) <= CANCEL_REL_TOL * scale, axis=1)]
+    if np.any(supp_y & ~supp_x):
+        candidates = np.append(candidates, 0.0)
+    # exact duplicates change nothing the merge keeps
     merged: list[float] = []
-    for e in candidates:
+    for e in np.unique(candidates).tolist():
         if merged and abs(e - merged[-1]) <= CANCEL_REL_TOL * max(
             1.0, abs(e), abs(merged[-1])
         ):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -162,15 +163,7 @@ class _Assembler:
             [n00, n00 + ny1, n00 + 1, n00 + ny1 + 1], axis=-1
         )  # (ncx, ncy, 4)
 
-        # interior node indices in nested-dissection order: the Hessian is
-        # assembled already permuted, and its natural-order LU has the fill
-        # of a nested-dissection factorization
         self.n_nodes = (ncx + 1) * ny1
-        self.interior = _nested_dissection(ncx, ncy)
-        self.n_int = self.interior.size
-        self.idx_of_node = np.full(self.n_nodes, -1, dtype=np.int32)
-        self.idx_of_node[self.interior] = np.arange(self.n_int, dtype=np.int32)
-
         self._pattern = None             # CSC pattern of `stiffness`, built lazily
 
         # shape gradients with the weights wq * vol folded in, (G, 4): the
@@ -186,6 +179,26 @@ class _Assembler:
             self.WDx[:, :, None] * self.Dy[:, None, :]
             + self.WDy[:, :, None] * self.Dx[:, None, :]
         ).reshape(G, 16)
+
+    # -- interior numbering -------------------------------------------------
+    # interior node indices in nested-dissection order: the Hessian is
+    # assembled already permuted, and its natural-order LU has the fill of a
+    # nested-dissection factorization.  Numbered on first use: the Laplace
+    # initial guess never reads them
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        return _nested_dissection(self.ncx, self.ncy)
+
+    @cached_property
+    def n_int(self) -> int:
+        return self.interior.size
+
+    @cached_property
+    def idx_of_node(self) -> np.ndarray:
+        idx = np.full(self.n_nodes, -1, dtype=np.int32)
+        idx[self.interior] = np.arange(self.n_int, dtype=np.int32)
+        return idx
 
     # -- kinematics ---------------------------------------------------------
 

@@ -3,12 +3,15 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from areavar.cli import main
 from areavar.grids import read_scalar_csv
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def write_cfg(tmp_path, name, payload):
@@ -277,6 +280,16 @@ def test_decompose_orthogonal_pair(tmp_path):
     assert rep["Fsecond"] == 1.0
     assert rep["singular_epsilons"] == []
     assert rep["support"] == [True]
+
+
+def test_decompose_report_bytes(tmp_path):
+    # atoms on shared and disjoint sites, -0.0, 1e-300, a tie in |nu|; the
+    # expected report is the output of the per-entry implementation
+    out = tmp_path / "out"
+    cfg = str(FIXTURES / "decompose_atoms.json")
+    assert main(["decompose", "--config", cfg, "--out", str(out)]) == 0
+    expected = (FIXTURES / "decompose_atoms_report.json").read_bytes()
+    assert (out / "decompose_report.json").read_bytes() == expected
 
 
 def test_decompose_from_path_and_errors(tmp_path, capsys):

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from areavar.measures import (
+    CANCEL_REL_TOL,
     VectorMeasure,
+    _entry_norms,
+    _support,
     add_scaled,
+    aligned_masses,
     decompose,
     first_variation_pm,
     line_energy,
@@ -376,6 +380,113 @@ def test_planted_nonzero_kink_and_jump():
             np.linalg.norm(nu.ac_density[0] * nu.cell_weights[0])
         )
         assert abs((fp - fm) - expected_jump) <= 1e-12 * (1 + expected_jump)
+
+
+def loop_singular_epsilons(mu, nu):
+    """Reference oracle: the cancellation search one entry at a time."""
+    (x, y), _ = aligned_masses(mu, nu)
+    nx = _entry_norms(x)
+    ny = _entry_norms(y)
+    supp_x = _support(nx)
+    supp_y = _support(ny)
+    candidates = []
+    for i in range(x.shape[0]):
+        if not supp_y[i]:
+            continue
+        if not supp_x[i]:
+            candidates.append(0.0)
+            continue
+        k = int(np.argmax(np.abs(y[i])))
+        eps = -x[i, k] / y[i, k]
+        resid = x[i] + eps * y[i]
+        scale = np.maximum(np.abs(x[i]), np.abs(eps * y[i]))
+        if np.all(np.abs(resid) <= CANCEL_REL_TOL * scale):
+            candidates.append(float(eps))
+    candidates.sort()
+    merged = []
+    for e in candidates:
+        if merged and abs(e - merged[-1]) <= CANCEL_REL_TOL * max(
+            1.0, abs(e), abs(merged[-1])
+        ):
+            continue
+        merged.append(e)
+    return merged
+
+
+def cancelling_pair(rng, d):
+    """A measure pair whose rows cancel at shared, distinct and near-equal
+    parameters, with tied |y| components, zero rows, rows just inside and
+    just outside the cancellation tolerance, and atoms on shared and
+    disjoint sites."""
+    n = rng.randint(0, 30)
+    w = np.exp(0.5 * rng.randn(n))
+    x = rng.randn(n, d)
+    y = rng.randn(n, d)
+    shared = float(rng.uniform(-2.0, 2.0))
+    for i in range(n):
+        kind = rng.randint(9)
+        if kind == 0:
+            x[i] = -shared * y[i]
+        elif kind == 1:
+            x[i] = -rng.uniform(-2.0, 2.0) * y[i]
+        elif kind == 2:
+            x[i] = 0.0
+        elif kind == 3:
+            y[i] = 0.0
+        elif kind == 4:   # ties in |y|, e.g. (1, -1): the first maximum decides
+            y[i] = rng.choice([-1.0, 1.0], d) * rng.uniform(0.5, 2.0)
+            if rng.rand() < 0.5:
+                x[i] = -shared * y[i] * (1.0 + 1e-13 * rng.randn(d))
+        elif kind == 5:   # a distinct but mergeable parameter
+            x[i] = -shared * (1.0 + 3e-13 * rng.randn()) * y[i]
+        elif kind == 6:   # at the edge of the per-component tolerance
+            x[i] = -shared * y[i] * (1.0 + 1e-12 * rng.randn(d))
+        elif kind == 7:   # below nu's support threshold
+            y[i] *= 1e-16
+        elif kind == 8:   # a component where both masses vanish
+            x[i] = -shared * y[i]
+            j = rng.randint(d)
+            x[i, j] = y[i, j] = 0.0
+    sites = [f"s{k}" for k in range(rng.randint(0, 5))]
+    atoms_mu, atoms_nu = [], []
+    for site in sites:
+        which = rng.randint(4)
+        b = rng.randn(d)
+        if which == 0:
+            atoms_mu.append((site, rng.randn(d)))
+        elif which == 1:
+            atoms_nu.append((site, b))
+        else:
+            e = shared if which == 2 else rng.uniform(-2.0, 2.0)
+            atoms_mu.append((site, -e * b))
+            atoms_nu.append((site, b))
+    return (
+        VectorMeasure(d, w, x, tuple(atoms_mu)),
+        VectorMeasure(d, w.copy(), y, tuple(atoms_nu)),
+    )
+
+
+def test_singular_epsilons_matches_the_entrywise_loop():
+    rng = np.random.RandomState(19)
+    nonzero = 0
+    for trial in range(240):
+        mu, nu = cancelling_pair(rng, d=1 + trial % 4)
+        got = singular_epsilons(mu, nu)
+        want = loop_singular_epsilons(mu, nu)
+        assert got == want
+        assert [repr(e) for e in got] == [repr(e) for e in want]
+        assert all(type(e) is float for e in got)
+        nonzero += sum(e != 0.0 for e in got)
+    assert nonzero >= 200
+
+
+def test_singular_epsilons_empty_cases():
+    zero_dim = VectorMeasure(0, np.ones(3), np.zeros((3, 0)))
+    assert singular_epsilons(zero_dim, zero_dim) == []
+    mu = vm([(1.0, 2.0), (0.0, 0.0)], 1.0, atoms=(("a", (1.0, 0.0)),))
+    assert singular_epsilons(mu, vm([(0.0, 0.0), (0.0, 0.0)], 1.0)) == []
+    empty = VectorMeasure(2, np.ones(0), np.zeros((0, 2)))
+    assert singular_epsilons(empty, empty) == []
 
 
 # ---- structural identity -------------------------------------------------------------

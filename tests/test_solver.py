@@ -10,6 +10,7 @@ from areavar.solver import (
     SolverConfig,
     _Assembler,
     _euler_predict,
+    _nested_dissection,
     _newton,
     _spd_solve,
     comparison_check,
@@ -378,6 +379,15 @@ def test_interior_ordering_is_a_permutation_of_the_interior_nodes(n_cells):
     assert asm.interior.size == asm.n_int == expected.size
     assert np.array_equal(np.sort(asm.interior), expected)
     assert np.array_equal(asm.idx_of_node[asm.interior], np.arange(asm.n_int))
+
+
+@pytest.mark.parametrize("n_cells", [(2, 2), (7, 3), (32, 35)])
+def test_interior_is_numbered_by_nested_dissection_on_first_use(n_cells):
+    asm = _Assembler(GridDomain(OFFSET_BOX, n_cells), ZERO, 2)
+    asm.quadratic_gradient_full(np.zeros((n_cells[0] + 1, n_cells[1] + 1)),
+                                np.ones((asm.ncx, asm.ncy, asm.G)))
+    assert "interior" not in vars(asm)
+    assert np.array_equal(asm.interior, _nested_dissection(*n_cells))
 
 
 def test_newton_direction_matches_spsolve():
