@@ -176,8 +176,6 @@ def _domain_from(cfg: dict) -> GridDomain:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(2, f"bad domain: {exc}") from exc
-    if dom.m != 2:
-        raise CliError(2, f"bad domain: the CLI supports 2 axes, got {dom.m}")
     if dom.n_cells[0] * dom.n_cells[1] > _MAX_CELLS:
         raise CliError(2, f"bad domain: more than {_MAX_CELLS} cells")
     return dom

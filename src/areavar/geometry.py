@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grids import CellScalarField, EnergySpec, GridDomain, ScalarField, drift_gradient, gradient, singular_set
+from .grids import CellScalarField, EnergySpec, GridDomain, ScalarField, gradient, singular_set
 
 
 @dataclass
@@ -282,9 +282,8 @@ def p_mean_curvature(u: ScalarField, spec: EnergySpec | None = None) -> CellScal
         spec = EnergySpec(preset="p_area")
     dom = u.dom
     hx, hy = dom.spacing
-    m = drift_gradient(u, spec)
-    sing = singular_set(u, spec).mask
-    norms = np.sqrt(np.einsum("...k,...k->...", m, m))
+    ss = singular_set(u, spec)
+    m, sing, norms = ss.drift, ss.mask, ss.norms
     safe = np.where(norms == 0.0, 1.0, norms)
     N = np.where(sing[..., None], np.nan, m / safe[..., None])
     ncx, ncy = dom.n_cells

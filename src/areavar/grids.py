@@ -22,17 +22,16 @@ from .util import g17, pairwise_sum, rotate_pairs
 class GridDomain:
     """Axis-aligned box [x0,x1] x [y0,y1] split into n_cells per axis.
 
-    The data model is dimension-generic but the operations below support
-    m = 2.  Nodal arrays have shape (nx+1, ny+1), cell arrays (nx, ny),
-    both indexed [i, j] with i along the first axis.
+    Nodal arrays have shape (nx+1, ny+1), cell arrays (nx, ny), both
+    indexed [i, j] with i along the first axis.
     """
 
     extents: tuple[tuple[float, float], ...]
     n_cells: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.extents) != len(self.n_cells):
-            raise ValueError("extents and n_cells disagree on dimension")
+        if len(self.extents) != 2 or len(self.n_cells) != 2:
+            raise ValueError("a grid domain has exactly 2 axes")
         for (lo, hi), n in zip(self.extents, self.n_cells):
             if not hi > lo:
                 raise ValueError("each extent must be a nondegenerate interval")
@@ -41,7 +40,7 @@ class GridDomain:
 
     @property
     def m(self) -> int:
-        return len(self.extents)
+        return 2
 
     @property
     def spacing(self) -> tuple[float, ...]:
@@ -55,10 +54,8 @@ class GridDomain:
 
     @property
     def cell_volume(self) -> float:
-        v = 1.0
-        for h in self.spacing:
-            v *= h
-        return v
+        hx, hy = self.spacing
+        return hx * hy
 
     def axis_nodes(self, k: int) -> np.ndarray:
         lo, hi = self.extents[k]
@@ -69,40 +66,26 @@ class GridDomain:
         return 0.5 * (nodes[:-1] + nodes[1:])
 
     def node_coords(self) -> tuple[np.ndarray, ...]:
-        return tuple(
-            np.meshgrid(*(self.axis_nodes(k) for k in range(self.m)), indexing="ij")
-        )
+        return tuple(np.meshgrid(self.axis_nodes(0), self.axis_nodes(1), indexing="ij"))
 
     def center_coords(self) -> tuple[np.ndarray, ...]:
-        return tuple(
-            np.meshgrid(*(self.axis_centers(k) for k in range(self.m)), indexing="ij")
-        )
+        return tuple(np.meshgrid(self.axis_centers(0), self.axis_centers(1), indexing="ij"))
 
     def boundary_mask(self) -> np.ndarray:
-        shape = tuple(n + 1 for n in self.n_cells)
-        mask = np.zeros(shape, dtype=bool)
-        for k in range(self.m):
-            idx_lo = [slice(None)] * self.m
-            idx_lo[k] = 0
-            mask[tuple(idx_lo)] = True
-            idx_hi = [slice(None)] * self.m
-            idx_hi[k] = -1
-            mask[tuple(idx_hi)] = True
+        nx, ny = self.n_cells
+        mask = np.ones((nx + 1, ny + 1), dtype=bool)
+        mask[1:-1, 1:-1] = False
         return mask
 
     @property
     def perimeter(self) -> float:
-        if self.m != 2:
-            raise NotImplementedError("perimeter implemented for m = 2")
         (x0, x1), (y0, y1) = self.extents
         return 2.0 * ((x1 - x0) + (y1 - y0))
 
     @property
     def area(self) -> float:
-        v = 1.0
-        for lo, hi in self.extents:
-            v *= hi - lo
-        return v
+        (x0, x1), (y0, y1) = self.extents
+        return (x1 - x0) * (y1 - y0)
 
 
 @dataclass
@@ -177,7 +160,7 @@ class EnergySpec:
     F is either a named preset or an explicit cell-centered field:
       zero         -- plain area / total-variation energy
       p_area       -- F = (-y, x) in the plane, the horizontal-area drift
-                      (alias: minus_X_star); even m only
+                      (alias: minus_X_star)
       custom       -- use the supplied VectorField
     H may be a constant or a per-cell array.
     """
@@ -193,33 +176,35 @@ class EnergySpec:
             raise ValueError("preset 'custom' requires F_field")
 
     def F_cells(self, dom: GridDomain) -> np.ndarray:
-        """Drift evaluated at cell centers, shape (*n_cells, m)."""
-        coords = dom.center_coords()
-        return self.F_at(dom, *coords)
+        """Drift evaluated at cell centers, shape (*n_cells, 2)."""
+        return self.F_at(dom, *dom.center_coords())
 
-    def F_at(self, dom: GridDomain, *coords: np.ndarray) -> np.ndarray:
-        """Drift at arbitrary points (analytic presets evaluate exactly).
+    def F_at(self, dom: GridDomain, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Drift at points given per cell, shape (ncx, ncy, ..., 2).
 
-        For a custom field the cell value is used for every point inside
-        that cell, so the coords must be cell-shaped arrays.
+        x and y must broadcast to a shape (ncx, ncy, ...) whose entry
+        [i, j, ...] lies in cell (i, j).  Analytic presets evaluate exactly
+        at each point; a custom field is constant on each cell, so its cell
+        value is broadcast to every point of that cell.
         """
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        if shape[:2] != tuple(dom.n_cells):
+            raise ValueError(
+                f"points of shape {shape} are not given per cell of a {dom.n_cells} grid"
+            )
         if self.preset == "zero":
-            return np.zeros(coords[0].shape + (dom.m,))
+            return np.zeros(shape + (2,))
         if self.preset in ("p_area", "minus_X_star"):
-            if dom.m % 2:
-                raise ValueError("p_area preset needs an even-dimensional domain")
-            out = np.empty(coords[0].shape + (dom.m,))
-            # -X* with X* = (x_{1'}, -x_1, x_{2'}, -x_2, ...): pairs (x,y) -> (-y, x)
-            for k in range(0, dom.m, 2):
-                out[..., k] = -coords[k + 1]
-                out[..., k + 1] = coords[k]
+            # -X* with X* = (y, -x): (x, y) -> (-y, x)
+            out = np.empty(shape + (2,))
+            out[..., 0] = -y
+            out[..., 1] = x
             return out
         f = self.F_field
         if f.dom != dom:
             raise ValueError("custom drift lives on a different grid")
-        if coords[0].shape == tuple(dom.n_cells):
-            return f.values
-        raise ValueError("custom drift can only be evaluated at cell centers")
+        per_cell = f.values.reshape(f.values.shape[:2] + (1,) * (len(shape) - 2) + (2,))
+        return np.broadcast_to(per_cell, shape + (2,))
 
     def H_cells(self, dom: GridDomain) -> np.ndarray:
         if np.isscalar(self.H):
@@ -239,8 +224,6 @@ def gradient(u: ScalarField) -> VectorField:
     Exact for affine nodal data on any grid.
     """
     dom = u.dom
-    if dom.m != 2:
-        raise NotImplementedError("gradient implemented for m = 2")
     hx, hy = dom.spacing
     v = u.values
     gx = (v[1:, :-1] - v[:-1, :-1] + v[1:, 1:] - v[:-1, 1:]) / (2.0 * hx)
@@ -269,11 +252,14 @@ def area_energy(u: ScalarField, spec: EnergySpec) -> float:
 
 @dataclass
 class SingularSet:
-    """Cells where |grad u + F| falls below the detection threshold."""
+    """Cells where |grad u + F| falls below the detection threshold, with
+    the cell values of grad u + F and of |grad u + F| it thresholded."""
 
     mask: np.ndarray          # (nx, ny) bool
     measure: float            # count * cell volume
     threshold: float
+    drift: np.ndarray         # (nx, ny, 2) grad u + F
+    norms: np.ndarray         # (nx, ny) |grad u + F|
 
     def cells(self) -> list[tuple[int, int]]:
         return [tuple(ij) for ij in np.argwhere(self.mask)]
@@ -299,7 +285,7 @@ def singular_set(u: ScalarField, spec: EnergySpec, tol: float = 1.0) -> Singular
     threshold = tol * h * max(med, h)
     mask = norms <= threshold * (1.0 + 1e-4)
     return SingularSet(mask=mask, measure=float(mask.sum()) * dom.cell_volume,
-                       threshold=threshold)
+                       threshold=threshold, drift=m, norms=norms)
 
 
 def field_to_measure(
@@ -313,8 +299,8 @@ def field_to_measure(
     zero measure on the same complex as a template for building directions.
     """
     dom = u.dom
-    m = drift_gradient(u, spec).copy()
     sing = singular_set(u, spec, tol)
+    m = sing.drift.copy()
     m[sing.mask] = 0.0
     n = m.shape[0] * m.shape[1]
     weights = np.full(n, dom.cell_volume)
@@ -340,12 +326,9 @@ def hypothesis_checks(
     * gradient compatibility: each component relation d_K F_I = d_I f_K
       against user-supplied potentials f_K, by central differences on
       interior cells;
-    * positivity of the divergence of the pairwise-rotated drift
-      (F_2, -F_1, F_4, -F_3, ...), the quantity whose sign drives the
-      comparison principle.
+    * positivity of the divergence of the rotated drift (F_2, -F_1), the
+      quantity whose sign drives the comparison principle.
     """
-    if dom.m != 2:
-        raise NotImplementedError("hypothesis checks implemented for m = 2")
     F = spec.F_cells(dom)
     hx, hy = dom.spacing
 
@@ -415,7 +398,12 @@ def write_scalar_csv(u: ScalarField, path) -> None:
 
 
 def read_scalar_csv(path) -> ScalarField:
-    """Rebuild a nodal field (and its grid) from the i,j,x,y,value format."""
+    """Rebuild a nodal field (and its grid) from the i,j,x,y,value format.
+
+    Each node (i, j) with i, j >= 0 must appear exactly once, at
+    coordinates within 1e-9 of the axis length of the uniform grid spanned
+    by the first and last nodes; anything else raises ValueError.
+    """
     rows = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -425,25 +413,34 @@ def read_scalar_csv(path) -> ScalarField:
         for line in r:
             if not line:
                 continue
-            i, j = int(line[0]), int(line[1])
-            rows.append((i, j, float(line[2]), float(line[3]), float(line[4])))
+            if len(line) < 5:
+                raise ValueError(f"{path}: line {r.line_num} has fewer than 5 fields")
+            rows.append((int(line[0]), int(line[1]), float(line[2]), float(line[3]), float(line[4])))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    ni = max(r[0] for r in rows) + 1
-    nj = max(r[1] for r in rows) + 1
-    vals = np.full((ni, nj), np.nan)
-    xs = np.full(ni, np.nan)
-    ys = np.full(nj, np.nan)
-    for i, j, x, y, v in rows:
-        vals[i, j] = v
-        xs[i] = x
-        ys[j] = y
-    if np.any(np.isnan(vals)):
+    ii, jj, x, y, v = zip(*rows)
+    if min(ii) < 0 or min(jj) < 0:
+        raise ValueError(f"{path}: negative node index")
+    if len(set(zip(ii, jj))) < len(rows):
+        raise ValueError(f"{path}: duplicate (i, j) rows")
+    ni, nj = max(ii) + 1, max(jj) + 1
+    if len(rows) != ni * nj:
         raise ValueError(f"{path}: incomplete grid data")
+    ii, jj, x, y = np.array(ii), np.array(jj), np.array(x), np.array(y)
+    vals = np.empty((ni, nj))
+    vals[ii, jj] = v
+    xs = np.empty(ni)
+    xs[ii] = x
+    ys = np.empty(nj)
+    ys[jj] = y
     dom = GridDomain(
         extents=((float(xs[0]), float(xs[-1])), (float(ys[0]), float(ys[-1]))),
         n_cells=(ni - 1, nj - 1),
     )
+    for k, (coord, idx) in enumerate(((x, ii), (y, jj))):
+        lo, hi = dom.extents[k]
+        if not np.all(np.abs(coord - dom.axis_nodes(k)[idx]) <= 1e-9 * (hi - lo)):
+            raise ValueError(f"{path}: {'xy'[k]} coordinates off the uniform grid")
     return ScalarField(dom, vals)
 
 

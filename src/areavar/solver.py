@@ -108,8 +108,6 @@ class _Assembler:
     """Per-domain tables for the Gauss-quadrature energy and its derivatives."""
 
     def __init__(self, dom: GridDomain, spec: EnergySpec, quad_order: int):
-        if dom.m != 2:
-            raise NotImplementedError("solver implemented for m = 2")
         self.dom = dom
         self.spec = spec
         hx, hy = dom.spacing
@@ -144,13 +142,8 @@ class _Assembler:
         ys = dom.axis_nodes(1)[:-1]
         Xg = xs[:, None, None] + xi[None, None, :] * hx    # (ncx, 1, G)
         Yg = ys[None, :, None] + eta[None, None, :] * hy   # (1, ncy, G)
-        F = spec.F_at(dom, *_quad_coords(dom, Xg, Yg, spec))
-        if F.shape == (ncx, ncy, 2):     # custom field: constant per cell
-            self.Fx = np.broadcast_to(F[..., 0:1], (ncx, ncy, G))
-            self.Fy = np.broadcast_to(F[..., 1:2], (ncx, ncy, G))
-        else:
-            self.Fx = np.broadcast_to(F[..., 0], (ncx, ncy, G))
-            self.Fy = np.broadcast_to(F[..., 1], (ncx, ncy, G))
+        F = spec.F_at(dom, Xg, Yg)                         # (ncx, ncy, G, 2)
+        self.Fx, self.Fy = F[..., 0], F[..., 1]
 
         Hc = spec.H_cells(dom)
         # linear bulk term: integral of H * shape_k over each cell
@@ -164,7 +157,6 @@ class _Assembler:
         )  # (ncx, ncy, 4)
 
         self.n_nodes = (ncx + 1) * ny1
-        self._pattern = None             # CSC pattern of `stiffness`, built lazily
 
         # shape gradients with the weights wq * vol folded in, (G, 4): the
         # nodal load of the fluxes (wx, wy) is wx @ WDx + wy @ WDy
@@ -278,7 +270,7 @@ class _Assembler:
         K += a22.reshape(-1, G) @ self.Tyy
         if a12 is not None:
             K += a12.reshape(-1, G) @ self.Txy
-        gather, starts, indices, indptr = self._pattern or self._csc_pattern()
+        gather, starts, indices, indptr = self._csc_pattern
         # the summed entries overwrite the front of K's own buffer, which the
         # matrix keeps: one allocation of the matrix's size fewer per call.
         # glibc keeps freed arrays of that size in its heap; at 512^2 a
@@ -290,11 +282,13 @@ class _Assembler:
         A.has_canonical_format = True
         return A
 
+    @cached_property
     def _csc_pattern(self) -> tuple:
-        """The CSC pattern of `stiffness`, computed once: the cell-matrix
-        entries in column-major (column, row) order as int32 positions into
-        the (cells, 16) block array, the first entry of each nonzero, and
-        the CSC `indices`/`indptr`."""
+        """The CSC pattern of `stiffness`, computed on its first call (never
+        for 0-step solves): the cell-matrix entries in column-major
+        (column, row) order as int32 positions into the (cells, 16) block
+        array, the first entry of each nonzero, and the CSC
+        `indices`/`indptr`."""
         local = self.idx_of_node[self.corner_nodes].reshape(-1, 4)
         rows = np.repeat(local, 4, axis=1).ravel()
         cols = np.tile(local, (1, 4)).ravel()
@@ -307,8 +301,7 @@ class _Assembler:
         starts = np.flatnonzero(first).astype(np.int32)
         indptr = np.zeros(self.n_int + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols[starts], minlength=self.n_int), out=indptr[1:])
-        self._pattern = (keep[order], starts, rows[starts], indptr)
-        return self._pattern
+        return keep[order], starts, rows[starts], indptr
 
     def hessian_interior(
         self, values: np.ndarray, a: float, kin: tuple | None = None
@@ -383,19 +376,6 @@ def _spd_solve(A: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
         options=dict(SymmetricMode=True),
     )
     return lu.solve(rhs)
-
-
-def _quad_coords(dom, Xg, Yg, spec):
-    """Coordinates handed to EnergySpec.F_at: full quad grids for presets,
-    cell centers for custom fields (which are piecewise constant anyway)."""
-    if spec.preset == "custom":
-        return dom.center_coords()
-    ncx, ncy = dom.n_cells
-    G = Xg.shape[-1]
-    return (
-        np.broadcast_to(Xg, (ncx, ncy, G)),
-        np.broadcast_to(Yg, (ncx, ncy, G)),
-    )
 
 
 def _apply_boundary(values: np.ndarray, phi: ScalarField, dom: GridDomain) -> np.ndarray:

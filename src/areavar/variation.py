@@ -19,7 +19,6 @@ from .grids import (
     EnergySpec,
     ScalarField,
     area_energy,
-    drift_gradient,
     field_to_measure,
     gradient,
     gradient_measure,
@@ -141,8 +140,8 @@ def second_variation_graph(
         return pairwise_sum(np.maximum(terms, 0.0).ravel() * dom.cell_volume)
     if mode != "area":
         raise ValueError(f"unknown mode {mode!r}")
-    m = drift_gradient(u, spec)
-    sing = singular_set(u, spec, tol_singular).mask
+    ss = singular_set(u, spec, tol_singular)
+    m, sing = ss.drift, ss.mask
     m2 = np.einsum("...k,...k->...", m, m)
     g2 = np.einsum("...k,...k->...", gphi, gphi)
     dot = np.einsum("...k,...k->...", gphi, m)
@@ -278,9 +277,8 @@ def angle_condition(
     sampling are flagged low-confidence.
     """
     dom = u.dom
-    sing = singular_set(u, spec, tol_singular).mask
-    m = drift_gradient(u, spec)
-    norms = np.sqrt(np.einsum("...k,...k->...", m, m))
+    ss = singular_set(u, spec, tol_singular)
+    sing, m, norms = ss.mask, ss.drift, ss.norms
     N = np.where(norms[..., None] > 0, m / np.where(norms == 0, 1.0, norms)[..., None], 0.0)
     xc = dom.axis_centers(0)
     yc = dom.axis_centers(1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from areavar.cli import main
-from areavar.grids import read_scalar_csv
+from areavar.grids import GridDomain, ScalarField, read_scalar_csv, write_scalar_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -432,3 +432,27 @@ def test_malformed_config_sections_exit_2(tmp_path, capsys, command, patch, key)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diag["exit_code"] == 2 and key in diag["error"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines + ["1,1,-0.5,-0.5,99"], "duplicate"),
+        (lambda lines: [line.replace(",-0.5,", ",0.3,", 1) if line.startswith("1,") else line
+                        for line in lines], "x coordinates off"),
+        (lambda lines: [("-1" + line[1:]) if line.startswith("4,") else line
+                        for line in lines], "negative"),
+    ],
+)
+@pytest.mark.parametrize("command, key", [("area", "field"), ("solve", "boundary")])
+def test_bad_field_csv_exit_2(tmp_path, capsys, edit, message, command, key):
+    # a CSV written for the configured 4 x 4 grid on [-1, 1]^2, then edited
+    dom = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (4, 4))
+    path = tmp_path / "u.csv"
+    write_scalar_csv(ScalarField.from_function(dom, lambda x, y: x * y), path)
+    cfg = write_cfg(tmp_path, "cfg.json", dict(VALID[command], **{key: {"csv": str(path)}}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["exit_code"] == 2 and f"bad {key} CSV" in diag["error"] and message in diag["error"]

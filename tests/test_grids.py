@@ -24,6 +24,7 @@ from areavar.geometry import mean_curvature_euclidean
 from areavar.util import pairwise_sum
 
 SQ = ((-1.0, 1.0), (-1.0, 1.0))
+SQ01 = ((0.0, 1.0), (0.0, 1.0))
 
 
 def dom_n(n):
@@ -318,9 +319,6 @@ def test_energy_spec_validation():
         EnergySpec(preset="bogus")
     with pytest.raises(ValueError):
         EnergySpec(preset="custom")
-    dom3 = GridDomain(((0.0, 1.0),) * 3, (2, 2, 2))
-    with pytest.raises(ValueError):
-        EnergySpec(preset="p_area").F_cells(dom3)
 
 
 def test_energy_spec_custom_field_and_alias():
@@ -348,6 +346,8 @@ def test_per_cell_H_shape_check():
 def test_domain_validation():
     with pytest.raises(ValueError):
         GridDomain(((0.0, 1.0),), (2, 2))
+    with pytest.raises(ValueError):
+        GridDomain(((0.0, 1.0),) * 3, (2, 2, 2))
     with pytest.raises(ValueError):
         GridDomain(((1.0, 0.0), (0.0, 1.0)), (4, 4))
     with pytest.raises(ValueError):
@@ -436,3 +436,72 @@ def test_read_scalar_csv_rejects_garbage(tmp_path):
     path.write_text("i,j,x,y,value\n0,0,zero,0,1\n")
     with pytest.raises(ValueError):
         read_scalar_csv(path)
+
+
+def _csv_lines(tmp_path, n_cells):
+    """The lines write_scalar_csv gives for x + 2y on [0, 1]^2."""
+    dom = GridDomain(SQ01, n_cells)
+    path = tmp_path / "good.csv"
+    write_scalar_csv(ScalarField.from_function(dom, lambda x, y: x + 2 * y), path)
+    return path.read_text().splitlines()
+
+
+def _read_lines(tmp_path, lines):
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return read_scalar_csv(path)
+
+
+@pytest.mark.parametrize(
+    "n_cells, edit, message",
+    [
+        # column i = 1 of [0, 1] at x = 0.9 instead of 0.5
+        ((2, 2), lambda line: line.replace(",0.5,", ",0.9,", 1) if line.startswith("1,") else line,
+         "x coordinates off"),
+        # node (0, 1) 2e-9 off y = 0.5
+        ((2, 2), lambda line: "0,1,0,0.500000002,1" if line.startswith("0,1,") else line,
+         "y coordinates off"),
+        # the last column i = 3 numbered -1: it would index the grid from its end
+        ((3, 2), lambda line: "-1" + line[1:] if line.startswith("3,") else line, "negative"),
+    ],
+)
+def test_read_scalar_csv_rejects_edited_rows(tmp_path, n_cells, edit, message):
+    lines = _csv_lines(tmp_path, n_cells)
+    with pytest.raises(ValueError, match=message):
+        _read_lines(tmp_path, [edit(line) for line in lines])
+
+
+def test_read_scalar_csv_rejects_duplicate_rows(tmp_path):
+    lines = _csv_lines(tmp_path, (2, 2)) + ["1,1,0.5,0.5,99"]
+    with pytest.raises(ValueError, match="duplicate"):
+        _read_lines(tmp_path, lines)
+
+
+def test_read_scalar_csv_accepts_coordinates_within_tolerance(tmp_path):
+    lines = _csv_lines(tmp_path, (2, 2))
+    assert lines[2] == "0,1,0,0.5,1"
+    lines[2] = "0,1,0,0.5000000001,1"        # 1e-10 off y = 0.5
+    u = _read_lines(tmp_path, lines)
+    assert u.dom == GridDomain(SQ01, (2, 2)) and u.values[0, 1] == 1.0
+
+
+def test_read_scalar_csv_rejects_short_rows(tmp_path):
+    lines = _csv_lines(tmp_path, (2, 2))
+    lines[3] = "0,2,0"
+    with pytest.raises(ValueError, match="fewer than 5 fields"):
+        _read_lines(tmp_path, lines)
+
+
+@pytest.mark.parametrize(
+    "extents, n_cells",
+    [(((-1.0, 0.4), (0.2, 1.1)), (7, 13)), (((0.1, 0.3), (-1e3, 7.0)), (33, 2))],
+)
+def test_scalar_csv_round_trip_within_coordinate_tolerance(tmp_path, extents, n_cells):
+    # the g17 coordinates of linspace nodes read back onto the same nodes
+    dom = GridDomain(extents, n_cells)
+    u = ScalarField(dom, np.random.RandomState(5).randn(n_cells[0] + 1, n_cells[1] + 1))
+    path = tmp_path / "u.csv"
+    write_scalar_csv(u, path)
+    back = read_scalar_csv(path)
+    assert back.dom == dom
+    assert np.array_equal(back.values, u.values)

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from areavar.grids import EnergySpec, GridDomain, ScalarField, area_energy, singular_set
+from areavar.grids import (
+    EnergySpec,
+    GridDomain,
+    ScalarField,
+    VectorField,
+    area_energy,
+    singular_set,
+)
 from areavar.solver import (
     SolverConfig,
     _Assembler,
@@ -388,6 +395,57 @@ def test_interior_is_numbered_by_nested_dissection_on_first_use(n_cells):
                                 np.ones((asm.ncx, asm.ncy, asm.G)))
     assert "interior" not in vars(asm)
     assert np.array_equal(asm.interior, _nested_dissection(*n_cells))
+
+
+def test_csc_pattern_is_built_by_the_first_newton_step():
+    dom = GridDomain(OFFSET_BOX, (9, 12))
+    cfg = SolverConfig(max_newton_iters=1)
+    # the saddle xy is exact at every a: 0 Newton steps, no Hessian
+    asm = _Assembler(dom, P_AREA, cfg.quad_order)
+    result, _ = _newton(asm, 1.0, harmonic_extension(dom, field(dom, lambda x, y: x * y)).values, cfg)
+    assert result.iterations == 0
+    assert "_csc_pattern" not in vars(asm)
+    asm = _Assembler(dom, P_AREA, cfg.quad_order)
+    phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+    result, _ = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg)
+    assert result.iterations == 1
+    pattern = vars(asm)["_csc_pattern"]
+    asm.hessian_interior(result.u.values, 1.0)
+    assert asm._csc_pattern is pattern
+
+
+def _custom_drift(dom):
+    Xc, Yc = dom.center_coords()
+    return VectorField(dom, np.stack([np.sin(3 * Xc) - Yc, Xc * Yc + 0.5], axis=-1))
+
+
+@pytest.mark.parametrize("quad_order", [1, 2, 4])
+def test_custom_drift_is_its_cell_value_at_every_gauss_point(quad_order):
+    dom = GridDomain(OFFSET_BOX, (7, 11))
+    F = _custom_drift(dom)
+    asm = _Assembler(dom, EnergySpec(preset="custom", F_field=F), quad_order)
+    G = quad_order * quad_order
+    assert asm.Fx.shape == asm.Fy.shape == (7, 11, G)
+    assert np.array_equal(asm.Fx, np.repeat(F.values[..., 0:1], G, axis=-1))
+    assert np.array_equal(asm.Fy, np.repeat(F.values[..., 1:2], G, axis=-1))
+
+
+def test_custom_drift_needs_points_per_cell_on_its_own_grid():
+    dom = GridDomain(OFFSET_BOX, (7, 11))
+    spec = EnergySpec(preset="custom", F_field=_custom_drift(dom))
+    Xc, Yc = dom.center_coords()
+    assert np.array_equal(spec.F_at(dom, Xc, Yc), spec.F_field.values)
+    X, Y = dom.node_coords()                  # (8, 12): one more than per cell
+    with pytest.raises(ValueError, match="per cell"):
+        spec.F_at(dom, X, Y)
+    with pytest.raises(ValueError, match="per cell"):
+        spec.F_at(dom, Xc.T, Yc.T)            # (11, 7): axes swapped
+    with pytest.raises(ValueError, match="per cell"):
+        spec.F_at(dom, Xc[0], Yc[0])          # one row of cells
+    other = GridDomain(OFFSET_BOX, (7, 10))
+    Xo, Yo = other.center_coords()
+    with pytest.raises(ValueError, match="different grid"):
+        spec.F_at(other, Xo, Yo)
 
 
 def test_newton_direction_matches_spsolve():
