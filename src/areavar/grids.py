@@ -109,9 +109,6 @@ class ScalarField:
     def from_function(dom: GridDomain, fn: Callable) -> "ScalarField":
         return ScalarField(dom, fn(*dom.node_coords()) + np.zeros(tuple(n + 1 for n in dom.n_cells)))
 
-    def boundary_values(self) -> np.ndarray:
-        return self.values[self.dom.boundary_mask()]
-
     def cell_average(self) -> np.ndarray:
         v = self.values
         return 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
@@ -172,8 +169,8 @@ class EnergySpec:
     def __post_init__(self):
         if self.preset not in _PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}; use one of {_PRESETS}")
-        if self.preset == "custom" and self.F_field is None:
-            raise ValueError("preset 'custom' requires F_field")
+        if self.preset == "custom" and (self.F_field is None or self.F_field.d != 2):
+            raise ValueError("preset 'custom' requires an F_field with 2 components")
 
     def F_cells(self, dom: GridDomain) -> np.ndarray:
         """Drift evaluated at cell centers, shape (*n_cells, 2)."""
@@ -260,9 +257,6 @@ class SingularSet:
     threshold: float
     drift: np.ndarray         # (nx, ny, 2) grad u + F
     norms: np.ndarray         # (nx, ny) |grad u + F|
-
-    def cells(self) -> list[tuple[int, int]]:
-        return [tuple(ij) for ij in np.argwhere(self.mask)]
 
 
 def singular_set(u: ScalarField, spec: EnergySpec, tol: float = 1.0) -> SingularSet:

@@ -4,7 +4,8 @@ The bridge between grid fields and measure calculus: a solution u induces
 the measure (grad u + F) dx with its singular cells zeroed, a test function
 phi vanishing on the boundary induces the direction measure (grad phi) dx,
 and the one-sided derivatives / curvature of eps -> F(u + eps*phi) come out
-of the measure formulas exactly.  Finite differencing of the grid energy is
+of the measure formulas exactly.  Singular sets are always detected at
+singular_set's default threshold.  Finite differencing of the grid energy is
 kept here only as a validation oracle (fd_validate).
 """
 from __future__ import annotations
@@ -77,11 +78,32 @@ def _h_term(spec: EnergySpec, f: ScalarField) -> float:
     return pairwise_sum((H * f.cell_average()).ravel() * dom.cell_volume)
 
 
+def _area_second(m: np.ndarray, sing: np.ndarray, gphi: np.ndarray, vol: float) -> float:
+    """Area-mode second variation from per-cell m = grad u + F, mask and grad phi."""
+    m2 = np.einsum("...k,...k->...", m, m)
+    g2 = np.einsum("...k,...k->...", gphi, gphi)
+    dot = np.einsum("...k,...k->...", gphi, m)
+    safe = np.where(sing, 1.0, m2)
+    terms = np.where(sing, 0.0, (safe * g2 - dot * dot) / np.sqrt(safe) ** 3)
+    return pairwise_sum(np.maximum(terms, 0.0).ravel() * vol)
+
+
+def _lifted_variations(u: ScalarField, phi: ScalarField) -> tuple[float, float]:
+    """First and second variation of the lifted graph area along phi."""
+    vol = u.dom.cell_volume
+    gu = gradient(u).values
+    gphi = gradient(phi).values
+    g2 = np.einsum("...k,...k->...", gphi, gphi)
+    u2 = np.einsum("...k,...k->...", gu, gu)
+    dot = np.einsum("...k,...k->...", gphi, gu)
+    W = np.sqrt(1.0 + u2)
+    first = pairwise_sum((dot / W).ravel() * vol)
+    terms = (g2 * (1.0 + u2) - dot * dot) / W**3
+    return first, pairwise_sum(np.maximum(terms, 0.0).ravel() * vol)
+
+
 def minimizer_first_variation(
-    u: ScalarField,
-    spec: EnergySpec,
-    direction: DirectionField,
-    tol_singular: float = 1.0,
+    u: ScalarField, spec: EnergySpec, direction: DirectionField
 ) -> VariationReport:
     """One-sided derivatives of eps -> F(u + eps*phi) at eps = 0.
 
@@ -94,28 +116,22 @@ def minimizer_first_variation(
     """
     if direction.phi.dom != u.dom:
         raise ValueError("direction lives on a different grid")
-    mu, _ = field_to_measure(u, spec, tol_singular)
+    mu, _ = field_to_measure(u, spec)
     nu = direction.measure()
     fm, fp = measures.first_variation_pm(mu, nu, 0.0)
     ht = _h_term(spec, direction.phi)
-    fsec = measures.second_variation(mu, nu, 0.0)
-    f0 = measures.line_energy(mu, nu, 0.0) + _h_term(spec, u)
     return VariationReport(
-        F_value=f0,
+        F_value=measures.line_energy(mu, nu, 0.0) + _h_term(spec, u),
         Fprime_minus=fm + ht,
         Fprime_plus=fp + ht,
-        Fsecond=fsec,
+        Fsecond=measures.second_variation(mu, nu, 0.0),
         epsilon=0.0,
         is_regular=bool(fp - fm <= 1e-14 * (1.0 + abs(fp) + abs(fm))),
     )
 
 
 def second_variation_graph(
-    u: ScalarField,
-    spec: EnergySpec,
-    direction: DirectionField,
-    mode: str = "area",
-    tol_singular: float = 1.0,
+    u: ScalarField, spec: EnergySpec, direction: DirectionField, mode: str = "area"
 ) -> float:
     """Closed-form second variation of the graph energy along phi.
 
@@ -128,26 +144,12 @@ def second_variation_graph(
     """
     if direction.phi.dom != u.dom:
         raise ValueError("direction lives on a different grid")
-    dom = u.dom
-    gphi = gradient(direction.phi).values
     if mode == "riemannian":
-        gu = gradient(u).values
-        g2 = np.einsum("...k,...k->...", gphi, gphi)
-        u2 = np.einsum("...k,...k->...", gu, gu)
-        dot = np.einsum("...k,...k->...", gphi, gu)
-        W = np.sqrt(1.0 + u2)
-        terms = (g2 * (1.0 + u2) - dot * dot) / W**3
-        return pairwise_sum(np.maximum(terms, 0.0).ravel() * dom.cell_volume)
+        return _lifted_variations(u, direction.phi)[1]
     if mode != "area":
         raise ValueError(f"unknown mode {mode!r}")
-    ss = singular_set(u, spec, tol_singular)
-    m, sing = ss.drift, ss.mask
-    m2 = np.einsum("...k,...k->...", m, m)
-    g2 = np.einsum("...k,...k->...", gphi, gphi)
-    dot = np.einsum("...k,...k->...", gphi, m)
-    safe = np.where(sing, 1.0, m2)
-    terms = np.where(sing, 0.0, (safe * g2 - dot * dot) / np.sqrt(safe) ** 3)
-    return pairwise_sum(np.maximum(terms, 0.0).ravel() * dom.cell_volume)
+    ss = singular_set(u, spec)
+    return _area_second(ss.drift, ss.mask, gradient(direction.phi).values, u.dom.cell_volume)
 
 
 def fd_validate(
@@ -156,7 +158,6 @@ def fd_validate(
     direction: DirectionField,
     h_list=(1e-3, 1e-4, 1e-5),
     mode: str = "area",
-    tol_singular: float = 1.0,
 ) -> dict:
     """Difference quotients of the grid energy against the closed formulas.
 
@@ -164,8 +165,11 @@ def fd_validate(
     eps -> E(u + eps*phi) for each step in h_list, together with the
     analytic values and observed convergence orders.  In "riemannian" mode
     the energy is the lifted graph area; in "area" mode it is the grid
-    energy of the given spec (including its H term).
+    energy of the given spec (including its H term).  The analytic values
+    are those of minimizer_first_variation and second_variation_graph.
     """
+    if direction.phi.dom != u.dom:
+        raise ValueError("direction lives on a different grid")
     dom = u.dom
     phi = direction.phi
 
@@ -175,19 +179,19 @@ def fd_validate(
             dens = np.sqrt(1.0 + np.einsum("...k,...k->...", g, g))
             return pairwise_sum(dens.ravel() * dom.cell_volume)
 
-        analytic_second = second_variation_graph(u, spec, direction, "riemannian")
-        gu = gradient(u).values
-        gphi = gradient(phi).values
-        W = np.sqrt(1.0 + np.einsum("...k,...k->...", gu, gu))
-        smooth = np.einsum("...k,...k->...", gu, gphi) / W
-        fp = fm = pairwise_sum(smooth.ravel() * dom.cell_volume)
+        fp, analytic_second = _lifted_variations(u, phi)
+        fm = fp
     elif mode == "area":
         def energy_at(eps: float) -> float:
             return area_energy(ScalarField(dom, u.values + eps * phi.values), spec)
 
-        rep = minimizer_first_variation(u, spec, direction, tol_singular)
-        fm, fp = rep.Fprime_minus, rep.Fprime_plus
-        analytic_second = second_variation_graph(u, spec, direction, "area", tol_singular)
+        # u's measure is zeroed exactly on its singular cells
+        mu, _ = field_to_measure(u, spec)
+        nu = direction.measure()
+        ht = _h_term(spec, phi)
+        fm, fp = (v + ht for v in measures.first_variation_pm(mu, nu, 0.0))
+        m = mu.ac_density
+        analytic_second = _area_second(m, ~m.any(axis=1), nu.ac_density, dom.cell_volume)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -262,9 +266,7 @@ def _sample_side(
     return _unit(N1 + float(d1) * (N1 - N2))
 
 
-def angle_condition(
-    u: ScalarField, spec: EnergySpec, tol_singular: float = 1.0
-) -> list[tuple[SingularCurve, float]]:
+def angle_condition(u: ScalarField, spec: EnergySpec) -> list[tuple[SingularCurve, float]]:
     """Incidence/reflection balance along singular curves of a stationary u.
 
     For each curve-like connected component of the singular set, the unit
@@ -277,7 +279,7 @@ def angle_condition(
     sampling are flagged low-confidence.
     """
     dom = u.dom
-    ss = singular_set(u, spec, tol_singular)
+    ss = singular_set(u, spec)
     sing, m, norms = ss.mask, ss.drift, ss.norms
     N = np.where(norms[..., None] > 0, m / np.where(norms == 0, 1.0, norms)[..., None], 0.0)
     xc = dom.axis_centers(0)

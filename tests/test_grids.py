@@ -321,6 +321,14 @@ def test_energy_spec_validation():
         EnergySpec(preset="custom")
 
 
+def test_energy_spec_rejects_custom_drift_without_2_components():
+    dom = dom_n(4)
+    for d in (1, 3):
+        with pytest.raises(ValueError, match="2 components"):
+            EnergySpec(preset="custom", F_field=VectorField(dom, np.zeros((4, 4, d))))
+    EnergySpec(preset="custom", F_field=VectorField(dom, np.zeros((4, 4, 2))))
+
+
 def test_energy_spec_custom_field_and_alias():
     dom = dom_n(8)
     Xc, Yc = dom.center_coords()

@@ -100,10 +100,10 @@ def test_second_variation_area_matches_measures():
         d = DirectionField.from_function(
             dom, lambda x, y: np.cos(2 * x + rng.randn()) * np.sin(y)
         )
-        mu, _ = field_to_measure(u, P_AREA, tol=0.0)
+        mu, _ = field_to_measure(u, P_AREA)
         nu = gradient_measure(d.phi)
         ref = measures.second_variation(mu, nu, 0.0)
-        got = second_variation_graph(u, P_AREA, d, mode="area", tol_singular=0.0)
+        got = second_variation_graph(u, P_AREA, d, mode="area")
         assert abs(got - ref) <= 1e-12 * (1 + abs(ref))
 
 
@@ -244,6 +244,40 @@ def test_fd_validate_zero_base_energy_is_direction_mass():
     assert abs(row["q_plus"] - tv) <= 1e-3 * (1 + tv)
     assert row["err_plus"] <= 1e-10
     assert row["err_minus"] <= 1e-10
+
+
+def _sharing_cases():
+    rng = np.random.RandomState(56)
+    dom = dom_n(64)
+    phi = ScalarField.from_function(dom, lambda x, y: x * y)
+    saddle = continuation_minimize(dom, P_AREA, phi).u
+    assert singular_set(saddle, P_AREA).mask.any()
+    for d in _random_directions(dom, rng, 3):
+        yield saddle, P_AREA, d
+    for n, spec in ((16, P_AREA), (17, EnergySpec(preset="p_area", H=0.4)), (24, ZERO)):
+        dom = dom_n(n)
+        for _ in range(4):
+            u = ScalarField(dom, rng.randn(n + 1, n + 1))
+            vals = rng.randn(n + 1, n + 1)
+            vals[dom.boundary_mask()] = 0.0
+            yield u, spec, DirectionField(ScalarField(dom, vals))
+
+
+def test_fd_validate_shares_the_closed_forms():
+    # the analytic values are the public functions' own, bit for bit
+    for u, spec, d in _sharing_cases():
+        fd = fd_validate(u, spec, d, h_list=(1e-4,))
+        rep = minimizer_first_variation(u, spec, d)
+        assert fd["analytic_plus"] == rep.Fprime_plus
+        assert fd["analytic_minus"] == rep.Fprime_minus
+        assert fd["analytic_second"] == second_variation_graph(u, spec, d, "area")
+        fdr = fd_validate(u, spec, d, h_list=(1e-4,), mode="riemannian")
+        assert fdr["analytic_second"] == second_variation_graph(u, spec, d, "riemannian")
+        gu = gradient(u).values
+        W = np.sqrt(1.0 + np.einsum("...k,...k->...", gu, gu))
+        smooth = np.einsum("...k,...k->...", gu, gradient(d.phi).values) / W
+        lifted = pairwise_sum(smooth.ravel() * u.dom.cell_volume)
+        assert fdr["analytic_plus"] == fdr["analytic_minus"] == lifted
 
 
 def test_fd_validate_riemannian_orders():
