@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import operator
 import os
 import sys
@@ -239,9 +240,13 @@ def _solver_config(cfg: dict) -> SolverConfig:
 
 def _float(value, what: str) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CliError(2, f"{what} must be a number: {exc}") from exc
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise CliError(2, f"{what} must be a finite number")
+    return float(value)
 
 
 def _write_json(path: str, obj) -> None:

@@ -17,6 +17,7 @@ O(h^{2k}), which is what makes plane reproduction at 1e-8 possible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -34,7 +35,28 @@ from .grids import (
 )
 from .util import pairwise_sum
 
-_DEFAULT_SCHEDULE = tuple(2.0 ** (-k) for k in range(13))
+# a = 4^-k down to 2^-12: from the Euler predictor, Newton corrects a quartering
+# of a in barely more steps than a halving, so halving stages mostly add
+# factorizations (the final field agrees to roundoff)
+_DEFAULT_SCHEDULE = tuple(4.0 ** (-k) for k in range(7))
+
+
+def _count(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reals(value, key: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(_real(x, f"{key} entry") for x in value)
 
 
 @dataclass
@@ -70,21 +92,23 @@ class SolverConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "SolverConfig":
+        """Config from parsed JSON: counts must be integers, real values
+        numbers (bools and strings are refused, not coerced)."""
         cfg = SolverConfig()
         known = {
-            "a_schedule": lambda v: tuple(float(x) for x in v),
-            "newton_tol": float,
-            "max_newton_iters": int,
-            "line_search_factor": float,
-            "line_search_max": int,
-            "continuation_stop": float,
-            "quad_order": int,
+            "a_schedule": _reals,
+            "newton_tol": _real,
+            "max_newton_iters": _count,
+            "line_search_factor": _real,
+            "line_search_max": _count,
+            "continuation_stop": _real,
+            "quad_order": _count,
         }
         kwargs = {}
         for key, value in data.items():
             if key not in known:
                 raise ValueError(f"unknown solver option {key!r}")
-            kwargs[key] = known[key](value)
+            kwargs[key] = known[key](value, key)
         return replace(cfg, **kwargs) if kwargs else cfg
 
 

@@ -125,6 +125,13 @@ def test_solve_nonfinite_boundary(tmp_path, capsys):
         ({"line_search_factor": 1.5}, "line_search_factor"),
         ({"newton_tol": -1}, "newton_tol"),
         ({"max_newton_iters": 0}, "max_newton_iters"),
+        # JSON values are not coerced: counts are integers, reals are numbers
+        ({"max_newton_iters": 2.7}, "max_newton_iters must be an integer"),
+        ({"line_search_max": 3.9}, "line_search_max must be an integer"),
+        ({"quad_order": True}, "quad_order must be an integer"),
+        ({"newton_tol": "1e-10"}, "newton_tol must be a number"),
+        ({"a_schedule": "1"}, "a_schedule must be a list of numbers"),
+        ({"a_schedule": {"1": 0}}, "a_schedule must be a list of numbers"),
     ],
 )
 def test_solve_bad_solver_options(tmp_path, capsys, solver, message):
@@ -132,7 +139,8 @@ def test_solve_bad_solver_options(tmp_path, capsys, solver, message):
     cfg = write_cfg(tmp_path, "solve.json", payload)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     diag = json.loads(capsys.readouterr().err)
-    assert diag["exit_code"] == 2 and message in diag["error"]
+    assert diag["exit_code"] == 2 and "bad solver config" in diag["error"]
+    assert message in diag["error"]
 
 
 def test_solve_nonconvergence_exit_code(tmp_path):
@@ -425,12 +433,17 @@ THREE_AXES = {"extents": [[-1, 1], [-1, 1], [-1, 1]], "n_cells": [2, 2, 2]}
         ("area", {"field": {"csv": 1}}, "field.csv"),
         ("area", {"domain": THREE_AXES}, "domain"),
         ("solve", {"domain": THREE_AXES}, "domain"),
+        *[(command, {key: bad}, f"{key} must be a finite number")
+          for command, key in (("decompose", "eps"), ("verify", "threshold_override"))
+          for bad in (True, "0.5", math.nan, math.inf, -math.inf)],
+        ("vary", {"solver": {"quad_order": True}}, "quad_order must be an integer"),
     ],
 )
 def test_malformed_config_sections_exit_2(tmp_path, capsys, command, patch, key):
     cfg = write_cfg(tmp_path, "cfg.json", dict(VALID[command], **patch))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    (line,) = capsys.readouterr().err.strip().splitlines()   # no warning before it
+    diag = json.loads(line)
     assert diag["exit_code"] == 2 and key in diag["error"]
 
 

@@ -497,6 +497,20 @@ def test_continuation_matches_unpredicted_chain_in_fewer_steps():
     assert res.iterations < chain_steps
 
 
+def test_default_schedule_matches_the_halving_schedule():
+    dom = dom_n(32)
+    phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+    cfg = SolverConfig()
+    halving = replace(cfg, a_schedule=tuple(2.0 ** (-k) for k in range(13)))
+    res = continuation_minimize(dom, P_AREA, phi, cfg)
+    ref = continuation_minimize(dom, P_AREA, phi, halving)
+    assert res.converged and ref.converged
+    assert len(res.stages) == 7 and len(ref.stages) == 13
+    assert res.a_final == ref.a_final == 2.0 ** -12
+    assert np.abs(res.u.values - ref.u.values).max() <= 1e-12
+    assert res.iterations < ref.iterations
+
+
 @pytest.mark.parametrize("a", [0.5, 0.05])
 def test_newton_tangent_is_the_a_derivative_of_the_solution(a):
     dom = dom_n(16)
@@ -520,7 +534,7 @@ def test_zero_step_stage_gives_no_prediction():
     result, tangent = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg)
     assert result.iterations == 0 and tangent is None
     res = continuation_minimize(dom, P_AREA, phi, cfg)
-    assert res.stages == ((1.0, 0, math.inf), (0.5, 0, 0.0))
+    assert res.stages == ((1.0, 0, math.inf), (cfg.a_schedule[1], 0, 0.0))
     assert np.array_equal(res.u.values, harmonic_extension(dom, phi).values)
 
 
