@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import json
 import math
 import operator
@@ -147,11 +148,61 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise CliError(2, f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # also over-long integers, deep nesting
         raise CliError(2, f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise CliError(2, "config root must be a JSON object")
     return cfg
+
+
+# ---- JSON values: every number the CLI reads passes one of these checks -------
+# (none converts: a JSON boolean is a Python int, and a string is never a number)
+
+
+def _int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    try:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    except OverflowError:   # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _objects(value, what: str) -> list:
+    if not all(isinstance(item, dict) for item in _list(value, what)):
+        raise ValueError(f"{what} must be a list of JSON objects")
+    return value
+
+
+def _numbers(value, what: str) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+    return tuple(_number(x, f"{what} entry") for x in value)
+
+
+@contextlib.contextmanager
+def _invalid(prefix: str = ""):
+    """Report a failed value check or constructor in the block as exit 2."""
+    try:
+        yield
+    except KeyError as exc:
+        raise CliError(2, f"{prefix}missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliError(2, f"{prefix}{exc}") from exc
 
 
 def _require(cfg: dict, key: str, where: str = "config"):
@@ -169,14 +220,12 @@ def _object(cfg: dict, key: str, default: dict) -> dict:
 
 def _domain_from(cfg: dict) -> GridDomain:
     dcfg = _require(cfg, "domain")
-    try:
-        extents = tuple((float(a), float(b)) for a, b in _require(dcfg, "extents", "domain"))
-        n_cells = tuple(int(n) for n in _require(dcfg, "n_cells", "domain"))
+    with _invalid("bad domain: "):
+        extents = tuple(_numbers(e, "extent")
+                        for e in _list(_require(dcfg, "extents", "domain"), "extents"))
+        n_cells = tuple(_int(n, "n_cells entry")
+                        for n in _list(_require(dcfg, "n_cells", "domain"), "n_cells"))
         dom = GridDomain(extents, n_cells)
-    except CliError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CliError(2, f"bad domain: {exc}") from exc
     if dom.n_cells[0] * dom.n_cells[1] > _MAX_CELLS:
         raise CliError(2, f"bad domain: more than {_MAX_CELLS} cells")
     return dom
@@ -186,12 +235,12 @@ def _spec_from(cfg: dict, dom: GridDomain) -> EnergySpec:
     scfg = _object(cfg, "spec", {"preset": "zero"})
     preset = scfg.get("preset", "zero")
     H = scfg.get("H", 0.0)
-    try:
+    with _invalid("bad spec: "):
         if isinstance(H, str):
             Xc, Yc = dom.center_coords()
             H = _eval_expr(H, Xc, Yc)
         else:
-            H = float(H)
+            H = _number(H, "H")
         if preset == "custom":
             fexpr = _require(scfg, "F", "spec")
             if not isinstance(fexpr, list) or len(fexpr) != 2:
@@ -200,10 +249,6 @@ def _spec_from(cfg: dict, dom: GridDomain) -> EnergySpec:
             F = np.stack([_eval_expr(fexpr[0], Xc, Yc), _eval_expr(fexpr[1], Xc, Yc)], axis=-1)
             return EnergySpec(preset="custom", F_field=VectorField(dom, F), H=H)
         return EnergySpec(preset=preset, H=H)
-    except CliError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CliError(2, f"bad spec: {exc}") from exc
 
 
 def _scalar_field(fcfg: dict, dom: GridDomain, what: str) -> ScalarField:
@@ -227,26 +272,21 @@ def _scalar_field(fcfg: dict, dom: GridDomain, what: str) -> ScalarField:
     raise CliError(2, f"{what} needs either 'expression' or 'csv'")
 
 
+_SOLVER_OPTIONS = dict(a_schedule=_numbers, newton_tol=_number, max_newton_iters=_int,
+                       continuation_stop=_number, quad_order=_int)
+
+
 def _solver_config(cfg: dict) -> SolverConfig:
-    scfg = _object(cfg, "solver", {})
-    try:
-        scfg = SolverConfig.from_dict(scfg)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CliError(2, f"bad solver config: {exc}") from exc
+    options = _object(cfg, "solver", {})
+    with _invalid("bad solver config: "):
+        for key in options:
+            if key not in _SOLVER_OPTIONS:
+                raise ValueError(f"unknown solver option {key!r}")
+        scfg = SolverConfig(**{key: _SOLVER_OPTIONS[key](value, key)
+                                for key, value in options.items()})
     if scfg.quad_order > _MAX_QUAD_ORDER:
         raise CliError(2, f"bad solver config: quad_order must be <= {_MAX_QUAD_ORDER}")
     return scfg
-
-
-def _float(value, what: str) -> float:
-    try:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value))
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise CliError(2, f"{what} must be a finite number")
-    return float(value)
 
 
 def _write_json(path: str, obj) -> None:
@@ -297,9 +337,12 @@ def cmd_solve(cfg: dict, seed: int, out: str) -> int:
 
 
 def cmd_vary(cfg: dict, seed: int, out: str) -> int:
-    dom, spec, phi, res = _solve_from_config(cfg)
     dcfg = _object(cfg, "direction", {"random": True})
-    if dcfg.get("random", False):
+    random = dcfg.get("random", False)
+    if not isinstance(random, bool):
+        raise CliError(2, f"direction.random must be a boolean, got {random!r}")
+    dom, spec, phi, res = _solve_from_config(cfg)
+    if random:
         rng = np.random.RandomState(seed)
         direction = acceptance._rand_direction(dom, rng)
     elif "expression" in dcfg:
@@ -335,7 +378,8 @@ def cmd_verify(cfg: dict, seed: int, out: str) -> int:
         raise CliError(2, f"profile must be a string, got {type(profile).__name__}")
     override = cfg.get("threshold_override", None)
     if override is not None:
-        override = _float(override, "threshold_override")
+        with _invalid():
+            override = _number(override, "threshold_override")
     try:
         report = acceptance.run_all(seed=seed, profile=profile, threshold_override=override)
     except ValueError as exc:
@@ -410,21 +454,51 @@ def cmd_curvature(cfg: dict, seed: int, out: str) -> int:
 
 
 def _measure_from(cfg, what: str) -> measures.VectorMeasure:
+    """A measure from `{"d", "cells": [{"id", "weight", "density"}], "atoms":
+    [{"site", "mass"}]}`: cell ids 0..n-1 each once, atom sites strings."""
     data = cfg
     if isinstance(data, dict) and "path" in data:
         if not isinstance(data["path"], str):
             raise CliError(2, f"{what}.path must be a string")
         data = _load_config(data["path"])
-    try:
-        return measures.VectorMeasure.from_json_dict(data)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise CliError(2, f"bad {what} measure: {exc}") from exc
+    with _invalid(f"bad {what} measure: "):
+        if not isinstance(data, dict):
+            raise ValueError("a measure must be a JSON object")
+        d = _int(data["d"], "d")
+        cells = _objects(data["cells"], "cells")
+        by_id = {_int(c["id"], "cell id"): c for c in cells}
+        if sorted(by_id) != list(range(len(cells))):
+            raise ValueError("cell ids must be 0..n-1, each used once")
+        cells = [by_id[i] for i in range(len(cells))]
+        density = [_numbers(c["density"], "cell density") for c in cells]
+        if any(len(row) != d for row in density):
+            raise ValueError(f"each cell density must have d = {d} entries")
+        atoms = []
+        for atom in _objects(data.get("atoms", []), "atoms"):
+            if not isinstance(atom["site"], str):
+                raise ValueError(f"atom sites must be strings, got {atom['site']!r}")
+            atoms.append((atom["site"], _numbers(atom["mass"], "atom mass")))
+        weights = [_number(c["weight"], "cell weight") for c in cells]
+        density = np.array(density, dtype=np.float64).reshape(len(cells), d)
+        return measures.VectorMeasure(d, weights, density, tuple(atoms))
+
+
+def _measure_json(m: measures.VectorMeasure) -> dict:
+    return {
+        "d": m.dimension,
+        "cells": [
+            {"id": i, "weight": w, "density": row}
+            for i, (w, row) in enumerate(zip(m.cell_weights.tolist(), m.ac_density.tolist()))
+        ],
+        "atoms": [{"site": site, "mass": mass.tolist()} for site, mass in m.atoms],
+    }
 
 
 def cmd_decompose(cfg: dict, seed: int, out: str) -> int:
     mu = _measure_from(_require(cfg, "mu"), "mu")
     nu = _measure_from(_require(cfg, "nu"), "nu")
-    eps = _float(cfg.get("eps", 0.0), "eps")
+    with _invalid():
+        eps = _number(cfg.get("eps", 0.0), "eps")
     try:
         dec = measures.decompose(nu, measures.add_scaled(mu, nu, eps) if eps else mu)
         fm, fp = measures.first_variation_pm(mu, nu, eps)
@@ -434,7 +508,7 @@ def cmd_decompose(cfg: dict, seed: int, out: str) -> int:
             "eps": eps,
             "density_N": dec.N.tolist(),
             "density_A": dec.A.tolist(),
-            "singular_part": dec.nu_s.to_json_dict(),
+            "singular_part": _measure_json(dec.nu_s),
             "support": dec.support.tolist(),
             "sites": [str(s) for s in dec.sites],
             "total_variation_mu": measures.total_variation(mu),
@@ -490,8 +564,9 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config) if args.config else {}
         default_seed = 2026 if args.command == "verify" else 0
         seed = args.seed if args.seed is not None else cfg.get("seed", default_seed)
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**32:
-            raise CliError(2, f"seed must be an integer in [0, 2**32), got {seed!r}")
+        with _invalid():
+            if not 0 <= _int(seed, "seed") < 2**32:
+                raise ValueError(f"seed must be in [0, 2**32), got {seed!r}")
         out = args.out or "."
         os.makedirs(out, exist_ok=True)
         return _COMMANDS[args.command][0](cfg, seed, out)

@@ -9,6 +9,7 @@ downstream (plane reproduction, measure consistency).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -33,6 +34,9 @@ class GridDomain:
         if len(self.extents) != 2 or len(self.n_cells) != 2:
             raise ValueError("a grid domain has exactly 2 axes")
         for (lo, hi), n in zip(self.extents, self.n_cells):
+            # a finite length implies finite ends; Python floats overflow quietly
+            if not math.isfinite(float(hi) - float(lo)):
+                raise ValueError("each extent must be finite, with a finite length")
             if not hi > lo:
                 raise ValueError("each extent must be a nondegenerate interval")
             if n < 2:

@@ -87,39 +87,6 @@ class VectorMeasure:
                 return m
         return np.zeros(self.dimension)
 
-    # ---- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.dimension,
-            "cells": [
-                {"id": i, "weight": w, "density": row}
-                for i, (w, row) in enumerate(
-                    zip(self.cell_weights.tolist(), self.ac_density.tolist())
-                )
-            ],
-            "atoms": [
-                {"site": site, "mass": mass.tolist()} for site, mass in self.atoms
-            ],
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "VectorMeasure":
-        try:
-            d = int(data["d"])
-            cells = sorted(data["cells"], key=lambda c: c["id"])
-            weights = np.array([c["weight"] for c in cells], dtype=np.float64)
-            density = np.array(
-                [c["density"] for c in cells], dtype=np.float64
-            ).reshape(len(cells), d)
-            atoms = tuple(
-                (a["site"], np.asarray(a["mass"], dtype=np.float64))
-                for a in data.get("atoms", [])
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"malformed measure JSON: {exc}") from exc
-        return VectorMeasure(d, weights, density, atoms)
-
 
 @dataclass
 class RNDecomposition:
@@ -150,16 +117,6 @@ class VariationReport:
     Fsecond: float
     epsilon: float
     is_regular: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "F_value": self.F_value,
-            "Fprime_minus": self.Fprime_minus,
-            "Fprime_plus": self.Fprime_plus,
-            "Fsecond": self.Fsecond,
-            "epsilon": self.epsilon,
-            "is_regular": self.is_regular,
-        }
 
 
 # ---- alignment ------------------------------------------------------------

@@ -122,16 +122,19 @@ def test_solve_nonfinite_boundary(tmp_path, capsys):
     "solver, message",
     [
         ({"cg_rtol": 1e-12}, "unknown solver option"),
-        ({"line_search_factor": 1.5}, "line_search_factor"),
+        ({"line_search_factor": 1.5}, "unknown solver option"),   # removed option
         ({"newton_tol": -1}, "newton_tol"),
         ({"max_newton_iters": 0}, "max_newton_iters"),
         # JSON values are not coerced: counts are integers, reals are numbers
         ({"max_newton_iters": 2.7}, "max_newton_iters must be an integer"),
-        ({"line_search_max": 3.9}, "line_search_max must be an integer"),
+        ({"line_search_max": 3.9}, "unknown solver option"),     # removed option
         ({"quad_order": True}, "quad_order must be an integer"),
-        ({"newton_tol": "1e-10"}, "newton_tol must be a number"),
+        ({"newton_tol": "1e-10"}, "newton_tol must be a finite number"),
         ({"a_schedule": "1"}, "a_schedule must be a list of numbers"),
         ({"a_schedule": {"1": 0}}, "a_schedule must be a list of numbers"),
+        ({"newton_tol": math.inf}, "newton_tol must be a finite number"),
+        ({"a_schedule": [math.inf, 1]}, "a_schedule entry must be a finite number"),
+        ({"continuation_stop": math.inf}, "continuation_stop must be a finite number"),
     ],
 )
 def test_solve_bad_solver_options(tmp_path, capsys, solver, message):
@@ -153,6 +156,36 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
     assert load(out / "report.json")["converged"] is False
+
+
+@pytest.mark.parametrize(
+    "boundary, schedule",
+    [("1e300*x", [1]), ("x*y", [1e308, 1e300])],
+)
+def test_solve_overflowing_energy_exit_3(tmp_path, boundary, schedule):
+    # the energy overflows to inf, whose gradient (and residual) is exactly 0
+    payload = dict(SOLVE_XY, domain=GRID4, boundary={"expression": boundary},
+                   solver={"a_schedule": schedule})
+    cfg = write_cfg(tmp_path, "solve.json", payload)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    rep = load(out / "report.json")
+    assert rep["converged"] is False and rep["energy_regularized"] is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"seed": ' + "1" * 5000 + "}",     # beyond Python's integer conversion limit
+     "[" * 100000 + "]" * 100000,       # deeper than the recursion limit
+     b"\xff\xfe{}"],
+    ids=["long_integer", "deep_nesting", "not_text"],
+)
+def test_unparseable_config_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["area", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert "not valid JSON" in json.loads(line)["error"]
 
 
 def test_usage_errors():
@@ -320,6 +353,32 @@ def test_decompose_from_path_and_errors(tmp_path, capsys):
     assert "mu" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_decompose_singular_part_round_trip(tmp_path):
+    # against a zero mu, the singular part of nu is nu itself: the measure
+    # reader and the report's measure writer are inverse on canonical JSON
+    nu = {
+        "d": 2,
+        "cells": [{"id": 0, "weight": 0.5, "density": [1.5, -2.0]},
+                  {"id": 1, "weight": 2.0, "density": [0.0, 3.25]}],
+        "atoms": [{"site": "a", "mass": [1.0, 0.0]}],
+    }
+    mu = {"d": 2, "cells": [{"id": 1, "weight": 2.0, "density": [0.0, 0.0]},
+                            {"id": 0, "weight": 0.5, "density": [0.0, 0.0]}]}
+    cfg = write_cfg(tmp_path, "dec.json", {"mu": mu, "nu": nu})
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", cfg, "--out", str(out)]) == 0
+    assert load(out / "decompose_report.json")["singular_part"] == nu
+
+
+def test_decompose_malformed_measure(tmp_path, capsys):
+    nu = {"d": 2, "cells": [{"id": 0, "weight": 1.0, "density": [0.0, 1.0]}]}
+    for mu in ({"cells": []}, {"d": 2, "cells": [{"id": 0, "weight": 1.0}]}):
+        cfg = write_cfg(tmp_path, "dec.json", {"mu": mu, "nu": nu})
+        assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["exit_code"] == 2 and "bad mu measure: missing key" in diag["error"]
+
+
 def test_verify_fast_reproducible(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "verify.json", {"profile": "fast", "seed": 2026})
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
@@ -417,6 +476,13 @@ VALID = {
 THREE_AXES = {"extents": [[-1, 1], [-1, 1], [-1, 1]], "n_cells": [2, 2, 2]}
 
 
+CELL = ONE_CELL["cells"][0]
+
+
+def _measure(cells=(CELL,), **patch):
+    return dict(ONE_CELL, cells=list(cells), **patch)
+
+
 @pytest.mark.parametrize(
     "command, patch, key",
     [
@@ -437,6 +503,29 @@ THREE_AXES = {"extents": [[-1, 1], [-1, 1], [-1, 1]], "n_cells": [2, 2, 2]}
           for command, key in (("decompose", "eps"), ("verify", "threshold_override"))
           for bad in (True, "0.5", math.nan, math.inf, -math.inf)],
         ("vary", {"solver": {"quad_order": True}}, "quad_order must be an integer"),
+        # every number is a finite JSON number, every count an integer
+        *[("area", {"domain": dict(GRID4, n_cells=[bad, 8])}, "bad domain: n_cells entry")
+          for bad in (8.9, "8")],
+        ("area", {"domain": dict(GRID4, extents=[["-1", "1"], [-1, 1]])}, "bad domain: extent"),
+        ("area", {"domain": dict(GRID4, extents=[[-math.inf, math.inf], [-1, 1]])},
+         "bad domain: extent entry must be a finite number"),
+        ("area", {"domain": dict(GRID4, extents=[[-1e308, 1e308], [-1, 1]])},
+         "bad domain: each extent must be finite"),
+        *[("solve", {"spec": {"preset": "p_area", "H": bad}}, "bad spec: H must be a finite number")
+          for bad in (True, math.nan, math.inf)],
+        ("vary", {"direction": {"random": "no"}}, "direction.random must be a boolean"),
+        *[("decompose", {"mu": _measure(d=bad)}, "bad mu measure: d must be an integer")
+          for bad in ("2", 2.7, True)],
+        ("decompose", {"mu": _measure(cells=[dict(CELL, weight="1.0")])},
+         "bad mu measure: cell weight must be a finite number"),
+        *[("decompose", {"mu": _measure(cells=[dict(CELL, id=i) for i in ids])},
+           "bad mu measure: cell ids must be 0..n-1")
+          for ids in ((0, 0), (3, 5))],
+        ("decompose", {"mu": _measure(atoms=[{"site": 1, "mass": [1.0, 0.0]}]),
+                       "nu": _measure(atoms=[{"site": True, "mass": [0.0, 1.0]}])},
+         "bad mu measure: atom sites must be strings"),
+        ("decompose", {"nu": _measure(atoms=[{"site": True, "mass": [0.0, 1.0]}])},
+         "bad nu measure: atom sites must be strings"),
     ],
 )
 def test_malformed_config_sections_exit_2(tmp_path, capsys, command, patch, key):

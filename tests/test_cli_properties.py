@@ -7,11 +7,14 @@ shape.  Every run must exit 0, 2 or 3, and a non-zero exit must end stderr with
 a one-line JSON diagnostic; an over-arity call must exit 2.
 Grids that run stay at <= 4 cells per axis.  Cell counts, `quad_order`s and
 quadrature-point counts above the CLI's size bounds are drawn too, and must
-exit 2 before anything of that size is allocated.
+exit 2 before anything of that size is allocated.  Strictness: a valid config
+with one numeric (or boolean) leaf replaced by a value of the wrong kind must
+exit exactly 2 with a single JSON line on stderr.
 """
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -157,8 +160,8 @@ CONFIGS = {
 
 
 def _run(command, cfg):
-    """Run one CLI command on `cfg`; return its exit code and, if non-zero,
-    the JSON diagnostic on the last line of stderr."""
+    """Run one CLI command on `cfg`; return its exit code, the JSON diagnostic
+    on the last line of stderr if the code is non-zero, and the stderr lines."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
@@ -166,14 +169,15 @@ def _run(command, cfg):
             json.dump(cfg, fh)
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
-    return code, json.loads(err.getvalue().splitlines()[-1]) if code else None
+    lines = err.getvalue().splitlines()
+    return code, json.loads(lines[-1]) if code else None, lines
 
 
 @pytest.mark.parametrize("command", sorted(CONFIGS))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_cli_exits_cleanly_on_any_config(command, data):
-    code, diag = _run(command, data.draw(CONFIGS[command], label="config"))
+    code, diag, _ = _run(command, data.draw(CONFIGS[command], label="config"))
     assert code in (0, 2, 3)
     if code:
         assert diag["exit_code"] == code and diag["command"] == command
@@ -184,7 +188,7 @@ def test_cli_exits_cleanly_on_any_config(command, data):
 def test_over_arity_ufunc_call_exits_2(call, rest):
     cfg = {"domain": {"extents": [[-1.0, 1.0], [-0.5, 1.5]], "n_cells": [3, 4]},
            "kind": "euclidean", "field": {"expression": call + rest}}
-    code, diag = _run("area", cfg)
+    code, diag, _ = _run("area", cfg)
     assert code == 2 and diag["exit_code"] == 2
     assert "argument" in diag["error"]
 
@@ -201,7 +205,7 @@ def test_over_arity_ufunc_call_exits_2(call, rest):
 def test_too_many_cells_exit_2(command, n_cells):
     cfg = {"domain": {"extents": [[-1.0, 1.0], [-0.5, 1.5]], "n_cells": list(n_cells)},
            "kind": "euclidean", "field": {"expression": "x"}, "boundary": {"expression": "x"}}
-    code, diag = _run(command, cfg)
+    code, diag, _ = _run(command, cfg)
     assert code == 2 and diag["exit_code"] == 2
     assert "cells" in diag["error"]
 
@@ -230,6 +234,82 @@ def test_solver_size_bounds_exit_2(command, grid_order):
     n_cells, quad_order = grid_order
     cfg = {"domain": {"extents": [[-1.0, 1.0], [-0.5, 1.5]], "n_cells": list(n_cells)},
            "boundary": {"expression": "x"}, "solver": {"quad_order": quad_order}}
-    code, diag = _run(command, cfg)
+    code, diag, _ = _run(command, cfg)
     assert code == 2 and diag["exit_code"] == 2
     assert "quad_order" in diag["error"]
+
+
+# ---- strictness: one leaf of a valid config replaced by a value of the wrong kind ----
+
+GRID = {"extents": [[-1.0, 1.0], [-0.5, 1.5]], "n_cells": [3, 4]}
+PAIR = {"d": 2,
+        "cells": [{"id": 0, "weight": 1.0, "density": [1.0, 0.0]},
+                  {"id": 1, "weight": 0.5, "density": [0.0, 2.0]}],
+        "atoms": [{"site": "a", "mass": [0.5, 0.5]}]}
+STRICT_VALID = {
+    "area": {"domain": GRID, "kind": "euclidean", "field": {"expression": "x"}, "seed": 1},
+    "vary": {"domain": GRID, "spec": {"preset": "p_area", "H": 0.5},
+             "boundary": {"expression": "x*y"},
+             "solver": {"a_schedule": [1.0, 0.5], "newton_tol": 1e-10, "max_newton_iters": 50,
+                        "continuation_stop": 1e-6, "quad_order": 2},
+             "direction": {"random": True}},
+    "decompose": {"mu": PAIR, "nu": PAIR, "eps": 0.25},
+    "verify": {"profile": "fast", "threshold_override": 1.0},
+}
+# (command, path to the leaf, the kind of value the leaf must hold)
+LEAVES = [
+    ("area", ("domain", "extents", 0, 0), float),
+    ("area", ("domain", "extents", 1, 1), float),
+    ("area", ("domain", "n_cells", 0), int),
+    ("area", ("seed",), int),
+    ("vary", ("spec", "H"), "number or expression"),
+    ("vary", ("solver", "a_schedule", 1), float),
+    ("vary", ("solver", "newton_tol"), float),
+    ("vary", ("solver", "max_newton_iters"), int),
+    ("vary", ("solver", "continuation_stop"), float),
+    ("vary", ("solver", "quad_order"), int),
+    ("vary", ("direction", "random"), bool),
+    ("decompose", ("eps",), float),
+    ("decompose", ("mu", "d"), int),
+    ("decompose", ("nu", "cells", 1, "id"), int),
+    ("decompose", ("mu", "cells", 0, "weight"), float),
+    ("decompose", ("nu", "cells", 1, "density", 0), float),
+    ("decompose", ("mu", "atoms", 0, "mass", 1), float),
+    ("verify", ("threshold_override",), float),
+]
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _leaf(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def _wrong_kind(kind, valid):
+    """Values a leaf of `kind` (valid value `valid`) must refuse."""
+    if kind is bool:
+        return st.one_of(st.sampled_from([0, 1, "true", "1"]), NON_FINITE)
+    if kind == "number or expression":     # a string is an expression
+        return st.one_of(st.booleans(), NON_FINITE)
+    wrong = [st.booleans(), st.just(str(valid)), NON_FINITE]
+    if kind is int:
+        wrong.append(st.floats(-50, 50).filter(lambda v: not v.is_integer()))
+    return st.one_of(*wrong)
+
+
+def _replaced(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    _leaf(cfg, path[:-1])[path[-1]] = value
+    return cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_wrong_leaf_exits_2(data):
+    command, path, kind = data.draw(st.sampled_from(LEAVES), label="leaf")
+    valid = STRICT_VALID[command]
+    value = data.draw(_wrong_kind(kind, _leaf(valid, path)), label="value")
+    code, diag, lines = _run(command, _replaced(valid, path, value))
+    assert code == 2 and len(lines) == 1
+    assert diag["exit_code"] == 2 and diag["command"] == command

@@ -360,6 +360,9 @@ def test_domain_validation():
         GridDomain(((1.0, 0.0), (0.0, 1.0)), (4, 4))
     with pytest.raises(ValueError):
         GridDomain(SQ, (1, 4))
+    for bad in ((-math.inf, math.inf), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError):
+            GridDomain((bad, (0.0, 1.0)), (4, 4))
 
 
 def test_scalar_field_validation():

@@ -519,24 +519,7 @@ def test_structural_identity_random_pairs():
     assert worst <= 1e-12
 
 
-# ---- serialization and validation ------------------------------------------------------
-
-
-def test_json_round_trip():
-    m = vm([(1.5, -2.0), (0.0, 3.25)], (0.5, 2.0), atoms=(("a", (1.0, 0.0)),))
-    back = VectorMeasure.from_json_dict(m.to_json_dict())
-    assert back.dimension == m.dimension
-    assert np.array_equal(back.cell_weights, m.cell_weights)
-    assert np.array_equal(back.ac_density, m.ac_density)
-    assert back.atom_sites() == m.atom_sites()
-    assert np.array_equal(back.atom_mass("a"), m.atom_mass("a"))
-
-
-def test_from_json_malformed():
-    with pytest.raises(ValueError):
-        VectorMeasure.from_json_dict({"cells": []})
-    with pytest.raises(ValueError):
-        VectorMeasure.from_json_dict({"d": 2, "cells": [{"id": 0, "weight": 1.0}]})
+# ---- validation ------------------------------------------------------
 
 
 def test_validation_errors():

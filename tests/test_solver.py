@@ -567,28 +567,30 @@ def test_solver_config_validation():
         SolverConfig(a_schedule=(0.5, 0.5))
     with pytest.raises(ValueError):
         SolverConfig(a_schedule=(1.0, -0.5))
-    with pytest.raises(ValueError):
-        SolverConfig.from_dict({"not_a_knob": 1})
-    with pytest.raises(ValueError):
-        SolverConfig.from_dict({"cg_rtol": 1e-12})   # removed option
+    with pytest.raises(TypeError):
+        SolverConfig(not_a_knob=1)
+    with pytest.raises(TypeError):
+        SolverConfig(cg_rtol=1e-12)   # removed option
+    with pytest.raises(TypeError):
+        SolverConfig(line_search_max=0)   # removed option
     for bad in (
         {"newton_tol": 0.0},
         {"newton_tol": -1.0},
         {"newton_tol": math.nan},
         {"continuation_stop": -1e-6},
-        {"line_search_factor": 0.0},
-        {"line_search_factor": 1.0},
-        {"line_search_factor": 1.5},
         {"max_newton_iters": 0},
-        {"line_search_max": -1},
         {"quad_order": 0},
+        {"newton_tol": math.inf},
+        {"continuation_stop": math.inf},
+        {"a_schedule": (math.inf, 1.0)},
+        {"a_schedule": (1.0, math.nan)},
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
-    cfg = SolverConfig.from_dict({"a_schedule": [1, 0.5], "newton_tol": 1e-8})
+    cfg = SolverConfig(a_schedule=[1, 0.5], newton_tol=1e-8)
     assert cfg.a_schedule == (1.0, 0.5) and cfg.newton_tol == 1e-8
     # the boundary values themselves are accepted
-    cfg = SolverConfig(continuation_stop=0.0, line_search_max=0, max_newton_iters=1)
+    cfg = SolverConfig(continuation_stop=0.0, max_newton_iters=1)
     assert cfg.continuation_stop == 0.0
 
 
