@@ -479,7 +479,8 @@ def _measure_from(cfg, what: str) -> measures.VectorMeasure:
                 raise ValueError(f"atom sites must be strings, got {atom['site']!r}")
             atoms.append((atom["site"], _numbers(atom["mass"], "atom mass")))
         weights = [_number(c["weight"], "cell weight") for c in cells]
-        density = np.array(density, dtype=np.float64).reshape(len(cells), d)
+        # (0, 0) for d < 1 and no cells: VectorMeasure refuses d < 1 itself
+        density = np.array(density, dtype=np.float64).reshape(len(cells), max(d, 0))
         return measures.VectorMeasure(d, weights, density, tuple(atoms))
 
 

@@ -44,6 +44,8 @@ class VectorMeasure:
     atoms: tuple = ()
 
     def __post_init__(self):
+        if self.dimension < 1:
+            raise ValueError("d must be >= 1")
         self.cell_weights = np.asarray(self.cell_weights, dtype=np.float64).ravel()
         self.ac_density = np.asarray(self.ac_density, dtype=np.float64)
         if self.ac_density.ndim != 2 or self.ac_density.shape[1] != self.dimension:

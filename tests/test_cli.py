@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -162,15 +163,21 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     "boundary, schedule",
     [("1e300*x", [1]), ("x*y", [1e308, 1e300])],
 )
-def test_solve_overflowing_energy_exit_3(tmp_path, boundary, schedule):
+def test_solve_overflowing_energy_exit_3(tmp_path, capsys, boundary, schedule):
     # the energy overflows to inf, whose gradient (and residual) is exactly 0
     payload = dict(SOLVE_XY, domain=GRID4, boundary={"expression": boundary},
                    solver={"a_schedule": schedule})
     cfg = write_cfg(tmp_path, "solve.json", payload)
     out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
     rep = load(out / "report.json")
     assert rep["converged"] is False and rep["energy_regularized"] is None
+    # the diagnostic is the only stderr line: no numpy overflow warning
+    assert [str(w.message) for w in caught] == []
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["exit_code"] == 3
 
 
 @pytest.mark.parametrize(
@@ -526,6 +533,9 @@ def _measure(cells=(CELL,), **patch):
          "bad mu measure: atom sites must be strings"),
         ("decompose", {"nu": _measure(atoms=[{"site": True, "mass": [0.0, 1.0]}])},
          "bad nu measure: atom sites must be strings"),
+        ("decompose", {"mu": _measure(d=0, cells=[dict(CELL, density=[])])},
+         "bad mu measure: d must be >= 1"),
+        ("decompose", {"mu": _measure(d=-1, cells=[])}, "bad mu measure: d must be >= 1"),
     ],
 )
 def test_malformed_config_sections_exit_2(tmp_path, capsys, command, patch, key):

@@ -481,8 +481,8 @@ def test_singular_epsilons_matches_the_entrywise_loop():
 
 
 def test_singular_epsilons_empty_cases():
-    zero_dim = VectorMeasure(0, np.ones(3), np.zeros((3, 0)))
-    assert singular_epsilons(zero_dim, zero_dim) == []
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        VectorMeasure(0, np.ones(3), np.zeros((3, 0)))     # no zero-dimensional measures
     mu = vm([(1.0, 2.0), (0.0, 0.0)], 1.0, atoms=(("a", (1.0, 0.0)),))
     assert singular_epsilons(mu, vm([(0.0, 0.0), (0.0, 0.0)], 1.0)) == []
     empty = VectorMeasure(2, np.ones(0), np.zeros((0, 2)))

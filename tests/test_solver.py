@@ -14,12 +14,14 @@ from areavar.grids import (
     singular_set,
 )
 from areavar.solver import (
+    _PCG_MAXITER,
     SolverConfig,
     _Assembler,
     _euler_predict,
+    _LinearSolver,
     _nested_dissection,
     _newton,
-    _spd_solve,
+    _tangent,
     comparison_check,
     continuation_minimize,
     energy_bound_check,
@@ -402,12 +404,13 @@ def test_csc_pattern_is_built_by_the_first_newton_step():
     cfg = SolverConfig(max_newton_iters=1)
     # the saddle xy is exact at every a: 0 Newton steps, no Hessian
     asm = _Assembler(dom, P_AREA, cfg.quad_order)
-    result, _ = _newton(asm, 1.0, harmonic_extension(dom, field(dom, lambda x, y: x * y)).values, cfg)
+    xy = harmonic_extension(dom, field(dom, lambda x, y: x * y)).values
+    result = _newton(asm, 1.0, xy, cfg, _LinearSolver())
     assert result.iterations == 0
     assert "_csc_pattern" not in vars(asm)
     asm = _Assembler(dom, P_AREA, cfg.quad_order)
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
-    result, _ = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg)
+    result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, _LinearSolver())
     assert result.iterations == 1
     pattern = vars(asm)["_csc_pattern"]
     asm.hessian_interior(result.u.values, 1.0)
@@ -455,7 +458,7 @@ def test_newton_direction_matches_spsolve():
     for a in (1.0, 1e-3):
         g = asm.gradient_full(u, a).ravel()[asm.interior]
         A = asm.hessian_interior(u, a)
-        d = _spd_solve(A, -g)
+        d = _LinearSolver().solve(A, -g)
         ref = spla.spsolve(A, -g)
         assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -470,11 +473,62 @@ def test_two_column_solve_matches_spsolve_per_column():
         asm.gradient_full(u, a).ravel()[asm.interior],
         asm.gradient_a(u, a).ravel()[asm.interior],
     ])
-    x = _spd_solve(A, rhs)
+    x = _LinearSolver().solve(A, rhs)
     assert x.shape == rhs.shape
     for k in range(2):
         ref = spla.spsolve(A, rhs[:, k])
         assert np.abs(x[:, k] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_linear_solver_runs_pcg_on_its_held_factor(monkeypatch):
+    dom = dom_n(32)
+    asm = _Assembler(dom, P_AREA, 4)
+    u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
+    b = -asm.gradient_full(u, 0.1).ravel()[asm.interior]
+    # the Hessian at a = 0.1, a perturbed copy near it and one far from it
+    A, near, far = (asm.hessian_interior(u, a) for a in (0.1, 0.09, 0.01))
+    solver = _LinearSolver()
+    splu = spla.splu
+    dropped = []
+
+    def spy(*args, **kwargs):
+        dropped.append(solver.lu is None)       # the old factor is released first
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    solver.solve(A, b)
+    held = solver.lu
+    assert (solver.factorizations, solver.pcg_iterations) == (1, 0)
+
+    x = solver.solve(near, b, 1e-6)
+    ref = splu(near).solve(b)
+    assert solver.lu is held and solver.factorizations == 1
+    assert 1 <= solver.pcg_iterations <= _PCG_MAXITER
+    assert np.abs(x - ref).max() <= 1e-6 * np.abs(ref).max()
+
+    # PCG passes its iteration cap on the far matrix: it is refactorized
+    before = solver.pcg_iterations
+    x = solver.solve(far, b, 1e-6)
+    ref = splu(far).solve(b)
+    assert solver.lu is not held and solver.factorizations == 2
+    assert solver.pcg_iterations == before + _PCG_MAXITER
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    # without a tolerance the solver always factorizes
+    solver.solve(far, b)
+    assert solver.factorizations == 3 and solver.pcg_iterations == before + _PCG_MAXITER
+    assert dropped == [True, True, True]
+
+
+def test_solve_large_reference_problem_reuses_factors():
+    # the benchmark's 64^2 solve_large problem at seed 0
+    dom = dom_n(64)
+    phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+    res = continuation_minimize(dom, P_AREA, phi)
+    assert res.converged and res.residual_norm <= SolverConfig().newton_tol
+    assert res.iterations == 34
+    # every stage's first step factorizes; the quadratic phase runs PCG
+    assert len(res.stages) <= res.factorizations < res.iterations
+    assert res.pcg_iterations > 0
 
 
 # ---- Euler predictor ----------------------------------------------------------------
@@ -517,11 +571,13 @@ def test_newton_tangent_is_the_a_derivative_of_the_solution(a):
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
     cfg = SolverConfig()
     asm = _Assembler(dom, P_AREA, cfg.quad_order)
-    result, tangent = _newton(asm, a, harmonic_extension(dom, phi).values, cfg)
+    solver = _LinearSolver()
+    result = _newton(asm, a, harmonic_extension(dom, phi).values, cfg, solver)
     assert result.converged
+    tangent = _tangent(asm, a, result.u.values, solver)
     da = 1e-3 * a
-    up, _ = _newton(asm, a + da, result.u.values, cfg)
-    down, _ = _newton(asm, a - da, result.u.values, cfg)
+    up = _newton(asm, a + da, result.u.values, cfg, _LinearSolver())
+    down = _newton(asm, a - da, result.u.values, cfg, _LinearSolver())
     fd = ((up.u.values - down.u.values) / (2 * da)).ravel()[asm.interior]
     assert np.abs(tangent - fd).max() <= 1e-5 * np.abs(fd).max()
 
@@ -531,9 +587,11 @@ def test_zero_step_stage_gives_no_prediction():
     phi = field(dom, lambda x, y: x * y)
     cfg = SolverConfig()
     asm = _Assembler(dom, P_AREA, cfg.quad_order)
-    result, tangent = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg)
-    assert result.iterations == 0 and tangent is None
+    result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, _LinearSolver())
+    assert result.iterations == 0 and result.factorizations == 0
+    # no step, no tangent: the next stage starts where this one ended
     res = continuation_minimize(dom, P_AREA, phi, cfg)
+    assert res.factorizations == 0 and res.pcg_iterations == 0
     assert res.stages == ((1.0, 0, math.inf), (cfg.a_schedule[1], 0, 0.0))
     assert np.array_equal(res.u.values, harmonic_extension(dom, phi).values)
 
@@ -543,7 +601,9 @@ def test_predictor_is_used_only_when_it_lowers_the_energy():
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
     cfg = SolverConfig()
     asm = _Assembler(dom, P_AREA, cfg.quad_order)
-    result, tangent = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg)
+    solver = _LinearSolver()
+    result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, solver)
+    tangent = _tangent(asm, 1.0, result.u.values, solver)
     values, a = result.u.values, 0.5
     pred, kin = _euler_predict(asm, a, values, (a - 1.0) * tangent)
     assert pred is not values
@@ -553,8 +613,8 @@ def test_predictor_is_used_only_when_it_lowers_the_energy():
     bad = (1.0 - a) * tangent
     kept, kin = _euler_predict(asm, a, values, bad)
     assert kept is values and kin is None
-    unpredicted, _ = _newton(asm, a, values, cfg)
-    guarded, _ = _newton(asm, a, values, cfg, bad)
+    unpredicted = _newton(asm, a, values, cfg, _LinearSolver())
+    guarded = _newton(asm, a, values, cfg, _LinearSolver(), bad)
     assert np.array_equal(guarded.u.values, unpredicted.u.values)
     assert guarded.iterations == unpredicted.iterations
 

@@ -5,8 +5,9 @@
 For each grid size n, one fresh process solves the p_area problem on
 [-1, 1]^2 with n x n cells, boundary data xy + 0.3 sin(2x + 0.3y) and the
 default SolverConfig: once untimed by the profiler (wall time, Newton steps
-in all and per stage, peak RSS), then once under cProfile for the per-phase
-split.  Each line of output is one JSON object.  These are single runs.
+in all and per stage, PCG iterations, peak RSS), then once under cProfile for
+the per-phase split and the count of SuperLU factorizations.  Each line of
+output is one JSON object.  These are single runs.
 """
 from __future__ import annotations
 
@@ -33,8 +34,12 @@ def _edge(stats: dict, callee: str, callers: tuple[str, ...], file: str = "") ->
 
 
 def _own(stats: dict, name: str, column: int, file: str = "") -> float:
-    """Own (column 2) or cumulative (column 3) seconds of every `name`."""
+    """Own (column 2) or cumulative (column 3) seconds of every `name`;
+    column 1 counts its calls."""
     return sum(v[column] for (f, _, n), v in stats.items() if n == name and f.endswith(file))
+
+
+GSTRF = "<built-in method scipy.sparse.linalg._dsolve._superlu.gstrf>"   # SuperLU factorization
 
 
 def run_one(n: int) -> dict:
@@ -53,7 +58,7 @@ def run_one(n: int) -> dict:
     prof = cProfile.Profile()
     prof.runcall(continuation_minimize, dom, spec, phi)
     st = pstats.Stats(prof).stats
-    newton = ("_newton", "solve_regularized")   # the Newton loop's home
+    newton = ("_newton", "solve_regularized", "_tangent")   # Newton and tangent solves
     phases = {
         "assembler_setup": _edge(st, "__init__", ("continuation_minimize", "solve_regularized"),
                                  "solver.py"),
@@ -62,8 +67,12 @@ def run_one(n: int) -> dict:
         "gradient": _edge(st, "gradient_full", newton),
         "tangent_rhs": _edge(st, "gradient_a", newton),
         "hessian_assembly": _edge(st, "hessian_interior", newton),
-        "factorization": _own(st, "<built-in method scipy.sparse.linalg._dsolve._superlu.gstrf>", 2),
-        "triangular_solve": _own(st, "<method 'solve' of 'SuperLU' objects>", 2),
+        "factorization": _own(st, GSTRF, 2),
+        # direct solves after a factorization (by `_spd_solve` in older
+        # checkouts); the solves inside PCG are in "pcg"
+        "triangular_solve": _edge(st, "<method 'solve' of 'SuperLU' objects>",
+                                  ("solve", "_spd_solve")),
+        "pcg": _own(st, "_pcg", 3, "solver.py"),
         "line_search": sum(_edge(st, f, newton) for f in ("energy", "residual_norm", "scatter_interior")),
         "predictor": _own(st, "_euler_predict", 3),
     }
@@ -75,6 +84,9 @@ def run_one(n: int) -> dict:
         "newton_steps": res.iterations,
         "stages": len(res.stages),
         "stage_steps": [s[1] for s in res.stages],
+        # counted by the profiler, so a checkout without the counters is timed too
+        "factorizations": _own(st, GSTRF, 1),
+        "pcg_iterations": getattr(res, "pcg_iterations", 0),
         "converged": bool(res.converged),
         "peak_rss_mb": round(rss, 1),
         "profiled_s": round(total, 3),
