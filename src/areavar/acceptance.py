@@ -33,7 +33,7 @@ from .solver import (
     continuation_minimize,
     energy_bound_check,
 )
-from .util import pairwise_sum, to_json
+from .util import dot2, pairwise_sum, to_json
 from .variation import DirectionField, angle_condition, fd_validate, minimizer_first_variation, second_variation_graph
 
 SQUARE = ((-1.0, 1.0), (-1.0, 1.0))
@@ -97,6 +97,7 @@ def _planted_pair(rng, gap: float):
     """A measure pair with a known cancellation parameter isolated by gap."""
     for _ in range(100):
         mu, nu = _rand_measure_pair(rng)
+        # einsum for any d: a column loop gives other bits once d >= 3
         norms = np.sqrt(np.einsum("ij,ij->i", nu.ac_density, nu.ac_density))
         k = int(np.argmax(norms))
         if norms[k] < 0.3:
@@ -435,7 +436,7 @@ def criterion_09(seed: int, directions: int = 50) -> dict:
             worst_m = max(worst_m, rep.Fprime_minus)
             worst_p = max(worst_p, -rep.Fprime_plus)
             g = gradient(d.phi).values
-            gn = np.sqrt(np.einsum("...k,...k->...", g, g))
+            gn = np.sqrt(dot2(g, g))
             oracle = 2.0 * pairwise_sum((gn * sing).ravel() * dom.cell_volume)
             worst_j = max(worst_j, abs((rep.Fprime_plus - rep.Fprime_minus) - oracle))
         tol = 1e-4 * (1.0 + f0)
@@ -535,7 +536,7 @@ def criterion_11(
     def fwd_div(u: ScalarField) -> np.ndarray:
         hx, hy = u.dom.spacing
         g = gradient(u).values
-        W = np.sqrt(1.0 + np.einsum("...k,...k->...", g, g))
+        W = np.sqrt(1.0 + dot2(g, g))
         q = g / W[..., None]
         div = np.full(u.dom.n_cells, np.nan)
         div[:-1, :-1] = (q[1:, :-1, 0] - q[:-1, :-1, 0]) / hx + (

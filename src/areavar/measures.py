@@ -164,6 +164,7 @@ def aligned_masses(*measures: VectorMeasure) -> tuple[list[np.ndarray], list]:
 
 
 def _entry_norms(masses: np.ndarray) -> np.ndarray:
+    # einsum for any d: a column loop gives other bits once d >= 3
     return np.sqrt(np.einsum("ij,ij->i", masses, masses))
 
 
@@ -190,6 +191,27 @@ def line_energy(mu: VectorMeasure, nu: VectorMeasure, eps: float) -> float:
     """Total variation of mu + eps*nu."""
     z, _, _ = _combine(mu, nu, eps)
     return pairwise_sum(_entry_norms(z))
+
+
+def _first_pm(z: np.ndarray, y: np.ndarray, nz: np.ndarray) -> tuple[float, float]:
+    """first_variation_pm on aligned masses z = mu + eps*nu and y = nu, with
+    nz the entry norms of z."""
+    supp = _support(nz)
+    smooth = np.where(supp, np.einsum("ij,ij->i", z, y) / np.where(supp, nz, 1.0), 0.0)
+    kink = np.where(supp, 0.0, _entry_norms(y))
+    interior = pairwise_sum(smooth)
+    singular = pairwise_sum(kink)
+    return interior - singular, interior + singular
+
+
+def _second(z: np.ndarray, y: np.ndarray, nz: np.ndarray) -> float:
+    """second_variation on aligned masses, as _first_pm."""
+    supp = _support(nz)
+    safe = np.where(supp, nz, 1.0)
+    ny2 = np.einsum("ij,ij->i", y, y)
+    dot = np.einsum("ij,ij->i", z, y) / safe
+    terms = np.where(supp, (ny2 - dot * dot) / safe, 0.0)
+    return pairwise_sum(np.maximum(terms, 0.0))
 
 
 def decompose(nu: VectorMeasure, mu: VectorMeasure) -> RNDecomposition:
@@ -232,13 +254,7 @@ def first_variation_pm(
     piecewise-smooth convex map, not finite differences.
     """
     z, y, _ = _combine(mu, nu, eps)
-    nz = _entry_norms(z)
-    supp = _support(nz)
-    smooth = np.where(supp, np.einsum("ij,ij->i", z, y) / np.where(supp, nz, 1.0), 0.0)
-    kink = np.where(supp, 0.0, _entry_norms(y))
-    interior = pairwise_sum(smooth)
-    singular = pairwise_sum(kink)
-    return interior - singular, interior + singular
+    return _first_pm(z, y, _entry_norms(z))
 
 
 def second_variation(mu: VectorMeasure, nu: VectorMeasure, eps: float) -> float:
@@ -251,13 +267,7 @@ def second_variation(mu: VectorMeasure, nu: VectorMeasure, eps: float) -> float:
     eps this equals the matched limit of the one-sided difference quotients.
     """
     z, y, _ = _combine(mu, nu, eps)
-    nz = _entry_norms(z)
-    supp = _support(nz)
-    safe = np.where(supp, nz, 1.0)
-    ny2 = np.einsum("ij,ij->i", y, y)
-    dot = np.einsum("ij,ij->i", z, y) / safe
-    terms = np.where(supp, (ny2 - dot * dot) / safe, 0.0)
-    return pairwise_sum(np.maximum(terms, 0.0))
+    return _second(z, y, _entry_norms(z))
 
 
 def singular_epsilons(mu: VectorMeasure, nu: VectorMeasure) -> list[float]:

@@ -37,7 +37,7 @@ from .grids import (
     drift_gradient,
     hypothesis_checks,
 )
-from .util import pairwise_sum
+from .util import dot2, pairwise_sum
 
 # a = 4^-k down to 2^-12: from the Euler predictor, Newton corrects a quartering
 # of a in barely more steps than a halving, so halving stages mostly add
@@ -273,6 +273,11 @@ class _Assembler:
         K += a22.reshape(-1, G) @ self.Tyy
         if a12 is not None:
             K += a12.reshape(-1, G) @ self.Txy
+        return self._interior_matrix(K)
+
+    def _interior_matrix(self, K: np.ndarray) -> sp.csc_matrix:
+        """The interior CSC matrix of the (cells, 16) cell blocks K, whose
+        buffer it takes over."""
         gather, starts, indices, indptr = self._csc_pattern
         # the summed entries overwrite the front of K's own buffer, which the
         # matrix keeps: one allocation of the matrix's size fewer per call.
@@ -287,8 +292,8 @@ class _Assembler:
 
     @cached_property
     def _csc_pattern(self) -> tuple:
-        """The CSC pattern of `stiffness`, computed on its first call (never
-        for 0-step solves): the cell-matrix entries in column-major
+        """The CSC pattern of `_interior_matrix`, computed on its first call
+        (never for 0-step solves): the cell-matrix entries in column-major
         (column, row) order as int32 positions into the (cells, 16) block
         array, the first entry of each nonzero, and the CSC
         `indices`/`indptr`."""
@@ -309,23 +314,39 @@ class _Assembler:
     def hessian_interior(
         self, values: np.ndarray, a: float, kin: tuple | None = None
     ) -> sp.csc_matrix:
+        """Interior Hessian: `stiffness(a11, a12, a22)` of the coefficients
+        1/r - m m^T / r^3, bit for bit.
+
+        Each coefficient is formed in one scratch buffer c and contracted
+        into the cell blocks before the next one is formed, in stiffness's
+        order (a11, a22, a12), so that beside the kinematics at most four
+        arrays of the quadrature size are alive (33.5 MB each at 512^2,
+        while the Newton step holds the last factor).  The blocks, which the
+        matrix keeps, are allocated first: allocated after the temporaries,
+        they raised the resident peak of a 64^2 solve by about 4 MB.
+        """
         mx, my, r = kin or self.kinematics(values, a)
-        # coefficients 1/r - m m^T / r^3, formed in place: at 256^2 each
-        # temporary of this size is 8 MB at the Newton step's memory peak
+        G = self.G
+        K = np.empty((self.ncx * self.ncy, 16))
         inv_r = 1.0 / r
         inv_r3 = inv_r / r
         inv_r3 *= inv_r
-        a11 = mx * mx
-        a11 *= inv_r3
-        np.subtract(inv_r, a11, out=a11)
-        a22 = my * my
-        a22 *= inv_r3
-        np.subtract(inv_r, a22, out=a22)
-        a12 = np.negative(mx)
-        a12 *= my
-        a12 *= inv_r3
-        del inv_r, inv_r3
-        return self.stiffness(a11, a12, a22)
+        c = mx * mx
+        c *= inv_r3
+        np.subtract(inv_r, c, out=c)                     # a11
+        np.matmul(c.reshape(-1, G), self.Txx, out=K)
+        np.multiply(my, my, out=c)
+        c *= inv_r3
+        np.subtract(inv_r, c, out=c)                     # a22
+        del inv_r
+        K += c.reshape(-1, G) @ self.Tyy
+        np.negative(mx, out=c)
+        c *= my
+        c *= inv_r3                                      # a12
+        del inv_r3
+        K += c.reshape(-1, G) @ self.Txy
+        del c
+        return self._interior_matrix(K)
 
     def quadratic_matrix(self, coeff: np.ndarray) -> sp.csc_matrix:
         """Stiffness of the frozen quadratic 0.5 * sum wq * coeff * |grad u + F|^2."""
@@ -762,7 +783,7 @@ def energy_bound_check(r: SolveResult, spec: EnergySpec, phi: ScalarField) -> di
     """
     dom = r.u.dom
     F = spec.F_cells(dom)
-    Fmax = float(np.sqrt(np.einsum("...k,...k->...", F, F)).max())
+    Fmax = float(np.sqrt(dot2(F, F)).max())
     phimax = float(np.abs(phi.values[dom.boundary_mask()]).max())
     slack = 10.0 * dom.h_max * dom.perimeter
     bound = phimax * dom.perimeter + Fmax * dom.area + slack
@@ -820,7 +841,7 @@ def local_energy_bound_check(
 
     def _reg_density(field: ScalarField) -> np.ndarray:
         m = drift_gradient(field, spec)
-        return np.sqrt(a * a + np.einsum("...k,...k->...", m, m))
+        return np.sqrt(a * a + dot2(m, m))
 
     dens = (_reg_density(v) - _reg_density(w))[i0:i1, j0:j1]
     lhs = abs(pairwise_sum(dens.ravel() * dom.cell_volume))

@@ -1,4 +1,5 @@
-"""Shared numerics helpers: deterministic reductions and 2D rotations."""
+"""Shared numerics helpers: deterministic reductions, 2-vector dot products
+and 2D rotations."""
 from __future__ import annotations
 
 import numpy as np
@@ -20,6 +21,25 @@ def pairwise_sum(values) -> float:
             a = np.concatenate([a, [0.0]])
         a = a[0::2] + a[1::2]
     return float(a[0])
+
+
+def dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over a last axis of length 2, bit for bit
+    np.einsum("...k,...k->...", a, b) at about half its cost on cell arrays.
+
+    einsum accumulates (0 + a0*b0) + a1*b1; that differs from a0*b0 + a1*b1
+    only when both products are -0, so a final + 0 maps -0 to +0 (a square
+    is never -0, so dot2(a, a) skips it).  Like einsum it is silent when a
+    product overflows.  Only for 2 components: a column loop over d >= 3
+    components does not give einsum's bits, so general-d contractions (the
+    measures module) stay einsum.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a[..., 0] * b[..., 0]
+        out += a[..., 1] * b[..., 1]
+        if a is not b:
+            out += 0.0
+    return out
 
 
 def rotate_quarter(v: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ phi vanishing on the boundary induces the direction measure (grad phi) dx,
 and the one-sided derivatives / curvature of eps -> F(u + eps*phi) come out
 of the measure formulas exactly.  Singular sets are always detected at
 singular_set's default threshold.  Finite differencing of the grid energy is
-kept here only as a validation oracle (fd_validate).
+kept here only as a validation oracle (fd_validate).  The 2-component
+contractions of cell arrays use util.dot2, which gives np.einsum's bits; the
+measure formulas themselves stay in the measures module.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .grids import (
     singular_set,
 )
 from .measures import VariationReport
-from .util import pairwise_sum, rotate_quarter
+from .util import dot2, pairwise_sum, rotate_quarter
 
 
 @dataclass
@@ -80,9 +82,9 @@ def _h_term(spec: EnergySpec, f: ScalarField) -> float:
 
 def _area_second(m: np.ndarray, sing: np.ndarray, gphi: np.ndarray, vol: float) -> float:
     """Area-mode second variation from per-cell m = grad u + F, mask and grad phi."""
-    m2 = np.einsum("...k,...k->...", m, m)
-    g2 = np.einsum("...k,...k->...", gphi, gphi)
-    dot = np.einsum("...k,...k->...", gphi, m)
+    m2 = dot2(m, m)
+    g2 = dot2(gphi, gphi)
+    dot = dot2(gphi, m)
     safe = np.where(sing, 1.0, m2)
     terms = np.where(sing, 0.0, (safe * g2 - dot * dot) / np.sqrt(safe) ** 3)
     return pairwise_sum(np.maximum(terms, 0.0).ravel() * vol)
@@ -93,9 +95,9 @@ def _lifted_variations(u: ScalarField, phi: ScalarField) -> tuple[float, float]:
     vol = u.dom.cell_volume
     gu = gradient(u).values
     gphi = gradient(phi).values
-    g2 = np.einsum("...k,...k->...", gphi, gphi)
-    u2 = np.einsum("...k,...k->...", gu, gu)
-    dot = np.einsum("...k,...k->...", gphi, gu)
+    g2 = dot2(gphi, gphi)
+    u2 = dot2(gu, gu)
+    dot = dot2(gphi, gu)
     W = np.sqrt(1.0 + u2)
     first = pairwise_sum((dot / W).ravel() * vol)
     terms = (g2 * (1.0 + u2) - dot * dot) / W**3
@@ -112,19 +114,22 @@ def minimizer_first_variation(
     linear term integral of H*phi.  For a minimizer the report satisfies
     Fprime_minus <= tol <= ... <= Fprime_plus up to the scale-free
     tolerance 1e-4 * (1 + F(0)); this function only reports, the caller
-    asserts.
+    asserts.  The measure pair is aligned once, and its entry norms serve
+    the energy and both measure kernels: the values are those of
+    measures.line_energy, first_variation_pm and second_variation at eps = 0.
     """
     if direction.phi.dom != u.dom:
         raise ValueError("direction lives on a different grid")
     mu, _ = field_to_measure(u, spec)
-    nu = direction.measure()
-    fm, fp = measures.first_variation_pm(mu, nu, 0.0)
+    z, y, _ = measures._combine(mu, direction.measure(), 0.0)
+    nz = measures._entry_norms(z)
+    fm, fp = measures._first_pm(z, y, nz)
     ht = _h_term(spec, direction.phi)
     return VariationReport(
-        F_value=measures.line_energy(mu, nu, 0.0) + _h_term(spec, u),
+        F_value=pairwise_sum(nz) + _h_term(spec, u),
         Fprime_minus=fm + ht,
         Fprime_plus=fp + ht,
-        Fsecond=measures.second_variation(mu, nu, 0.0),
+        Fsecond=measures._second(z, y, nz),
         epsilon=0.0,
         is_regular=bool(fp - fm <= 1e-14 * (1.0 + abs(fp) + abs(fm))),
     )
@@ -176,7 +181,7 @@ def fd_validate(
     if mode == "riemannian":
         def energy_at(eps: float) -> float:
             g = gradient(ScalarField(dom, u.values + eps * phi.values)).values
-            dens = np.sqrt(1.0 + np.einsum("...k,...k->...", g, g))
+            dens = np.sqrt(1.0 + dot2(g, g))
             return pairwise_sum(dens.ravel() * dom.cell_volume)
 
         fp, analytic_second = _lifted_variations(u, phi)

@@ -94,6 +94,19 @@ def test_energy_bulk_term():
     assert abs(area_energy(u, spec) - 2.0) <= 1e-12
 
 
+def test_energy_skips_a_zero_bulk_term_exactly():
+    # H = 0 adds +-0 to every cell: skipping it changes no bit
+    rng = np.random.RandomState(8)
+    for spec in (EnergySpec(preset="p_area"), EnergySpec(preset="zero", H=0)):
+        for n in (9, 16):
+            dom = dom_n(n)
+            u = ScalarField(dom, rng.randn(n + 1, n + 1))
+            m = gradient(u).values + spec.F_cells(dom)
+            dens = np.sqrt(np.einsum("...k,...k->...", m, m))
+            explicit = pairwise_sum((dens + 0.0 * u.cell_average()).ravel() * dom.cell_volume)
+            assert area_energy(u, spec) == explicit
+
+
 def test_energy_matches_onesided_tv_at_first_order():
     # the cell-centered energy and a staggered one-sided total variation
     # agree up to O(h): halving h halves the gap
@@ -343,6 +356,14 @@ def test_energy_spec_custom_field_and_alias():
     other = dom_n(10)
     with pytest.raises(ValueError):
         custom.F_cells(other)
+
+
+def test_F_cells_equals_the_meshgrid_evaluation():
+    rng = np.random.RandomState(9)
+    dom = GridDomain(((-1.0, 2.0), (0.5, 1.5)), (7, 11))
+    custom = EnergySpec(preset="custom", F_field=VectorField(dom, rng.randn(7, 11, 2)))
+    for spec in (EnergySpec(preset="p_area"), custom):
+        assert np.array_equal(spec.F_cells(dom), spec.F_at(dom, *dom.center_coords()))
 
 
 def test_per_cell_H_shape_check():

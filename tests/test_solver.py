@@ -380,6 +380,20 @@ def test_stiffness_matches_per_point_reference():
     assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def test_hessian_is_the_stiffness_of_its_coefficients():
+    # formed one coefficient at a time, the Hessian keeps stiffness's bits
+    asm = _Assembler(dom_n(9), EnergySpec(preset="p_area", H=0.3), 4)
+    u = np.random.RandomState(8).randn(10, 10)
+    for a in (1.0, 1e-3):
+        mx, my, r = asm.kinematics(u, a)
+        inv_r = 1.0 / r
+        inv_r3 = inv_r / r * inv_r
+        H = asm.hessian_interior(u, a)
+        S = asm.stiffness(inv_r - mx * mx * inv_r3, -mx * my * inv_r3, inv_r - my * my * inv_r3)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(H, attr), getattr(S, attr))
+
+
 @pytest.mark.parametrize("n_cells", [(2, 2), (2, 5), (7, 3), (32, 35)])
 def test_interior_ordering_is_a_permutation_of_the_interior_nodes(n_cells):
     dom = GridDomain(OFFSET_BOX, n_cells)

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 
-from areavar.util import g17, pairwise_sum, rotate_pairs, rotate_quarter, to_json
+from areavar.util import dot2, g17, pairwise_sum, rotate_pairs, rotate_quarter, to_json
 
 
 def test_pairwise_sum_matches_fsum():
@@ -19,6 +20,34 @@ def test_pairwise_sum_edge_cases():
     assert pairwise_sum(np.array([3.5])) == 3.5
     x = np.random.RandomState(1).randn(777)
     assert pairwise_sum(x) == pairwise_sum(x.copy())
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_dot2_is_einsum_bit_for_bit():
+    rng = np.random.RandomState(3)
+    for trial in range(60):
+        n = rng.randint(1, 40)
+        shape = (n, n, 2) if trial % 2 else (n * n, 2)
+        a, b = (rng.randn(*shape) * 10.0 ** rng.uniform(-200, 200, shape) for _ in range(2))
+        # planted zeros of both signs, so that products of -0 occur
+        a[rng.rand(*shape) < 0.2] = 0.0
+        b[rng.rand(*shape) < 0.2] = -0.0
+        for x, y in ((a, a), (b, b), (a, b), (b, a), (a[::-1], b)):
+            assert np.array_equal(_bits(dot2(x, y)), _bits(np.einsum("...k,...k->...", x, y)))
+
+
+def test_dot2_signed_zeros_and_overflow():
+    a = np.array([[-0.0, 1.0], [-0.0, -0.0], [2.0, -0.0]])
+    b = np.array([[1.0, -0.0], [0.0, 0.0], [-0.0, 1.0]])
+    assert np.array_equal(_bits(dot2(a, b)), _bits(np.einsum("...k,...k->...", a, b)))
+    big = np.full((3, 3, 2), 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(dot2(big, big) == np.inf)
+        assert np.all(np.isnan(dot2(big, big * [1.0, -1.0])))
 
 
 def test_rotate_quarter():

@@ -230,6 +230,29 @@ def test_h_weight_contributes_linear_term():
     ) <= 1e-12
 
 
+def test_minimizer_first_variation_is_the_public_measure_calculus():
+    # one aligned pair inside, the public functions' values bit for bit
+    rng = np.random.RandomState(57)
+    dom = dom_n(48)
+    saddle = continuation_minimize(dom, P_AREA, ScalarField.from_function(dom, lambda x, y: x * y)).u
+    weighted = EnergySpec(preset="p_area", H=0.7)
+    cases = [(saddle, P_AREA, d) for d in _random_directions(dom, rng, 2)]
+    cases += [(saddle, weighted, d) for d in _random_directions(dom, rng, 2)]
+    for u, spec, d in cases:
+        rep = minimizer_first_variation(u, spec, d)
+        mu, _ = field_to_measure(u, spec)
+        nu = d.measure()
+        fm, fp = measures.first_variation_pm(mu, nu, 0.0)
+        ht = pairwise_sum((spec.H_cells(dom) * d.phi.cell_average()).ravel() * dom.cell_volume)
+        hu = pairwise_sum((spec.H_cells(dom) * u.cell_average()).ravel() * dom.cell_volume)
+        assert rep.F_value == measures.line_energy(mu, nu, 0.0) + hu
+        assert rep.Fprime_minus == fm + ht
+        assert rep.Fprime_plus == fp + ht
+        assert rep.Fsecond == measures.second_variation(mu, nu, 0.0)
+        assert rep.epsilon == 0.0
+        assert rep.is_regular == bool(fp - fm <= 1e-14 * (1.0 + abs(fp) + abs(fm)))
+
+
 def test_fd_validate_zero_base_energy_is_direction_mass():
     # over the degenerate base every quotient reproduces the direction mass
     dom = dom_n(32)

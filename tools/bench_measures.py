@@ -17,10 +17,11 @@ initial guess, on the same data.
 With `--round n` one more process runs one untraced certify_saddle-shaped
 round at n x n cells and splits its wall time into the solve (the
 continuation, `singular_set`, `field_to_measure`, `angle_condition`), the
-certification of 8 directions (`minimizer_first_variation`, both modes of
-`second_variation_graph` and of `fd_validate`) and the kink search
-(`singular_epsilons` for every 4th direction).  Each line of output is one
-JSON object.  These are single runs.
+certification of 8 directions and the kink search (`singular_epsilons` for
+every 4th direction).  The certification is split further into its five
+calls per direction: `minimizer_first_variation`, both modes of
+`second_variation_graph` and both modes of `fd_validate`.  Each line of
+output is one JSON object.  These are single runs.
 """
 from __future__ import annotations
 
@@ -95,6 +96,15 @@ def certify_round(n: int) -> dict:
 
     dom, spec, phi, directions, solver = _setup(n)
     phases = {"solve": 0.0, "certification": 0.0, "kink_search": 0.0}
+    calls = {
+        "minimizer_first_variation": lambda u, d: variation.minimizer_first_variation(u, spec, d),
+        "second_variation_graph_area": lambda u, d: variation.second_variation_graph(u, spec, d, "area"),
+        "second_variation_graph_riemannian":
+            lambda u, d: variation.second_variation_graph(u, spec, d, "riemannian"),
+        "fd_validate_area": lambda u, d: variation.fd_validate(u, spec, d),
+        "fd_validate_riemannian": lambda u, d: variation.fd_validate(u, spec, d, mode="riemannian"),
+    }
+    certification = dict.fromkeys(calls, 0.0)
     t0 = perf_counter()
     res = solver.continuation_minimize(dom, spec, phi)
     grids.singular_set(res.u, spec)
@@ -102,21 +112,20 @@ def certify_round(n: int) -> dict:
     variation.angle_condition(res.u, spec)
     phases["solve"] = perf_counter() - t0
     for j, d in enumerate(directions):
-        t0 = perf_counter()
-        variation.minimizer_first_variation(res.u, spec, d)
-        for mode in ("area", "riemannian"):
-            variation.second_variation_graph(res.u, spec, d, mode)
-        variation.fd_validate(res.u, spec, d)
-        variation.fd_validate(res.u, spec, d, mode="riemannian")
-        phases["certification"] += perf_counter() - t0
+        for name, call in calls.items():
+            t0 = perf_counter()
+            call(res.u, d)
+            certification[name] += perf_counter() - t0
         if j % SINGULAR_EVERY == 0:
             t0 = perf_counter()
             measures.singular_epsilons(mu, d.measure())
             phases["kink_search"] += perf_counter() - t0
+    phases["certification"] = sum(certification.values())
     return {
         "n": n,
         "round_s": round(sum(phases.values()), 3),
         "phases_s": {k: round(v, 3) for k, v in phases.items()},
+        "certification_s": {k: round(v, 4) for k, v in certification.items()},
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
     }
 

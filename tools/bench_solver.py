@@ -5,14 +5,17 @@
 For each grid size n, one fresh process solves the p_area problem on
 [-1, 1]^2 with n x n cells, boundary data xy + 0.3 sin(2x + 0.3y) and the
 default SolverConfig: once untimed by the profiler (wall time, Newton steps
-in all and per stage, PCG iterations, peak RSS), then once under cProfile for
-the per-phase split and the count of SuperLU factorizations.  Each line of
-output is one JSON object.  These are single runs.
+in all and per stage, PCG iterations, peak RSS, and a digest of the final
+nodal values, so that two source trees can be checked to return the same
+field bit for bit), then once under cProfile for the per-phase split and the
+count of SuperLU factorizations.  Each line of output is one JSON object.
+These are single runs.
 """
 from __future__ import annotations
 
 import argparse
 import cProfile
+import hashlib
 import json
 import pstats
 import resource
@@ -88,6 +91,7 @@ def run_one(n: int) -> dict:
         "factorizations": _own(st, GSTRF, 1),
         "pcg_iterations": getattr(res, "pcg_iterations", 0),
         "converged": bool(res.converged),
+        "digest": hashlib.sha256(res.u.values.tobytes()).hexdigest()[:16],
         "peak_rss_mb": round(rss, 1),
         "profiled_s": round(total, 3),
         "phases_s": {k: round(v, 3) for k, v in phases.items()},
