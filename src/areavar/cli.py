@@ -48,12 +48,10 @@ class CliError(Exception):
 
 # ---- config parsing ----------------------------------------------------------
 
-# Size bounds, so that no config asks for more memory than a small machine
-# has (measured peaks in README): cells in a domain, the Gauss order, and the
-# quadrature points (cells * quad_order**2) a solve allocates per-point arrays for.
+# Size bound, so that no config asks for more memory than a small machine has
+# (measured peaks in README): cells in a domain.  At the solver's 16 Gauss
+# points per cell, it also caps a solve's per-point arrays at 4 194 304 entries
 _MAX_CELLS = 512 * 512
-_MAX_QUAD_ORDER = 8
-_MAX_QUAD_POINTS = 16 * _MAX_CELLS
 
 _EXPR_NAMES = {
     "sin": np.sin,
@@ -273,7 +271,7 @@ def _scalar_field(fcfg: dict, dom: GridDomain, what: str) -> ScalarField:
 
 
 _SOLVER_OPTIONS = dict(a_schedule=_numbers, newton_tol=_number, max_newton_iters=_int,
-                       continuation_stop=_number, quad_order=_int)
+                       continuation_stop=_number)
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
@@ -282,11 +280,8 @@ def _solver_config(cfg: dict) -> SolverConfig:
         for key in options:
             if key not in _SOLVER_OPTIONS:
                 raise ValueError(f"unknown solver option {key!r}")
-        scfg = SolverConfig(**{key: _SOLVER_OPTIONS[key](value, key)
-                                for key, value in options.items()})
-    if scfg.quad_order > _MAX_QUAD_ORDER:
-        raise CliError(2, f"bad solver config: quad_order must be <= {_MAX_QUAD_ORDER}")
-    return scfg
+        return SolverConfig(**{key: _SOLVER_OPTIONS[key](value, key)
+                               for key, value in options.items()})
 
 
 def _write_json(path: str, obj) -> None:
@@ -298,10 +293,6 @@ def _write_json(path: str, obj) -> None:
 def _solve_from_config(cfg: dict):
     dom = _domain_from(cfg)
     scfg = _solver_config(cfg)
-    if dom.n_cells[0] * dom.n_cells[1] * scfg.quad_order**2 > _MAX_QUAD_POINTS:
-        raise CliError(
-            2, f"bad solver config: cells * quad_order**2 must be <= {_MAX_QUAD_POINTS}"
-        )
     spec = _spec_from(cfg, dom)
     phi = _scalar_field(_require(cfg, "boundary"), dom, "boundary")
     res = continuation_minimize(dom, spec, phi, scfg)

@@ -22,7 +22,7 @@ gradients preconditioned with that factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -56,6 +56,12 @@ _REUSE_GATE = 10.0
 _PCG_RTOL = 1e-6
 _PCG_MAXITER = 5
 _TANGENT_RTOL = 1e-8
+# Gauss points per axis of the energy quadrature (the module docstring says why)
+_QUAD_ORDER = 4
+# the Picard oracle's residual tolerance, iteration cap and step damping
+_PICARD_TOL = 1e-9
+_PICARD_MAX_ITERS = 500
+_PICARD_DAMPING = 0.7
 
 
 @dataclass
@@ -66,7 +72,6 @@ class SolverConfig:
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
     continuation_stop: float = 1e-6
-    quad_order: int = 4
 
     def __post_init__(self):
         sched = tuple(float(a) for a in self.a_schedule)
@@ -80,7 +85,6 @@ class SolverConfig:
             (0 < self.newton_tol < math.inf, "newton_tol must be finite and > 0"),
             (0 <= self.continuation_stop < math.inf, "continuation_stop must be finite and >= 0"),
             (self.max_newton_iters >= 1, "max_newton_iters must be >= 1"),
-            (self.quad_order >= 1, "quad_order must be >= 1"),
         ):
             if not ok:
                 raise ValueError(msg)
@@ -107,7 +111,7 @@ class SolveResult:
 class _Assembler:
     """Per-domain tables for the Gauss-quadrature energy and its derivatives."""
 
-    def __init__(self, dom: GridDomain, spec: EnergySpec, quad_order: int):
+    def __init__(self, dom: GridDomain, spec: EnergySpec, quad_order: int = _QUAD_ORDER):
         self.dom = dom
         self.spec = spec
         hx, hy = dom.spacing
@@ -348,10 +352,6 @@ class _Assembler:
         del c
         return self._interior_matrix(K)
 
-    def quadratic_matrix(self, coeff: np.ndarray) -> sp.csc_matrix:
-        """Stiffness of the frozen quadratic 0.5 * sum wq * coeff * |grad u + F|^2."""
-        return self.stiffness(coeff, None, coeff)
-
     def quadratic_gradient_full(self, values: np.ndarray, coeff: np.ndarray) -> np.ndarray:
         """Gradient of the frozen quadratic (plus the H term) at every node."""
         mx, my = self.field_at_quad(values)
@@ -443,13 +443,6 @@ class _LinearSolver:
         return x if np.linalg.norm(r) <= tol else None
 
 
-def _apply_boundary(values: np.ndarray, phi: ScalarField, dom: GridDomain) -> np.ndarray:
-    out = values.copy()
-    mask = dom.boundary_mask()
-    out[mask] = phi.values[mask]
-    return out
-
-
 def harmonic_extension(dom: GridDomain, phi: ScalarField) -> ScalarField:
     """Extend boundary data into the interior by one Laplace solve.
 
@@ -485,23 +478,16 @@ def solve_regularized(
     a: float,
     phi: ScalarField,
     cfg: SolverConfig | None = None,
-    u0: ScalarField | None = None,
 ) -> SolveResult:
-    """Minimize the regularized energy at fixed a > 0 with Dirichlet data phi.
+    """Minimize the regularized energy at fixed a with Dirichlet data phi:
+    the one-stage continuation with a_schedule (a,), so a must be finite
+    and positive.
 
     Newton steps on the nodal energy with Armijo backtracking; the residual
     reported is the sup norm of the nodal energy gradient per unit cell
     volume (a discrete divergence defect), evaluated at interior nodes.
     """
-    if a <= 0:
-        raise ValueError("regularization parameter a must be positive")
-    cfg = cfg or SolverConfig()
-    asm = _Assembler(dom, spec, cfg.quad_order)
-    if u0 is None:
-        values = harmonic_extension(dom, phi).values
-    else:
-        values = _apply_boundary(u0.values, phi, dom)
-    return _newton(asm, a, values, cfg, _LinearSolver())
+    return continuation_minimize(dom, spec, phi, replace(cfg or SolverConfig(), a_schedule=(a,)))
 
 
 def _newton(
@@ -568,6 +554,15 @@ def _newton(
 
     # an overflowing energy has a zero gradient, so its residual proves nothing
     converged = res <= cfg.newton_tol and math.isfinite(E)
+    return _result(asm, values, a, res, iterations, converged, E, solver, tuple(energies))
+
+
+def _result(
+    asm: _Assembler, values: np.ndarray, a: float, res: float, iterations: int,
+    converged: bool, E: float, solver: _LinearSolver, energies: tuple = (),
+) -> SolveResult:
+    """The SolveResult of an iterate at level a, with its unregularized area
+    energy (midpoint rule, H = 0) and `solver`'s counts."""
     u = ScalarField(asm.dom, values)
     spec = asm.spec
     spec_h0 = EnergySpec(preset=spec.preset, F_field=spec.F_field, H=0.0)
@@ -579,7 +574,7 @@ def _newton(
         energy=area_energy(u, spec_h0),
         converged=converged,
         energy_regularized=E,
-        newton_energies=tuple(energies),
+        newton_energies=energies,
         factorizations=solver.factorizations,
         pcg_iterations=solver.pcg_iterations,
     )
@@ -627,7 +622,7 @@ def continuation_minimize(
     reported energy is the unregularized area energy of the final iterate.
     """
     cfg = cfg or SolverConfig()
-    asm = _Assembler(dom, spec, cfg.quad_order)
+    asm = _Assembler(dom, spec)
     solver = _LinearSolver()
     values = harmonic_extension(dom, phi).values
     stages = []
@@ -665,16 +660,7 @@ def continuation_minimize(
     )
 
 
-def solve_fixed_point(
-    dom: GridDomain,
-    spec: EnergySpec,
-    a: float,
-    phi: ScalarField,
-    tol: float = 1e-9,
-    max_iters: int = 500,
-    damping: float = 0.7,
-    quad_order: int = 4,
-) -> SolveResult:
+def solve_fixed_point(dom: GridDomain, spec: EnergySpec, a: float, phi: ScalarField) -> SolveResult:
     """Reference solver: damped lagged-coefficient (Picard) iteration.
 
     Freezes the scalar weight 1/sqrt(a^2 + |grad u + F|^2) at the current
@@ -682,39 +668,29 @@ def solve_fixed_point(
     damped step toward that minimizer.  Converges linearly; used as an
     algorithmically independent cross-check of the Newton solver.
     """
-    if a <= 0:
-        raise ValueError("regularization parameter a must be positive")
-    asm = _Assembler(dom, spec, quad_order)
+    if not 0 < a < math.inf:
+        raise ValueError("regularization parameter a must be finite and positive")
+    asm = _Assembler(dom, spec)
     solver = _LinearSolver()
     values = harmonic_extension(dom, phi).values
     iterations = 0
     converged = False
-    for _ in range(max_iters):
+    for _ in range(_PICARD_MAX_ITERS):
         kin = asm.kinematics(values, a)
         res = asm.residual_norm(values, a, kin)
-        if res <= tol:
+        if res <= _PICARD_TOL:
             converged = True
             break
+        # the frozen quadratic 0.5 * sum wq * coeff * |grad u + F|^2
         coeff = 1.0 / kin[2]
-        A = asm.quadratic_matrix(coeff)
+        A = asm.stiffness(coeff, None, coeff)
         r = asm.quadratic_gradient_full(values, coeff).ravel()[asm.interior]
         # PCG on the previous frozen matrix's factor, else a new factor
         d = solver.solve(A, -r, _PCG_RTOL)
-        values = asm.scatter_interior(values, damping * d)
+        values = asm.scatter_interior(values, _PICARD_DAMPING * d)
         iterations += 1
-    u = ScalarField(dom, values)
-    spec_h0 = EnergySpec(preset=spec.preset, F_field=spec.F_field, H=0.0)
-    return SolveResult(
-        u=u,
-        residual_norm=asm.residual_norm(values, a),
-        a_final=a,
-        iterations=iterations,
-        energy=area_energy(u, spec_h0),
-        converged=converged,
-        energy_regularized=asm.energy(values, a),
-        factorizations=solver.factorizations,
-        pcg_iterations=solver.pcg_iterations,
-    )
+    return _result(asm, values, a, asm.residual_norm(values, a), iterations, converged,
+                   asm.energy(values, a), solver)
 
 
 # ---- a-posteriori checks -----------------------------------------------------
@@ -817,7 +793,7 @@ def local_energy_bound_check(
     dom = v.dom
     if w.dom != dom:
         raise ValueError("fields live on different grids")
-    asm = _Assembler(dom, spec, cfg.quad_order)
+    asm = _Assembler(dom, spec)
     report: dict = {"refused": False, "reason": ""}
     res_v = asm.residual_norm(v.values, a)
     res_w = asm.residual_norm(w.values, a)

@@ -129,7 +129,7 @@ def test_solve_nonfinite_boundary(tmp_path, capsys):
         # JSON values are not coerced: counts are integers, reals are numbers
         ({"max_newton_iters": 2.7}, "max_newton_iters must be an integer"),
         ({"line_search_max": 3.9}, "unknown solver option"),     # removed option
-        ({"quad_order": True}, "quad_order must be an integer"),
+        ({"quad_order": True}, "unknown solver option"),         # removed option
         ({"newton_tol": "1e-10"}, "newton_tol must be a finite number"),
         ({"a_schedule": "1"}, "a_schedule must be a list of numbers"),
         ({"a_schedule": {"1": 0}}, "a_schedule must be a list of numbers"),
@@ -509,7 +509,7 @@ def _measure(cells=(CELL,), **patch):
         *[(command, {key: bad}, f"{key} must be a finite number")
           for command, key in (("decompose", "eps"), ("verify", "threshold_override"))
           for bad in (True, "0.5", math.nan, math.inf, -math.inf)],
-        ("vary", {"solver": {"quad_order": True}}, "quad_order must be an integer"),
+        ("vary", {"solver": {"quad_order": True}}, "unknown solver option"),   # removed option
         # every number is a finite JSON number, every count an integer
         *[("area", {"domain": dict(GRID4, n_cells=[bad, 8])}, "bad domain: n_cells entry")
           for bad in (8.9, "8")],

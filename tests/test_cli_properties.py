@@ -5,9 +5,8 @@ top-level values of the wrong type, expressions from the grammar mixed with
 hostile tokens and over-arity ufunc calls, and measure JSON of the wrong
 shape.  Every run must exit 0, 2 or 3, and a non-zero exit must end stderr with
 a one-line JSON diagnostic; an over-arity call must exit 2.
-Grids that run stay at <= 4 cells per axis.  Cell counts, `quad_order`s and
-quadrature-point counts above the CLI's size bounds are drawn too, and must
-exit 2 before anything of that size is allocated.  Strictness: a valid config
+Grids that run stay at <= 4 cells per axis.  Cell counts above the CLI's size
+bound are drawn too, and must exit 2 before anything of that size is allocated.  Strictness: a valid config
 with one numeric (or boolean) leaf replaced by a value of the wrong kind must
 exit exactly 2 with a single JSON line on stderr.
 """
@@ -23,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from areavar.cli import _EXPR_NAMES, _MAX_CELLS, _MAX_QUAD_ORDER, _MAX_QUAD_POINTS, main
+from areavar.cli import _EXPR_NAMES, _MAX_CELLS, main
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 SMALL_TEXT = st.text(max_size=2)
@@ -115,8 +114,6 @@ SOLVER = st.one_of(
         ["newton_tol", "max_newton_iters", "line_search_factor", "line_search_max",
          "continuation_stop", "quad_order"]
     ).flatmap(lambda key: st.fixed_dictionaries({"a_schedule": st.just([1.0, 0.5]), key: JUNK})),
-    st.fixed_dictionaries({"a_schedule": st.just([1.0, 0.5]),
-                           "quad_order": st.integers(1, _MAX_QUAD_ORDER + 3)}),
     JUNK,
 )
 SEED = {"seed": st.one_of(st.integers(0, 9), JUNK)}
@@ -210,35 +207,6 @@ def test_too_many_cells_exit_2(command, n_cells):
     assert "cells" in diag["error"]
 
 
-# the lowest order at which a grid within the cell bound can exceed the point bound
-MIN_POINTS_ORDER = next(q for q in range(1, _MAX_QUAD_ORDER + 1)
-                        if _MAX_CELLS * q * q > _MAX_QUAD_POINTS)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    command=st.sampled_from(["solve", "vary"]),
-    grid_order=st.one_of(
-        # the order alone is too high, on a grid that would run
-        st.tuples(st.just((4, 4)), st.integers(_MAX_QUAD_ORDER + 1, 10**9)),
-        # a permitted order and grid, with too many points together
-        st.tuples(st.integers(2, 1024), st.integers(MIN_POINTS_ORDER, _MAX_QUAD_ORDER)).flatmap(
-            lambda t: st.tuples(
-                st.tuples(st.just(t[0]),
-                          st.integers(_MAX_QUAD_POINTS // (t[0] * t[1] ** 2) + 1,
-                                      _MAX_CELLS // t[0])),
-                st.just(t[1]))),
-    ),
-)
-def test_solver_size_bounds_exit_2(command, grid_order):
-    n_cells, quad_order = grid_order
-    cfg = {"domain": {"extents": [[-1.0, 1.0], [-0.5, 1.5]], "n_cells": list(n_cells)},
-           "boundary": {"expression": "x"}, "solver": {"quad_order": quad_order}}
-    code, diag, _ = _run(command, cfg)
-    assert code == 2 and diag["exit_code"] == 2
-    assert "quad_order" in diag["error"]
-
-
 # ---- strictness: one leaf of a valid config replaced by a value of the wrong kind ----
 
 GRID = {"extents": [[-1.0, 1.0], [-0.5, 1.5]], "n_cells": [3, 4]}
@@ -251,7 +219,7 @@ STRICT_VALID = {
     "vary": {"domain": GRID, "spec": {"preset": "p_area", "H": 0.5},
              "boundary": {"expression": "x*y"},
              "solver": {"a_schedule": [1.0, 0.5], "newton_tol": 1e-10, "max_newton_iters": 50,
-                        "continuation_stop": 1e-6, "quad_order": 2},
+                        "continuation_stop": 1e-6},
              "direction": {"random": True}},
     "decompose": {"mu": PAIR, "nu": PAIR, "eps": 0.25},
     "verify": {"profile": "fast", "threshold_override": 1.0},
@@ -267,7 +235,6 @@ LEAVES = [
     ("vary", ("solver", "newton_tol"), float),
     ("vary", ("solver", "max_newton_iters"), int),
     ("vary", ("solver", "continuation_stop"), float),
-    ("vary", ("solver", "quad_order"), int),
     ("vary", ("direction", "random"), bool),
     ("decompose", ("eps",), float),
     ("decompose", ("mu", "d"), int),

@@ -97,7 +97,7 @@ def test_harmonic_extension_matches_assembled_direct_solve(n_cells):
     asm = _Assembler(dom, ZERO, 2)
     ones = np.ones((asm.ncx, asm.ncy, asm.G))
     r = asm.quadratic_gradient_full(phi.values, ones).ravel()[asm.interior]
-    d = spla.spsolve(asm.quadratic_matrix(ones).tocsc(), -r)
+    d = spla.spsolve(asm.stiffness(ones, None, ones).tocsc(), -r)
     direct = asm.scatter_interior(phi.values, d)
     assert np.abs(harmonic_extension(dom, phi).values - direct).max() <= 1e-12
 
@@ -130,6 +130,8 @@ def test_newton_steps_never_increase_energy():
     phi = field(dom, lambda x, y: np.sin(2 * x) * np.cos(y) + 0.4 * x * y)
     res = solve_regularized(dom, P_AREA, 0.5, phi)
     assert res.converged
+    # a fixed-a solve is the one-stage continuation
+    assert res.stages == ((0.5, res.iterations, math.inf),)
     es = res.newton_energies
     assert len(es) >= 1
     for e1, e2 in zip(es, es[1:]):
@@ -140,12 +142,13 @@ def test_stage_energies_decrease_with_a():
     dom = dom_n(32)
     phi = field(dom, lambda x, y: x * y)
     cfg = SolverConfig()
+    asm = _Assembler(dom, P_AREA)
+    values = harmonic_extension(dom, phi).values
     prev = None
-    result = None
     for a in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        result = solve_regularized(dom, P_AREA, a, phi, cfg,
-                                   u0=result.u if result else None)
+        result = _newton(asm, a, values, cfg, _LinearSolver())
         assert result.converged
+        values = result.u.values
         if prev is not None:
             assert result.energy_regularized <= prev + 1e-10
         prev = result.energy_regularized
@@ -340,7 +343,7 @@ def test_assembled_matrices_are_derivatives_of_the_gradients(a):
 
     H = asm.hessian_interior(u, a)
     assert rel(H @ v_int, central(lambda w: asm.gradient_full(w, a))) <= 1e-6
-    Q = asm.quadratic_matrix(coeff)
+    Q = asm.stiffness(coeff, None, coeff)
     assert rel(Q @ v_int, central(lambda w: asm.quadratic_gradient_full(w, coeff))) <= 1e-6
     for A in (H, Q):
         assert A.shape == (asm.n_int, asm.n_int)
@@ -417,12 +420,12 @@ def test_csc_pattern_is_built_by_the_first_newton_step():
     dom = GridDomain(OFFSET_BOX, (9, 12))
     cfg = SolverConfig(max_newton_iters=1)
     # the saddle xy is exact at every a: 0 Newton steps, no Hessian
-    asm = _Assembler(dom, P_AREA, cfg.quad_order)
+    asm = _Assembler(dom, P_AREA)
     xy = harmonic_extension(dom, field(dom, lambda x, y: x * y)).values
     result = _newton(asm, 1.0, xy, cfg, _LinearSolver())
     assert result.iterations == 0
     assert "_csc_pattern" not in vars(asm)
-    asm = _Assembler(dom, P_AREA, cfg.quad_order)
+    asm = _Assembler(dom, P_AREA)
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
     result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, _LinearSolver())
     assert result.iterations == 1
@@ -555,11 +558,13 @@ def test_continuation_matches_unpredicted_chain_in_fewer_steps():
     res = continuation_minimize(dom, P_AREA, phi, cfg)
     assert res.converged
     assert len(res.stages) == len(cfg.a_schedule)
-    chain = None
+    asm = _Assembler(dom, P_AREA)
+    values = harmonic_extension(dom, phi).values
     chain_steps = 0
     for a in cfg.a_schedule:
-        chain = solve_regularized(dom, P_AREA, a, phi, cfg, u0=chain.u if chain else None)
+        chain = _newton(asm, a, values, cfg, _LinearSolver())
         assert chain.converged
+        values = chain.u.values
         chain_steps += chain.iterations
     assert np.abs(res.u.values - chain.u.values).max() <= 1e-12
     assert res.iterations < chain_steps
@@ -584,7 +589,7 @@ def test_newton_tangent_is_the_a_derivative_of_the_solution(a):
     dom = dom_n(16)
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
     cfg = SolverConfig()
-    asm = _Assembler(dom, P_AREA, cfg.quad_order)
+    asm = _Assembler(dom, P_AREA)
     solver = _LinearSolver()
     result = _newton(asm, a, harmonic_extension(dom, phi).values, cfg, solver)
     assert result.converged
@@ -600,7 +605,7 @@ def test_zero_step_stage_gives_no_prediction():
     dom = dom_n(16)
     phi = field(dom, lambda x, y: x * y)
     cfg = SolverConfig()
-    asm = _Assembler(dom, P_AREA, cfg.quad_order)
+    asm = _Assembler(dom, P_AREA)
     result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, _LinearSolver())
     assert result.iterations == 0 and result.factorizations == 0
     # no step, no tangent: the next stage starts where this one ended
@@ -614,7 +619,7 @@ def test_predictor_is_used_only_when_it_lowers_the_energy():
     dom = dom_n(16)
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
     cfg = SolverConfig()
-    asm = _Assembler(dom, P_AREA, cfg.quad_order)
+    asm = _Assembler(dom, P_AREA)
     solver = _LinearSolver()
     result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, solver)
     tangent = _tangent(asm, 1.0, result.u.values, solver)
@@ -647,13 +652,15 @@ def test_solver_config_validation():
         SolverConfig(cg_rtol=1e-12)   # removed option
     with pytest.raises(TypeError):
         SolverConfig(line_search_max=0)   # removed option
+    for removed in ({"quad_order": 0}, {"quad_order": 4}):
+        with pytest.raises(TypeError):
+            SolverConfig(**removed)
     for bad in (
         {"newton_tol": 0.0},
         {"newton_tol": -1.0},
         {"newton_tol": math.nan},
         {"continuation_stop": -1e-6},
         {"max_newton_iters": 0},
-        {"quad_order": 0},
         {"newton_tol": math.inf},
         {"continuation_stop": math.inf},
         {"a_schedule": (math.inf, 1.0)},
@@ -671,8 +678,11 @@ def test_solver_config_validation():
 def test_rejects_nonpositive_a():
     dom = dom_n(8)
     phi = field(dom, lambda x, y: x)
-    with pytest.raises(ValueError):
-        solve_regularized(dom, ZERO, 0.0, phi)
+    for a in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            solve_regularized(dom, ZERO, a, phi)
+        with pytest.raises(ValueError):
+            solve_fixed_point(dom, ZERO, a, phi)
 
 
 def test_nonconvergence_is_reported_not_raised():
