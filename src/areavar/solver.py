@@ -14,10 +14,12 @@ O(h^2) consistency error on planes with the horizontal-area drift; with
 k x k Gauss points the quadrature error on such exact solutions drops to
 O(h^{2k}), which is what makes plane reproduction at 1e-8 possible.
 
-The SPD systems are solved by one `_LinearSolver` per solve.  It factorizes
-with SuperLU and keeps the latest factor; once Newton converges
-quadratically, and for each stage's tangent, it first runs conjugate
-gradients preconditioned with that factor.
+The SPD systems are solved by one `_LinearSolver` per solve.  It keeps the
+latest factor; once Newton converges quadratically, and for each stage's
+tangent, it first runs conjugate gradients preconditioned with that factor.
+The factor is a band Cholesky factor (LAPACK dpbtrf) on grids at most
+_BAND_LIMIT cells across, whose interior is numbered along the short axis
+first, and a SuperLU factor in nested-dissection order on larger grids.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .grids import (
     EnergySpec,
@@ -56,6 +59,13 @@ _REUSE_GATE = 10.0
 _PCG_RTOL = 1e-6
 _PCG_MAXITER = 5
 _TANGENT_RTOL = 1e-8
+# Grids whose short side has at most this many cells number the interior
+# lexicographically, short axis fastest, and factorize by band Cholesky of
+# half-bandwidth min(ncx, ncy): at 32^2 and 64^2 dpbtrf factorizes about 4x
+# and 2x faster than SuperLU.  Above, nested dissection's smaller fill wins
+# at 256^2, and with two BLAS threads dpbtrf turned erratic at 96^2-128^2
+# (BENCH_solver.json "band_limit", a 2-core host)
+_BAND_LIMIT = 64
 # Gauss points per axis of the energy quadrature (the module docstring says why)
 _QUAD_ORDER = 4
 # the Picard oracle's residual tolerance, iteration cap and step damping
@@ -104,7 +114,7 @@ class SolveResult:
     newton_energies: tuple = ()   # energy after each accepted Newton step
                                   # (of the last stage only, after a continuation)
     stages: tuple = ()            # continuation log: (a, iterations, sup diff)
-    factorizations: int = 0       # SuperLU factorizations of the whole call
+    factorizations: int = 0       # Hessian factorizations of the whole call
     pcg_iterations: int = 0       # CG iterations on a held factor, likewise
 
 
@@ -119,6 +129,9 @@ class _Assembler:
         self.vol = hx * hy
         ncx, ncy = dom.n_cells
         self.ncx, self.ncy = ncx, ncy
+        # the Hessian's half-bandwidth in the band numbering, None above
+        # _BAND_LIMIT (nested dissection and SuperLU)
+        self.kd = min(ncx, ncy) if min(ncx, ncy) <= _BAND_LIMIT else None
 
         t, w = np.polynomial.legendre.leggauss(quad_order)
         t = (t + 1.0) / 2.0
@@ -177,14 +190,18 @@ class _Assembler:
         ).reshape(G, 16)
 
     # -- interior numbering -------------------------------------------------
-    # interior node indices in nested-dissection order: the Hessian is
-    # assembled already permuted, and its natural-order LU has the fill of a
-    # nested-dissection factorization.  Numbered on first use: the Laplace
-    # initial guess never reads them
+    # interior node indices, the Hessian's row order: along the short axis
+    # first on band grids (kd not None), so the Hessian is a band matrix of
+    # half-bandwidth kd; else in nested-dissection order, so that the
+    # Hessian is assembled already permuted and its natural-order LU has the
+    # fill of a nested-dissection factorization.  Numbered on first use: the
+    # Laplace initial guess never reads them
 
     @cached_property
     def interior(self) -> np.ndarray:
-        return _nested_dissection(self.ncx, self.ncy)
+        if self.kd is None:
+            return _nested_dissection(self.ncx, self.ncy)
+        return _short_axis_first(self.ncx, self.ncy)
 
     @cached_property
     def n_int(self) -> int:
@@ -315,6 +332,18 @@ class _Assembler:
         np.cumsum(np.bincount(cols[starts], minlength=self.n_int), out=indptr[1:])
         return keep[order], starts, rows[starts], indptr
 
+    @cached_property
+    def band_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where `_interior_matrix`'s lower entries go in the band factor
+        (kd not None): their positions in the CSC data, and their flat
+        positions row - col + (kd + 1) col in the Fortran-order
+        (kd + 1, n_int) lower band."""
+        _, _, rows, indptr = self._csc_pattern
+        cols = np.repeat(np.arange(self.n_int), np.diff(indptr))
+        lower = np.flatnonzero(rows >= cols)
+        rows, cols = rows[lower], cols[lower]
+        return lower, rows - cols + (self.kd + 1) * cols
+
     def hessian_interior(
         self, values: np.ndarray, a: float, kin: tuple | None = None
     ) -> sp.csc_matrix:
@@ -363,6 +392,14 @@ class _Assembler:
         return out.reshape(values.shape)
 
 
+def _short_axis_first(ncx: int, ncy: int) -> np.ndarray:
+    """Node indices of the interior of an ncx x ncy cell grid, numbered line
+    by line with the shorter axis (y on a square) fastest: a node's 8
+    neighbours are at most min(ncx, ncy) positions away."""
+    nodes = np.arange(1, ncx)[:, None] * (ncy + 1) + np.arange(1, ncy)
+    return (nodes if ncy <= ncx else nodes.T).ravel()
+
+
 def _nested_dissection(ncx: int, ncy: int) -> np.ndarray:
     """Node indices of the interior of an ncx x ncy cell grid, numbered by
     geometric nested dissection (George 1973): split the longer side at its
@@ -391,19 +428,25 @@ def _nested_dissection(ncx: int, ncy: int) -> np.ndarray:
 
 
 class _LinearSolver:
-    """SPD solves for matrices assembled in nested-dissection order, holding
-    the latest SuperLU factor (natural column order, diagonal pivots) and
-    counting factorizations and CG iterations.
+    """SPD solves for the Hessians of one `_Assembler`, holding the latest
+    factor and counting factorizations and CG iterations.
 
     `solve(A, b, rtol)` first runs CG on A preconditioned with the held
     factor of an earlier matrix, starting from the factor's solve of b, and
     accepts |b - A x| <= rtol |b| within _PCG_MAXITER iterations.
     Otherwise, or with rtol None or no factor held, it factorizes A and
-    solves directly (b may then have several columns).  The factor lives
-    until the next factorization: about 60 MB at 256^2, 286 MB at 512^2.
+    solves directly (b may then have several columns).  On a band grid of
+    `asm` the factor is a band Cholesky factor, (kd + 1) n_int doubles:
+    2.1 MB at 64^2.  Otherwise, and without `asm`, it is a SuperLU factor in
+    natural column order with diagonal pivots, for matrices assembled in
+    nested-dissection order: about 60 MB at 256^2, 286 MB at 512^2.  The
+    factor lives until the next factorization.  A factorization that meets
+    a non-positive pivot (SuperLU: an exactly zero one) raises
+    np.linalg.LinAlgError and leaves no factor held.
     """
 
-    def __init__(self):
+    def __init__(self, asm: _Assembler | None = None):
+        self.asm = asm
         self.lu = None
         self.factorizations = 0
         self.pcg_iterations = 0
@@ -415,10 +458,16 @@ class _LinearSolver:
                 return x
         # drop the old factor first: two factors are never alive at once
         self.lu = None
-        self.lu = spla.splu(
-            A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
+        if self.asm is not None and self.asm.kd is not None:
+            self.lu = _band_cholesky(A, self.asm.kd, *self.asm.band_slots)
+        else:
+            try:
+                self.lu = spla.splu(
+                    A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True),
+                )
+            except RuntimeError as err:     # "Factor is exactly singular"
+                raise np.linalg.LinAlgError(str(err)) from err
         self.factorizations += 1
         return self.lu.solve(b)
 
@@ -441,6 +490,30 @@ class _LinearSolver:
             rho = rho_new
             self.pcg_iterations += 1
         return x if np.linalg.norm(r) <= tol else None
+
+
+class _BandCholesky:
+    """A lower band Cholesky factor in LAPACK's Fortran-order band storage,
+    with SuperLU's `solve(b)` (dpbtrs; b may have several columns)."""
+
+    def __init__(self, ab: np.ndarray):
+        self.ab = ab
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return dpbtrs(self.ab, b, lower=1)[0]
+
+
+def _band_cholesky(A: sp.csc_matrix, kd: int, lower: np.ndarray, slots: np.ndarray) -> _BandCholesky:
+    """Factorize the SPD matrix A of half-bandwidth kd by dpbtrf: its lower
+    entries, at `lower` in A.data, are scattered to `slots` of a zeroed
+    (kd + 1, n) band, which dpbtrf overwrites with the factor.  The band is
+    Fortran-ordered because the LAPACK wrapper would copy a C-ordered one."""
+    ab = np.zeros((kd + 1, A.shape[0]), order="F")
+    ab.reshape(-1, order="F")[slots] = A.data[lower]
+    ab, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"band Cholesky: non-positive pivot in column {info}")
+    return _BandCholesky(ab)
 
 
 def harmonic_extension(dom: GridDomain, phi: ScalarField) -> ScalarField:
@@ -520,7 +593,10 @@ def _newton(
         # the solve: a factorization is the step's memory peak
         kin = kin_trial = None
         quadratic = res * _REUSE_GATE <= res_prev
-        d = solver.solve(H, -g_int, _PCG_RTOL if quadratic else None)
+        try:
+            d = solver.solve(H, -g_int, _PCG_RTOL if quadratic else None)
+        except np.linalg.LinAlgError:
+            break               # a failed factorization: the stage does not converge
         slope = float(g_int @ d)
         if slope > 0:           # safeguard: fall back to steepest descent
             d = -g_int
@@ -582,15 +658,18 @@ def _result(
 
 def _tangent(
     asm: _Assembler, a: float, values: np.ndarray, solver: _LinearSolver
-) -> np.ndarray:
+) -> np.ndarray | None:
     """du/da on the interior at a converged iterate, -H^-1 dg/da: by PCG on
     the held factor of the stage's last Newton step, else by a new
-    factorization."""
+    factorization; None, no prediction, if that factorization fails."""
     kin = asm.kinematics(values, a)
     H = asm.hessian_interior(values, a, kin)
     rhs = -asm.gradient_a(values, a, kin).ravel()[asm.interior]
     kin = None                  # released before a possible factorization
-    return solver.solve(H, rhs, _TANGENT_RTOL)
+    try:
+        return solver.solve(H, rhs, _TANGENT_RTOL)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _euler_predict(
@@ -623,7 +702,7 @@ def continuation_minimize(
     """
     cfg = cfg or SolverConfig()
     asm = _Assembler(dom, spec)
-    solver = _LinearSolver()
+    solver = _LinearSolver(asm)
     values = harmonic_extension(dom, phi).values
     stages = []
     result = None
@@ -671,7 +750,7 @@ def solve_fixed_point(dom: GridDomain, spec: EnergySpec, a: float, phi: ScalarFi
     if not 0 < a < math.inf:
         raise ValueError("regularization parameter a must be finite and positive")
     asm = _Assembler(dom, spec)
-    solver = _LinearSolver()
+    solver = _LinearSolver(asm)
     values = harmonic_extension(dom, phi).values
     iterations = 0
     converged = False

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from areavar import solver as solver_module
 from areavar.cli import main
 from areavar.grids import GridDomain, ScalarField, read_scalar_csv, write_scalar_csv
 
@@ -157,6 +159,31 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
     assert load(out / "report.json")["converged"] is False
+
+
+def _fail_band(ab, **kwargs):
+    return ab, 1                    # dpbtrf's info: a non-positive pivot
+
+
+def _fail_superlu(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("n, module, name, fail", [
+    (16, solver_module, "dpbtrf", _fail_band),      # band Cholesky grid
+    (65, spla, "splu", _fail_superlu),              # nested-dissection grid
+])
+def test_solve_failed_factorization_exit_3(tmp_path, capsys, monkeypatch, n, module, name, fail):
+    monkeypatch.setattr(module, name, fail)
+    payload = dict(SOLVE_XY, domain={"extents": [[-1, 1], [-1, 1]], "n_cells": [n, n]},
+                   boundary={"expression": "x*y + 0.3*sin(2*x + 0.3*y)"})
+    cfg = write_cfg(tmp_path, "solve.json", payload)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    rep = load(out / "report.json")
+    assert rep["converged"] is False and rep["iterations"] == 0
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["exit_code"] == 3
 
 
 @pytest.mark.parametrize(

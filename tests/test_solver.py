@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import areavar.solver as solver_module
 from areavar.grids import (
     EnergySpec,
     GridDomain,
@@ -14,7 +15,9 @@ from areavar.grids import (
     singular_set,
 )
 from areavar.solver import (
+    _BAND_LIMIT,
     _PCG_MAXITER,
+    _TANGENT_RTOL,
     SolverConfig,
     _Assembler,
     _euler_predict,
@@ -407,13 +410,22 @@ def test_interior_ordering_is_a_permutation_of_the_interior_nodes(n_cells):
     assert np.array_equal(asm.idx_of_node[asm.interior], np.arange(asm.n_int))
 
 
-@pytest.mark.parametrize("n_cells", [(2, 2), (7, 3), (32, 35)])
+@pytest.mark.parametrize("n_cells", [(2, 2), (7, 3), (32, 35), (64, 12), (65, 70), (72, 65)])
 def test_interior_is_numbered_by_nested_dissection_on_first_use(n_cells):
+    # by nested dissection above _BAND_LIMIT cells across, else line by line
+    # with the short axis fastest
     asm = _Assembler(GridDomain(OFFSET_BOX, n_cells), ZERO, 2)
     asm.quadratic_gradient_full(np.zeros((n_cells[0] + 1, n_cells[1] + 1)),
                                 np.ones((asm.ncx, asm.ncy, asm.G)))
     assert "interior" not in vars(asm)
-    assert np.array_equal(asm.interior, _nested_dissection(*n_cells))
+    if min(n_cells) > _BAND_LIMIT:
+        assert asm.kd is None
+        assert np.array_equal(asm.interior, _nested_dissection(*n_cells))
+        return
+    assert asm.kd == min(n_cells)
+    i, j = np.divmod(asm.interior, n_cells[1] + 1)
+    long_axis, short_axis = (i, j) if n_cells[1] <= n_cells[0] else (j, i)
+    assert np.array_equal(np.lexsort((short_axis, long_axis)), np.arange(asm.n_int))
 
 
 def test_csc_pattern_is_built_by_the_first_newton_step():
@@ -498,21 +510,30 @@ def test_two_column_solve_matches_spsolve_per_column():
 
 
 def test_linear_solver_runs_pcg_on_its_held_factor(monkeypatch):
-    dom = dom_n(32)
+    # 32^2 factorizes by band Cholesky, 72^2 by SuperLU
+    for n in (32, 72):
+        with monkeypatch.context() as patch:
+            _check_pcg_on_held_factor(patch, n)
+
+
+def _check_pcg_on_held_factor(monkeypatch, n):
+    dom = dom_n(n)
     asm = _Assembler(dom, P_AREA, 4)
     u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
     b = -asm.gradient_full(u, 0.1).ravel()[asm.interior]
     # the Hessian at a = 0.1, a perturbed copy near it and one far from it
     A, near, far = (asm.hessian_interior(u, a) for a in (0.1, 0.09, 0.01))
-    solver = _LinearSolver()
+    solver = _LinearSolver(asm)
     splu = spla.splu
+    module, name = (solver_module, "_band_cholesky") if asm.kd is not None else (spla, "splu")
+    factorize = getattr(module, name)
     dropped = []
 
     def spy(*args, **kwargs):
         dropped.append(solver.lu is None)       # the old factor is released first
-        return splu(*args, **kwargs)
+        return factorize(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", spy)
+    monkeypatch.setattr(module, name, spy)
     solver.solve(A, b)
     held = solver.lu
     assert (solver.factorizations, solver.pcg_iterations) == (1, 0)
@@ -534,6 +555,122 @@ def test_linear_solver_runs_pcg_on_its_held_factor(monkeypatch):
     solver.solve(far, b)
     assert solver.factorizations == 3 and solver.pcg_iterations == before + _PCG_MAXITER
     assert dropped == [True, True, True]
+
+
+# ---- band Cholesky path ---------------------------------------------------------
+
+
+def _smooth_hessian(n_cells, a=1e-2):
+    dom = GridDomain(OFFSET_BOX, n_cells)
+    asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3), 4)
+    u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
+    return asm, u, asm.hessian_interior(u, a), -asm.gradient_full(u, a).ravel()[asm.interior]
+
+
+@pytest.mark.parametrize("n_cells", [(32, 32), (12, 40), (40, 12)])
+def test_band_scatter_holds_every_lower_csc_entry(monkeypatch, n_cells):
+    asm, _, A, b = _smooth_hessian(n_cells)
+    bands = []
+    dpbtrf = solver_module.dpbtrf
+
+    def spy(ab, **kwargs):
+        bands.append((ab.flags.f_contiguous, ab.copy()))
+        return dpbtrf(ab, **kwargs)
+
+    monkeypatch.setattr(solver_module, "dpbtrf", spy)
+    _LinearSolver(asm).solve(A, b)
+    ((fortran, ab),) = bands
+    assert fortran and ab.shape == (asm.kd + 1, asm.n_int)
+    # row k of the lower band is the k-th subdiagonal, zero-padded at its end
+    D = A.toarray()
+    assert np.abs(np.tril(D, -asm.kd - 1)).max() == 0.0
+    for k in range(asm.kd + 1):
+        sub = np.diagonal(D, -k)
+        assert np.array_equal(ab[k, : sub.size].view(np.int64), sub.view(np.int64))
+        assert not ab[k, sub.size:].any()
+
+
+@pytest.mark.parametrize("n_cells", [(32, 32), (12, 40), (40, 12)])
+def test_band_and_superlu_solves_agree(n_cells):
+    asm, _, A, b = _smooth_hessian(n_cells)
+    assert asm.kd == min(n_cells)
+    band = _LinearSolver(asm)
+    x = band.solve(A, b)
+    assert isinstance(band.lu, solver_module._BandCholesky)
+    ref = _LinearSolver().solve(A, b)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n, banded", [(64, True), (65, False)])
+def test_band_path_runs_up_to_the_limit(n, banded):
+    assert _BAND_LIMIT == 64
+    asm, _, A, b = _smooth_hessian((n, n))
+    solver = _LinearSolver(asm)
+    solver.solve(A, b)
+    assert asm.kd == (n if banded else None)
+    assert isinstance(solver.lu, solver_module._BandCholesky) is banded
+    assert isinstance(solver.lu, spla.SuperLU) is not banded
+
+
+def test_band_two_column_solve_is_two_single_solves():
+    asm, u, A, g = _smooth_hessian((32, 35))
+    rhs = np.column_stack([g, -asm.gradient_a(u, 1e-2).ravel()[asm.interior]])
+    solver = _LinearSolver(asm)
+    x = solver.solve(A, rhs)
+    assert x.shape == rhs.shape and asm.kd is not None
+    for k in range(2):
+        assert np.array_equal(x[:, k], solver.lu.solve(rhs[:, k]))
+
+
+def _fail_band(ab, **kwargs):
+    return ab, 3                    # dpbtrf's info: a non-positive pivot at column 3
+
+
+def _fail_superlu(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("n, module, name, fail", [
+    (16, solver_module, "dpbtrf", _fail_band),
+    (65, spla, "splu", _fail_superlu),
+])
+def test_failed_factorization_ends_the_stage_unconverged(monkeypatch, n, module, name, fail):
+    monkeypatch.setattr(module, name, fail)
+    asm, u, A, b = _smooth_hessian((n, n))
+    solver = _LinearSolver(asm)
+    with pytest.raises(np.linalg.LinAlgError):
+        solver.solve(A, b)
+    assert solver.lu is None and solver.factorizations == 0
+    phi = field(asm.dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+    res = continuation_minimize(asm.dom, P_AREA, phi)
+    assert not res.converged and res.iterations == 0 and res.factorizations == 0
+    assert res.stages == ((1.0, 0, math.inf),)
+    assert np.isfinite(res.residual_norm) and res.residual_norm > SolverConfig().newton_tol
+
+
+def test_failed_tangent_factorization_predicts_nothing(monkeypatch):
+    dom = dom_n(16)
+    phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+    solve = _LinearSolver.solve
+
+    def fail_tangent(self, A, b, rtol=None):
+        if rtol == _TANGENT_RTOL:
+            raise np.linalg.LinAlgError("band Cholesky: non-positive pivot in column 1")
+        return solve(self, A, b, rtol)
+
+    monkeypatch.setattr(_LinearSolver, "solve", fail_tangent)
+    asm = _Assembler(dom, P_AREA)
+    solver = _LinearSolver(asm)
+    result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, SolverConfig(), solver)
+    assert _tangent(asm, 1.0, result.u.values, solver) is None
+    # every stage then starts from the last one's end, and still converges
+    res = continuation_minimize(dom, P_AREA, phi, SolverConfig(a_schedule=(1.0, 0.25)))
+    assert res.converged
+    values = result.u.values
+    for a in (1.0, 0.25):
+        chain = _newton(asm, a, values, SolverConfig(), _LinearSolver(asm))
+        values = chain.u.values
+    assert np.array_equal(res.u.values, values)
 
 
 def test_solve_large_reference_problem_reuses_factors():

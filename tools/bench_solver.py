@@ -5,11 +5,12 @@
 For each grid size n, one fresh process solves the p_area problem on
 [-1, 1]^2 with n x n cells, boundary data xy + 0.3 sin(2x + 0.3y) and the
 default SolverConfig: once untimed by the profiler (wall time, Newton steps
-in all and per stage, PCG iterations, peak RSS, and a digest of the final
-nodal values, so that two source trees can be checked to return the same
-field bit for bit), then once under cProfile for the per-phase split and the
-count of SuperLU factorizations.  Each line of output is one JSON object.
-These are single runs.
+in all and per stage, factorizations, PCG iterations, peak RSS, and a digest
+of the final nodal values, so that two source trees can be checked to return
+the same field bit for bit), then once under cProfile for the per-phase
+split.  Each line of output is one JSON object, with the BLAS thread cap
+(OPENBLAS_NUM_THREADS, unset unless the caller sets it) and the usable CPU
+count.  These are single runs.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import argparse
 import cProfile
 import hashlib
 import json
+import os
 import pstats
 import resource
 import subprocess
@@ -43,6 +45,7 @@ def _own(stats: dict, name: str, column: int, file: str = "") -> float:
 
 
 GSTRF = "<built-in method scipy.sparse.linalg._dsolve._superlu.gstrf>"   # SuperLU factorization
+BAND = "_band_cholesky"     # band Cholesky factorization: scatter and dpbtrf
 
 
 def run_one(n: int) -> dict:
@@ -70,11 +73,13 @@ def run_one(n: int) -> dict:
         "gradient": _edge(st, "gradient_full", newton),
         "tangent_rhs": _edge(st, "gradient_a", newton),
         "hessian_assembly": _edge(st, "hessian_interior", newton),
-        "factorization": _own(st, GSTRF, 2),
+        "factorization": _own(st, GSTRF, 2) + _own(st, BAND, 3, "solver.py"),
         # direct solves after a factorization (by `_spd_solve` in older
-        # checkouts); the solves inside PCG are in "pcg"
+        # checkouts), SuperLU's or the band factor's `solve`; the solves
+        # inside PCG are in "pcg"
         "triangular_solve": _edge(st, "<method 'solve' of 'SuperLU' objects>",
-                                  ("solve", "_spd_solve")),
+                                  ("solve", "_spd_solve"))
+        + _edge(st, "solve", ("solve",), "solver.py"),
         "pcg": _own(st, "_pcg", 3, "solver.py"),
         "line_search": sum(_edge(st, f, newton) for f in ("energy", "residual_norm", "scatter_interior")),
         "predictor": _own(st, "_euler_predict", 3),
@@ -87,12 +92,15 @@ def run_one(n: int) -> dict:
         "newton_steps": res.iterations,
         "stages": len(res.stages),
         "stage_steps": [s[1] for s in res.stages],
-        # counted by the profiler, so a checkout without the counters is timed too
-        "factorizations": _own(st, GSTRF, 1),
+        # a checkout without the counter has only SuperLU's, counted by the profiler
+        "factorizations": res.factorizations if hasattr(res, "factorizations")
+        else _own(st, GSTRF, 1),
         "pcg_iterations": getattr(res, "pcg_iterations", 0),
         "converged": bool(res.converged),
         "digest": hashlib.sha256(res.u.values.tobytes()).hexdigest()[:16],
         "peak_rss_mb": round(rss, 1),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "nproc": len(os.sched_getaffinity(0)),
         "profiled_s": round(total, 3),
         "phases_s": {k: round(v, 3) for k, v in phases.items()},
     }
