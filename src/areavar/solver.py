@@ -14,12 +14,15 @@ O(h^2) consistency error on planes with the horizontal-area drift; with
 k x k Gauss points the quadrature error on such exact solutions drops to
 O(h^{2k}), which is what makes plane reproduction at 1e-8 possible.
 
-The SPD systems are solved by one `_LinearSolver` per solve.  It keeps the
-latest factor; once Newton converges quadratically, and for each stage's
-tangent, it first runs conjugate gradients preconditioned with that factor.
-The factor is a band Cholesky factor (LAPACK dpbtrf) on grids at most
-_BAND_LIMIT cells across, whose interior is numbered along the short axis
-first, and a SuperLU factor in nested-dissection order on larger grids.
+On grids at most _BAND_LIMIT cells across the interior is numbered along
+the short axis first, so the Hessian is a 9-point stencil: it is assembled
+as its diagonals (`_Stencil`) straight from the cell blocks.  On larger
+grids the interior is numbered by nested dissection and the Hessian is a
+CSC matrix.  The SPD systems are solved by one `_LinearSolver` per solve:
+band Cholesky (LAPACK dpbtrf) for a stencil, SuperLU for a CSC matrix.  It
+keeps the latest factor; once Newton converges quadratically, and for each
+stage's tangent, it first runs conjugate gradients preconditioned with that
+factor.
 """
 from __future__ import annotations
 
@@ -162,9 +165,13 @@ class _Assembler:
         F = spec.F_at(dom, Xg, Yg)                         # (ncx, ncy, G, 2)
         self.Fx, self.Fy = F[..., 0], F[..., 1]
 
-        Hc = spec.H_cells(dom)
-        # linear bulk term: integral of H * shape_k over each cell
-        self.Hlin = self.vol * Hc[..., None] * (self.wq[None, None, :] @ self.S)
+        # linear bulk term: integral of H * shape_k over each cell; None for
+        # a scalar H = 0, whose term would add +-0 to every cell (as in
+        # grids.area_energy)
+        self.Hlin = None
+        if not (np.isscalar(spec.H) and spec.H == 0):
+            Hc = spec.H_cells(dom)
+            self.Hlin = self.vol * Hc[..., None] * (self.wq[None, None, :] @ self.S)
 
         ny1 = ncy + 1
         ii, jj = np.meshgrid(np.arange(ncx), np.arange(ncy), indexing="ij")
@@ -205,7 +212,7 @@ class _Assembler:
 
     @cached_property
     def n_int(self) -> int:
-        return self.interior.size
+        return (self.ncx - 1) * (self.ncy - 1)
 
     @cached_property
     def idx_of_node(self) -> np.ndarray:
@@ -245,8 +252,9 @@ class _Assembler:
     def energy(self, values: np.ndarray, a: float, kin: tuple | None = None) -> float:
         r = (kin or self.kinematics(values, a))[2]
         cell = self.vol * (r.reshape(-1, self.G) @ self.wq)
-        U = self.corners(values).reshape(-1, 4)
-        cell += np.einsum("ck,ck->c", self.Hlin.reshape(-1, 4), U)
+        if self.Hlin is not None:
+            U = self.corners(values).reshape(-1, 4)
+            cell += np.einsum("ck,ck->c", self.Hlin.reshape(-1, 4), U)
         return pairwise_sum(cell)
 
     def _node_gradient(self, wx: np.ndarray, wy: np.ndarray, h_term: bool = True) -> np.ndarray:
@@ -255,9 +263,9 @@ class _Assembler:
         G = self.G
         C = wx.reshape(-1, G) @ self.WDx
         C += wy.reshape(-1, G) @ self.WDy
-        if h_term:
+        if h_term and self.Hlin is not None:
             C += self.Hlin.reshape(-1, 4)
-        C = C.reshape(self.Hlin.shape)
+        C = C.reshape(self.ncx, self.ncy, 4)
         out = np.zeros((self.ncx + 1, self.ncy + 1))
         out[:-1, :-1] += C[..., 0]
         out[1:, :-1] += C[..., 1]
@@ -278,14 +286,40 @@ class _Assembler:
         return self._node_gradient(c * mx, c * my, h_term=False)
 
     def residual_norm(self, values: np.ndarray, a: float, kin: tuple | None = None) -> float:
-        g = self.gradient_full(values, a, kin).ravel()
         if not self.n_int:
             return 0.0
-        return float(np.abs(g[self.interior]).max()) / self.vol
+        # the interior in any order: max is exact
+        g = self.gradient_full(values, a, kin)[1:-1, 1:-1]
+        return float(np.abs(g).max()) / self.vol
+
+    def _band_interior(self, full: np.ndarray) -> np.ndarray:
+        """On band grids, the view of a nodal array's interior whose C order
+        is the order of `interior`: transposed when y is the long axis."""
+        inner = full[1:-1, 1:-1]
+        return inner.T if self.ncy > self.ncx else inner
+
+    def gather_interior(self, full: np.ndarray) -> np.ndarray:
+        """The interior entries of a nodal array (nx+1, ny+1), in the order
+        of `interior`."""
+        if self.kd is None:
+            return full.ravel()[self.interior]
+        return self._band_interior(full).ravel()
+
+    def scatter_interior(self, values: np.ndarray, d_int: np.ndarray) -> np.ndarray:
+        """`values` with d_int, in the order of `interior`, added to its
+        interior nodes."""
+        if self.kd is None:
+            out = values.ravel().copy()
+            out[self.interior] += d_int
+            return out.reshape(values.shape)
+        out = values.copy()
+        inner = self._band_interior(out)
+        inner += d_int.reshape(inner.shape)
+        return out
 
     def stiffness(
         self, a11: np.ndarray, a12: np.ndarray | None, a22: np.ndarray
-    ) -> sp.csc_matrix:
+    ) -> _Stencil | sp.csc_matrix:
         """Interior stiffness of the per-quadrature-point coefficient matrix
         [[a11, a12], [a12, a22]] (each (ncx, ncy, G); a12=None means 0),
         in the order of `interior`."""
@@ -296,7 +330,73 @@ class _Assembler:
             K += a12.reshape(-1, G) @ self.Txy
         return self._interior_matrix(K)
 
-    def _interior_matrix(self, K: np.ndarray) -> sp.csc_matrix:
+    def _interior_matrix(self, K: np.ndarray) -> _Stencil | sp.csc_matrix:
+        """The interior matrix of the (cells, 16) cell blocks K: a `_Stencil`
+        on band grids, else a CSC matrix that takes over K's buffer.  Both
+        sum each entry's cell terms in ascending cell order, as
+        np.add.reduceat does, so their entries have the same bits."""
+        if self.kd is not None:
+            return self._stencil(K)
+        return self._csc(K)
+
+    def _stencil(self, K: np.ndarray) -> _Stencil:
+        """The 9 diagonals of the band-grid matrix of the cell blocks K,
+        each summed from strided slices of them."""
+        B = K.reshape(self.ncx, self.ncy, 4, 4)     # [ci, cj, row corner, col corner]
+        offsets, terms = self._stencil_terms
+        data = np.zeros((offsets.size, self.n_int))
+        # each data[k] as the (ncx - 1, ncy - 1) interior, indexed like the nodes
+        if self.ncy > self.ncx:
+            inner = data.reshape(-1, self.ncy - 1, self.ncx - 1).transpose(0, 2, 1)
+        else:
+            inner = data.reshape(-1, self.ncx - 1, self.ncy - 1)
+        for k, dst, cells in terms:
+            out = inner[k][dst]
+            x = [B[c] for c in cells]
+            if len(x) == 1:
+                out[...] = x[0]
+            elif len(x) == 2:
+                np.add(x[0], x[1], out=out)
+            else:                                   # reduceat's x0 + ((x1 + x2) + x3)
+                t = x[1] + x[2]
+                t += x[3]
+                np.add(x[0], t, out=out)
+        return _Stencil(data, offsets)
+
+    @cached_property
+    def _stencil_terms(self) -> tuple:
+        """The stencil's offsets, ascending and distinct, and for each of a
+        node's 9 neighbour relations: its row in the data, the slice of
+        interior nodes (as columns) that have that neighbour inside, and
+        the cell-block slices that sum to the entry, in ascending cell
+        order.  On a grid 2 or 3 cells across two relations can share an
+        offset; their nodes never overlap."""
+        ncx, ncy = self.ncx, self.ncy
+        # the position of interior node (i, j) is (i - 1) sx + (j - 1) sy
+        ns = min(ncx, ncy) - 1
+        sx, sy = (1, ns) if ncy > ncx else (ns, 1)
+        rel = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+        # data[k, col] = A[col - off, col]: the row node is (i + di, j + dj)
+        offsets = np.unique([-(di * sx + dj * sy) for di, dj in rel])
+        terms = []
+        for di, dj in rel:
+            # column nodes i0 <= i < i1, j0 <= j < j1 with the row node inside
+            i0, i1 = max(1, 1 - di), min(ncx, ncx - di)
+            j0, j1 = max(1, 1 - dj), min(ncy, ncy - dj)
+            if i0 >= i1 or j0 >= j1:
+                continue
+            cells = []
+            for si in (-1, 0):                      # cell (i + si, j + sj)
+                for sj in (-1, 0):
+                    if di - si in (0, 1) and dj - sj in (0, 1):
+                        row = (di - si) + 2 * (dj - sj)
+                        col = -si - 2 * sj
+                        cells.append((slice(i0 + si, i1 + si), slice(j0 + sj, j1 + sj), row, col))
+            k = int(np.searchsorted(offsets, -(di * sx + dj * sy)))
+            terms.append((k, (slice(i0 - 1, i1 - 1), slice(j0 - 1, j1 - 1)), cells))
+        return offsets, terms
+
+    def _csc(self, K: np.ndarray) -> sp.csc_matrix:
         """The interior CSC matrix of the (cells, 16) cell blocks K, whose
         buffer it takes over."""
         gather, starts, indices, indptr = self._csc_pattern
@@ -313,11 +413,10 @@ class _Assembler:
 
     @cached_property
     def _csc_pattern(self) -> tuple:
-        """The CSC pattern of `_interior_matrix`, computed on its first call
-        (never for 0-step solves): the cell-matrix entries in column-major
-        (column, row) order as int32 positions into the (cells, 16) block
-        array, the first entry of each nonzero, and the CSC
-        `indices`/`indptr`."""
+        """The CSC pattern of `_csc`, computed on its first call (never for
+        0-step solves): the cell-matrix entries in column-major (column,
+        row) order as int32 positions into the (cells, 16) block array, the
+        first entry of each nonzero, and the CSC `indices`/`indptr`."""
         local = self.idx_of_node[self.corner_nodes].reshape(-1, 4)
         rows = np.repeat(local, 4, axis=1).ravel()
         cols = np.tile(local, (1, 4)).ravel()
@@ -332,21 +431,9 @@ class _Assembler:
         np.cumsum(np.bincount(cols[starts], minlength=self.n_int), out=indptr[1:])
         return keep[order], starts, rows[starts], indptr
 
-    @cached_property
-    def band_slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """Where `_interior_matrix`'s lower entries go in the band factor
-        (kd not None): their positions in the CSC data, and their flat
-        positions row - col + (kd + 1) col in the Fortran-order
-        (kd + 1, n_int) lower band."""
-        _, _, rows, indptr = self._csc_pattern
-        cols = np.repeat(np.arange(self.n_int), np.diff(indptr))
-        lower = np.flatnonzero(rows >= cols)
-        rows, cols = rows[lower], cols[lower]
-        return lower, rows - cols + (self.kd + 1) * cols
-
     def hessian_interior(
         self, values: np.ndarray, a: float, kin: tuple | None = None
-    ) -> sp.csc_matrix:
+    ) -> _Stencil | sp.csc_matrix:
         """Interior Hessian: `stiffness(a11, a12, a22)` of the coefficients
         1/r - m m^T / r^3, bit for bit.
 
@@ -354,9 +441,10 @@ class _Assembler:
         into the cell blocks before the next one is formed, in stiffness's
         order (a11, a22, a12), so that beside the kinematics at most four
         arrays of the quadrature size are alive (33.5 MB each at 512^2,
-        while the Newton step holds the last factor).  The blocks, which the
-        matrix keeps, are allocated first: allocated after the temporaries,
-        they raised the resident peak of a 64^2 solve by about 4 MB.
+        while the Newton step holds the last factor).  The blocks, which a
+        CSC matrix keeps, are allocated first: allocated after the
+        temporaries, they raised the resident peak of a 64^2 solve by about
+        4 MB.
         """
         mx, my, r = kin or self.kinematics(values, a)
         G = self.G
@@ -385,11 +473,6 @@ class _Assembler:
         """Gradient of the frozen quadratic (plus the H term) at every node."""
         mx, my = self.field_at_quad(values)
         return self._node_gradient(coeff * mx, coeff * my)
-
-    def scatter_interior(self, values: np.ndarray, d_int: np.ndarray) -> np.ndarray:
-        out = values.ravel().copy()
-        out[self.interior] += d_int
-        return out.reshape(values.shape)
 
 
 def _short_axis_first(ncx: int, ncy: int) -> np.ndarray:
@@ -427,39 +510,83 @@ def _nested_dissection(ncx: int, ncy: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+class _Stencil:
+    """The interior matrix of a band grid as its diagonals in scipy's DIA
+    layout, data[k, col] = A[col - offsets[k], col] with the offsets
+    ascending: a 9-point stencil whose rows and columns number the interior
+    line by line, short axis fastest.  Slots that hold no entry are 0: those
+    past the matrix's edge, and those of node pairs that are not
+    neighbours."""
+
+    def __init__(self, data: np.ndarray, offsets: np.ndarray):
+        self.data = data
+        self.offsets = offsets
+        n = data.shape[1]
+        self.shape = (n, n)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A x for a vector x, bit for bit scipy's CSC product: each row
+        adds its terms in ascending column, that is ascending offset, order
+        into zeros."""
+        y = np.zeros(self.shape[0])
+        t = np.empty(self.shape[0])
+        for d, cols, rows in self._diagonals:
+            p = t[: d.size]
+            np.multiply(d, x[cols], out=p)
+            y[rows] += p
+        return y
+
+    @cached_property
+    def _diagonals(self) -> list:
+        """The entries of each diagonal inside the matrix, with the columns
+        they multiply and the rows they add to; computed on the first
+        product."""
+        n = self.shape[0]
+        out = []
+        for d, off in zip(self.data, self.offsets.tolist()):
+            m = n - abs(off)
+            if m > 0:
+                c = max(off, 0)
+                out.append((d[c:c + m], slice(c, c + m), slice(c - off, c - off + m)))
+        return out
+
+    def tocsc(self) -> sp.csc_matrix:
+        return sp.dia_matrix((self.data, self.offsets), shape=self.shape).tocsc()
+
+
 class _LinearSolver:
-    """SPD solves for the Hessians of one `_Assembler`, holding the latest
-    factor and counting factorizations and CG iterations.
+    """SPD solves of one Newton or Picard solve, holding the latest factor
+    and counting factorizations and CG iterations.
 
     `solve(A, b, rtol)` first runs CG on A preconditioned with the held
     factor of an earlier matrix, starting from the factor's solve of b, and
     accepts |b - A x| <= rtol |b| within _PCG_MAXITER iterations.
     Otherwise, or with rtol None or no factor held, it factorizes A and
-    solves directly (b may then have several columns).  On a band grid of
-    `asm` the factor is a band Cholesky factor, (kd + 1) n_int doubles:
-    2.1 MB at 64^2.  Otherwise, and without `asm`, it is a SuperLU factor in
-    natural column order with diagonal pivots, for matrices assembled in
-    nested-dissection order: about 60 MB at 256^2, 286 MB at 512^2.  The
-    factor lives until the next factorization.  A factorization that meets
-    a non-positive pivot (SuperLU: an exactly zero one) raises
-    np.linalg.LinAlgError and leaves no factor held.
+    solves directly (b may then have several columns).  The kind of A picks
+    the factor: a `_Stencil` gets a band Cholesky factor of half-bandwidth
+    max(offsets), (kd + 1) n doubles (2.1 MB at 64^2); a CSC matrix, which
+    is assembled in nested-dissection order, gets a SuperLU factor in
+    natural column order with diagonal pivots: about 60 MB at 256^2, 286 MB
+    at 512^2.  The factor lives until the next factorization.  A
+    factorization that meets a non-positive pivot (SuperLU: an exactly zero
+    one) raises np.linalg.LinAlgError and leaves no factor held.
     """
 
-    def __init__(self, asm: _Assembler | None = None):
-        self.asm = asm
+    def __init__(self):
         self.lu = None
         self.factorizations = 0
         self.pcg_iterations = 0
 
-    def solve(self, A: sp.csc_matrix, b: np.ndarray, rtol: float | None = None) -> np.ndarray:
+    def solve(self, A: _Stencil | sp.csc_matrix, b: np.ndarray,
+              rtol: float | None = None) -> np.ndarray:
         if rtol is not None and self.lu is not None:
             x = self._pcg(A, b, rtol)
             if x is not None:
                 return x
         # drop the old factor first: two factors are never alive at once
         self.lu = None
-        if self.asm is not None and self.asm.kd is not None:
-            self.lu = _band_cholesky(A, self.asm.kd, *self.asm.band_slots)
+        if isinstance(A, _Stencil):
+            self.lu = _band_cholesky(A)
         else:
             try:
                 self.lu = spla.splu(
@@ -471,7 +598,7 @@ class _LinearSolver:
         self.factorizations += 1
         return self.lu.solve(b)
 
-    def _pcg(self, A: sp.csc_matrix, b: np.ndarray, rtol: float) -> np.ndarray | None:
+    def _pcg(self, A: _Stencil | sp.csc_matrix, b: np.ndarray, rtol: float) -> np.ndarray | None:
         precond = self.lu.solve
         x = precond(b)
         r = b - A @ x
@@ -503,13 +630,15 @@ class _BandCholesky:
         return dpbtrs(self.ab, b, lower=1)[0]
 
 
-def _band_cholesky(A: sp.csc_matrix, kd: int, lower: np.ndarray, slots: np.ndarray) -> _BandCholesky:
-    """Factorize the SPD matrix A of half-bandwidth kd by dpbtrf: its lower
-    entries, at `lower` in A.data, are scattered to `slots` of a zeroed
-    (kd + 1, n) band, which dpbtrf overwrites with the factor.  The band is
-    Fortran-ordered because the LAPACK wrapper would copy a C-ordered one."""
-    ab = np.zeros((kd + 1, A.shape[0]), order="F")
-    ab.reshape(-1, order="F")[slots] = A.data[lower]
+def _band_cholesky(A: _Stencil) -> _BandCholesky:
+    """Factorize the SPD stencil A by dpbtrf: its diagonals with offset
+    -k <= 0 are rows k of a zeroed (kd + 1, n) lower band, kd = max(offsets),
+    which dpbtrf overwrites with the factor.  The band is Fortran-ordered
+    because the LAPACK wrapper would copy a C-ordered one."""
+    ab = np.zeros((A.offsets[-1] + 1, A.shape[0]), order="F")
+    for d, off in zip(A.data, A.offsets):
+        if off <= 0:
+            ab[-off] = d
     ab, info = dpbtrf(ab, lower=1, overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"band Cholesky: non-positive pivot in column {info}")
@@ -584,7 +713,7 @@ def _newton(
     E = asm.energy(values, a, kin)
     res_prev = 0.0              # no accepted step yet: the gate is closed
     for _ in range(cfg.max_newton_iters):
-        g_int = asm.gradient_full(values, a, kin).ravel()[asm.interior]
+        g_int = asm.gather_interior(asm.gradient_full(values, a, kin))
         res = float(np.abs(g_int).max()) / asm.vol if asm.n_int else 0.0
         if res <= cfg.newton_tol:
             break
@@ -664,7 +793,7 @@ def _tangent(
     factorization; None, no prediction, if that factorization fails."""
     kin = asm.kinematics(values, a)
     H = asm.hessian_interior(values, a, kin)
-    rhs = -asm.gradient_a(values, a, kin).ravel()[asm.interior]
+    rhs = -asm.gather_interior(asm.gradient_a(values, a, kin))
     kin = None                  # released before a possible factorization
     try:
         return solver.solve(H, rhs, _TANGENT_RTOL)
@@ -702,7 +831,7 @@ def continuation_minimize(
     """
     cfg = cfg or SolverConfig()
     asm = _Assembler(dom, spec)
-    solver = _LinearSolver(asm)
+    solver = _LinearSolver()
     values = harmonic_extension(dom, phi).values
     stages = []
     result = None
@@ -750,7 +879,7 @@ def solve_fixed_point(dom: GridDomain, spec: EnergySpec, a: float, phi: ScalarFi
     if not 0 < a < math.inf:
         raise ValueError("regularization parameter a must be finite and positive")
     asm = _Assembler(dom, spec)
-    solver = _LinearSolver(asm)
+    solver = _LinearSolver()
     values = harmonic_extension(dom, phi).values
     iterations = 0
     converged = False
@@ -763,7 +892,7 @@ def solve_fixed_point(dom: GridDomain, spec: EnergySpec, a: float, phi: ScalarFi
         # the frozen quadratic 0.5 * sum wq * coeff * |grad u + F|^2
         coeff = 1.0 / kin[2]
         A = asm.stiffness(coeff, None, coeff)
-        r = asm.quadratic_gradient_full(values, coeff).ravel()[asm.interior]
+        r = asm.gather_interior(asm.quadratic_gradient_full(values, coeff))
         # PCG on the previous frozen matrix's factor, else a new factor
         d = solver.solve(A, -r, _PCG_RTOL)
         values = asm.scatter_interior(values, _PICARD_DAMPING * d)

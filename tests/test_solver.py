@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.sparse import csc_matrix
 
 import areavar.solver as solver_module
 from areavar.grids import (
@@ -348,7 +349,7 @@ def test_assembled_matrices_are_derivatives_of_the_gradients(a):
     assert rel(H @ v_int, central(lambda w: asm.gradient_full(w, a))) <= 1e-6
     Q = asm.stiffness(coeff, None, coeff)
     assert rel(Q @ v_int, central(lambda w: asm.quadratic_gradient_full(w, coeff))) <= 1e-6
-    for A in (H, Q):
+    for A in (H.tocsc(), Q.tocsc()):
         assert A.shape == (asm.n_int, asm.n_int)
         assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
 
@@ -369,6 +370,21 @@ def test_gradient_a_is_the_a_derivative_of_the_gradient(a):
     assert asm.energy(u, a, kin) == asm.energy(u, a)
 
 
+@pytest.mark.parametrize("preset", ["p_area", "zero"])
+def test_scalar_zero_H_skips_the_bulk_term_bit_for_bit(preset):
+    dom = GridDomain(OFFSET_BOX, (7, 5))
+    scalar = _Assembler(dom, EnergySpec(preset=preset, H=0.0), 4)
+    per_cell = _Assembler(dom, EnergySpec(preset=preset, H=np.zeros((7, 5))), 4)
+    assert scalar.Hlin is None and per_cell.Hlin is not None
+    u = np.random.RandomState(9).randn(8, 6)
+    for a in (1.0, 1e-3):
+        assert np.float64(scalar.energy(u, a)).view(np.int64) == \
+            np.float64(per_cell.energy(u, a)).view(np.int64)
+        for grad in ("gradient_full", "gradient_a"):
+            g, ref = (getattr(asm, grad)(u, a) for asm in (scalar, per_cell))
+            assert np.array_equal(g.view(np.int64), ref.view(np.int64))
+
+
 def test_stiffness_matches_per_point_reference():
     asm = _Assembler(dom_n(6), P_AREA, 4)
     a11, a12, a22 = np.random.RandomState(6).randn(3, 6, 6, asm.G)
@@ -382,22 +398,29 @@ def test_stiffness_matches_per_point_reference():
                 C = np.array([[a11[i, j, g], a12[i, j, g]], [a12[i, j, g], a22[i, j, g]]])
                 ref[np.ix_(nodes, nodes)] += asm.wq[g] * asm.vol * B.T @ C @ B
     ref = ref[np.ix_(asm.interior, asm.interior)]
-    K = asm.stiffness(a11, a12, a22).toarray()
+    K = asm.stiffness(a11, a12, a22).tocsc().toarray()
     assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_hessian_is_the_stiffness_of_its_coefficients():
-    # formed one coefficient at a time, the Hessian keeps stiffness's bits
-    asm = _Assembler(dom_n(9), EnergySpec(preset="p_area", H=0.3), 4)
-    u = np.random.RandomState(8).randn(10, 10)
-    for a in (1.0, 1e-3):
-        mx, my, r = asm.kinematics(u, a)
-        inv_r = 1.0 / r
-        inv_r3 = inv_r / r * inv_r
-        H = asm.hessian_interior(u, a)
-        S = asm.stiffness(inv_r - mx * mx * inv_r3, -mx * my * inv_r3, inv_r - my * my * inv_r3)
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(H, attr), getattr(S, attr))
+    # formed one coefficient at a time, the Hessian keeps stiffness's bits:
+    # stencils on a band grid, CSC matrices over _BAND_LIMIT cells across
+    for n, kind, attrs in (
+        (9, solver_module._Stencil, ("data", "offsets")),
+        (65, csc_matrix, ("data", "indices", "indptr")),
+    ):
+        asm = _Assembler(dom_n(n), EnergySpec(preset="p_area", H=0.3), 4)
+        u = np.random.RandomState(8).randn(n + 1, n + 1)
+        for a in (1.0, 1e-3):
+            mx, my, r = asm.kinematics(u, a)
+            inv_r = 1.0 / r
+            inv_r3 = inv_r / r * inv_r
+            H = asm.hessian_interior(u, a)
+            S = asm.stiffness(inv_r - mx * mx * inv_r3, -mx * my * inv_r3,
+                              inv_r - my * my * inv_r3)
+            assert type(H) is type(S) is kind
+            for attr in attrs:
+                assert np.array_equal(getattr(H, attr), getattr(S, attr))
 
 
 @pytest.mark.parametrize("n_cells", [(2, 2), (2, 5), (7, 3), (32, 35)])
@@ -429,7 +452,14 @@ def test_interior_is_numbered_by_nested_dissection_on_first_use(n_cells):
 
 
 def test_csc_pattern_is_built_by_the_first_newton_step():
-    dom = GridDomain(OFFSET_BOX, (9, 12))
+    # over _BAND_LIMIT cells across, once; band grids never build it: their
+    # Hessian is a stencil
+    for n_cells in ((9, 12), (65, 70)):
+        _check_csc_pattern_built_once(n_cells, banded=min(n_cells) <= _BAND_LIMIT)
+
+
+def _check_csc_pattern_built_once(n_cells, banded):
+    dom = GridDomain(OFFSET_BOX, n_cells)
     cfg = SolverConfig(max_newton_iters=1)
     # the saddle xy is exact at every a: 0 Newton steps, no Hessian
     asm = _Assembler(dom, P_AREA)
@@ -441,6 +471,10 @@ def test_csc_pattern_is_built_by_the_first_newton_step():
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
     result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, _LinearSolver())
     assert result.iterations == 1
+    if banded:
+        # nor the interior numbering: the interior is gathered by slices
+        assert "_csc_pattern" not in vars(asm) and "interior" not in vars(asm)
+        return
     pattern = vars(asm)["_csc_pattern"]
     asm.hessian_interior(result.u.values, 1.0)
     assert asm._csc_pattern is pattern
@@ -487,9 +521,11 @@ def test_newton_direction_matches_spsolve():
     for a in (1.0, 1e-3):
         g = asm.gradient_full(u, a).ravel()[asm.interior]
         A = asm.hessian_interior(u, a)
-        d = _LinearSolver().solve(A, -g)
-        ref = spla.spsolve(A, -g)
-        assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+        C = A.tocsc()
+        ref = spla.spsolve(C, -g)
+        for M in (A, C):                        # band Cholesky, then SuperLU
+            d = _LinearSolver().solve(M, -g)
+            assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_two_column_solve_matches_spsolve_per_column():
@@ -502,11 +538,13 @@ def test_two_column_solve_matches_spsolve_per_column():
         asm.gradient_full(u, a).ravel()[asm.interior],
         asm.gradient_a(u, a).ravel()[asm.interior],
     ])
-    x = _LinearSolver().solve(A, rhs)
-    assert x.shape == rhs.shape
-    for k in range(2):
-        ref = spla.spsolve(A, rhs[:, k])
-        assert np.abs(x[:, k] - ref).max() <= 1e-12 * np.abs(ref).max()
+    C = A.tocsc()
+    refs = [spla.spsolve(C, rhs[:, k]) for k in range(2)]
+    for M in (A, C):                            # band Cholesky, then SuperLU
+        x = _LinearSolver().solve(M, rhs)
+        assert x.shape == rhs.shape
+        for k, ref in enumerate(refs):
+            assert np.abs(x[:, k] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_linear_solver_runs_pcg_on_its_held_factor(monkeypatch):
@@ -523,7 +561,7 @@ def _check_pcg_on_held_factor(monkeypatch, n):
     b = -asm.gradient_full(u, 0.1).ravel()[asm.interior]
     # the Hessian at a = 0.1, a perturbed copy near it and one far from it
     A, near, far = (asm.hessian_interior(u, a) for a in (0.1, 0.09, 0.01))
-    solver = _LinearSolver(asm)
+    solver = _LinearSolver()
     splu = spla.splu
     module, name = (solver_module, "_band_cholesky") if asm.kd is not None else (spla, "splu")
     factorize = getattr(module, name)
@@ -539,7 +577,7 @@ def _check_pcg_on_held_factor(monkeypatch, n):
     assert (solver.factorizations, solver.pcg_iterations) == (1, 0)
 
     x = solver.solve(near, b, 1e-6)
-    ref = splu(near).solve(b)
+    ref = splu(near.tocsc()).solve(b)
     assert solver.lu is held and solver.factorizations == 1
     assert 1 <= solver.pcg_iterations <= _PCG_MAXITER
     assert np.abs(x - ref).max() <= 1e-6 * np.abs(ref).max()
@@ -547,7 +585,7 @@ def _check_pcg_on_held_factor(monkeypatch, n):
     # PCG passes its iteration cap on the far matrix: it is refactorized
     before = solver.pcg_iterations
     x = solver.solve(far, b, 1e-6)
-    ref = splu(far).solve(b)
+    ref = splu(far.tocsc()).solve(b)
     assert solver.lu is not held and solver.factorizations == 2
     assert solver.pcg_iterations == before + _PCG_MAXITER
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -567,9 +605,58 @@ def _smooth_hessian(n_cells, a=1e-2):
     return asm, u, asm.hessian_interior(u, a), -asm.gradient_full(u, a).ravel()[asm.interior]
 
 
-@pytest.mark.parametrize("n_cells", [(32, 32), (12, 40), (40, 12)])
+def _reference_csc(monkeypatch, asm, u, a):
+    """The Hessian at (u, a) and, from the same cell blocks, the CSC matrix
+    of the `_csc_pattern` gather (the band grids' assembly before stencils)."""
+    blocks = []
+    stencil = asm._stencil
+
+    def spy(K):
+        blocks.append(K.copy())
+        return stencil(K)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(asm, "_stencil", spy)
+        A = asm.hessian_interior(u, a)
+    return A, asm._csc(blocks[0])
+
+
+@pytest.mark.parametrize("n_cells", [
+    (32, 32), (12, 40), (40, 12),
+    (2, 2), (2, 5), (5, 2), (7, 3), (3, 7), (32, 35), (64, 12), (12, 64),
+])
 def test_band_scatter_holds_every_lower_csc_entry(monkeypatch, n_cells):
-    asm, _, A, b = _smooth_hessian(n_cells)
+    # the stencil, its product and its band are the CSC matrix's, bit for bit
+    for H in (0.0, 0.3):
+        for a in (1.0, 1e-3):
+            with monkeypatch.context() as patch:
+                _check_stencil_against_csc(patch, n_cells, H, a)
+
+
+def _check_stencil_against_csc(monkeypatch, n_cells, H, a):
+    dom = GridDomain(OFFSET_BOX, n_cells)
+    asm = _Assembler(dom, EnergySpec(preset="p_area", H=H), 4)
+    rng = np.random.RandomState(11)
+    u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
+    u[1:-1, 1:-1] += 0.1 * rng.randn(*(n - 1 for n in n_cells))
+    A, C = _reference_csc(monkeypatch, asm, u, a)
+    assert isinstance(A, solver_module._Stencil) and isinstance(C, csc_matrix)
+    assert A.shape == C.shape == (asm.n_int, asm.n_int)
+    assert np.all(np.diff(A.offsets) > 0) and A.offsets[-1] == asm.kd
+
+    # data[k, col] = C[col - offsets[k], col], and 0 off C's pattern
+    rows = C.indices
+    cols = np.repeat(np.arange(asm.n_int), np.diff(C.indptr))
+    k = np.searchsorted(A.offsets, cols - rows)
+    assert np.array_equal(A.offsets[k], cols - rows)
+    assert np.array_equal(A.data[k, cols].view(np.int64), C.data.view(np.int64))
+    off_pattern = np.ones(A.data.shape, dtype=bool)
+    off_pattern[k, cols] = False
+    assert not A.data[off_pattern].any()
+
+    x = rng.randn(asm.n_int)
+    assert np.array_equal((A @ x).view(np.int64), (C @ x).view(np.int64))
+
     bands = []
     dpbtrf = solver_module.dpbtrf
 
@@ -578,12 +665,17 @@ def test_band_scatter_holds_every_lower_csc_entry(monkeypatch, n_cells):
         return dpbtrf(ab, **kwargs)
 
     monkeypatch.setattr(solver_module, "dpbtrf", spy)
-    _LinearSolver(asm).solve(A, b)
+    _LinearSolver().solve(A, -asm.gather_interior(asm.gradient_full(u, a)))
     ((fortran, ab),) = bands
     assert fortran and ab.shape == (asm.kd + 1, asm.n_int)
+    # the CSC matrix's lower entries scattered to row - col + (kd + 1) col
+    lower = rows >= cols
+    ref = np.zeros(ab.shape, order="F")
+    ref.reshape(-1, order="F")[(rows - cols + (asm.kd + 1) * cols)[lower]] = C.data[lower]
+    assert np.array_equal(ab.view(np.int64), ref.view(np.int64))
     # row k of the lower band is the k-th subdiagonal, zero-padded at its end
-    D = A.toarray()
-    assert np.abs(np.tril(D, -asm.kd - 1)).max() == 0.0
+    D = C.toarray()
+    assert np.abs(np.tril(D, -asm.kd - 1)).max(initial=0.0) == 0.0
     for k in range(asm.kd + 1):
         sub = np.diagonal(D, -k)
         assert np.array_equal(ab[k, : sub.size].view(np.int64), sub.view(np.int64))
@@ -594,10 +686,10 @@ def test_band_scatter_holds_every_lower_csc_entry(monkeypatch, n_cells):
 def test_band_and_superlu_solves_agree(n_cells):
     asm, _, A, b = _smooth_hessian(n_cells)
     assert asm.kd == min(n_cells)
-    band = _LinearSolver(asm)
+    band = _LinearSolver()
     x = band.solve(A, b)
     assert isinstance(band.lu, solver_module._BandCholesky)
-    ref = _LinearSolver().solve(A, b)
+    ref = _LinearSolver().solve(A.tocsc(), b)
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -605,7 +697,7 @@ def test_band_and_superlu_solves_agree(n_cells):
 def test_band_path_runs_up_to_the_limit(n, banded):
     assert _BAND_LIMIT == 64
     asm, _, A, b = _smooth_hessian((n, n))
-    solver = _LinearSolver(asm)
+    solver = _LinearSolver()
     solver.solve(A, b)
     assert asm.kd == (n if banded else None)
     assert isinstance(solver.lu, solver_module._BandCholesky) is banded
@@ -615,7 +707,7 @@ def test_band_path_runs_up_to_the_limit(n, banded):
 def test_band_two_column_solve_is_two_single_solves():
     asm, u, A, g = _smooth_hessian((32, 35))
     rhs = np.column_stack([g, -asm.gradient_a(u, 1e-2).ravel()[asm.interior]])
-    solver = _LinearSolver(asm)
+    solver = _LinearSolver()
     x = solver.solve(A, rhs)
     assert x.shape == rhs.shape and asm.kd is not None
     for k in range(2):
@@ -637,7 +729,7 @@ def _fail_superlu(*args, **kwargs):
 def test_failed_factorization_ends_the_stage_unconverged(monkeypatch, n, module, name, fail):
     monkeypatch.setattr(module, name, fail)
     asm, u, A, b = _smooth_hessian((n, n))
-    solver = _LinearSolver(asm)
+    solver = _LinearSolver()
     with pytest.raises(np.linalg.LinAlgError):
         solver.solve(A, b)
     assert solver.lu is None and solver.factorizations == 0
@@ -660,7 +752,7 @@ def test_failed_tangent_factorization_predicts_nothing(monkeypatch):
 
     monkeypatch.setattr(_LinearSolver, "solve", fail_tangent)
     asm = _Assembler(dom, P_AREA)
-    solver = _LinearSolver(asm)
+    solver = _LinearSolver()
     result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, SolverConfig(), solver)
     assert _tangent(asm, 1.0, result.u.values, solver) is None
     # every stage then starts from the last one's end, and still converges
@@ -668,7 +760,7 @@ def test_failed_tangent_factorization_predicts_nothing(monkeypatch):
     assert res.converged
     values = result.u.values
     for a in (1.0, 0.25):
-        chain = _newton(asm, a, values, SolverConfig(), _LinearSolver(asm))
+        chain = _newton(asm, a, values, SolverConfig(), _LinearSolver())
         values = chain.u.values
     assert np.array_equal(res.u.values, values)
 

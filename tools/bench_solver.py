@@ -5,8 +5,8 @@
 For each grid size n, one fresh process solves the p_area problem on
 [-1, 1]^2 with n x n cells, boundary data xy + 0.3 sin(2x + 0.3y) and the
 default SolverConfig: once untimed by the profiler (wall time, Newton steps
-in all and per stage, factorizations, PCG iterations, peak RSS, and a digest
-of the final nodal values, so that two source trees can be checked to return
+in all and per stage, factorizations, PCG iterations, minor page faults of
+the solve, peak RSS, and a digest of the final nodal values, so that two source trees can be checked to return
 the same field bit for bit), then once under cProfile for the per-phase
 split.  Each line of output is one JSON object, with the BLAS thread cap
 (OPENBLAS_NUM_THREADS, unset unless the caller sets it) and the usable CPU
@@ -45,7 +45,7 @@ def _own(stats: dict, name: str, column: int, file: str = "") -> float:
 
 
 GSTRF = "<built-in method scipy.sparse.linalg._dsolve._superlu.gstrf>"   # SuperLU factorization
-BAND = "_band_cholesky"     # band Cholesky factorization: scatter and dpbtrf
+BAND = "_band_cholesky"     # band Cholesky factorization: band copy and dpbtrf
 
 
 def run_one(n: int) -> dict:
@@ -56,9 +56,11 @@ def run_one(n: int) -> dict:
     dom = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (n, n))
     phi = ScalarField.from_function(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
     spec = EnergySpec(preset="p_area")
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = perf_counter()
     res = continuation_minimize(dom, spec, phi)
     wall = perf_counter() - t0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     prof = cProfile.Profile()
@@ -98,6 +100,7 @@ def run_one(n: int) -> dict:
         "pcg_iterations": getattr(res, "pcg_iterations", 0),
         "converged": bool(res.converged),
         "digest": hashlib.sha256(res.u.values.tobytes()).hexdigest()[:16],
+        "minor_faults": faults,
         "peak_rss_mb": round(rss, 1),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "nproc": len(os.sched_getaffinity(0)),
