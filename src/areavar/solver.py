@@ -14,14 +14,15 @@ O(h^2) consistency error on planes with the horizontal-area drift; with
 k x k Gauss points the quadrature error on such exact solutions drops to
 O(h^{2k}), which is what makes plane reproduction at 1e-8 possible.
 
-On grids at most _BAND_LIMIT cells across the interior is numbered along
-the short axis first, so the Hessian is a 9-point stencil: it is assembled
-as its diagonals (`_Stencil`) straight from the cell blocks.  On larger
-grids the interior is numbered by nested dissection and the Hessian is a
-CSC matrix.  The SPD systems are solved by one `_LinearSolver` per solve:
-band Cholesky (LAPACK dpbtrf) for a stencil, SuperLU for a CSC matrix.  It
-keeps the latest factor; once Newton converges quadratically, and for each
-stage's tangent, it first runs conjugate gradients preconditioned with that
+The interior is numbered line by line, short axis first, so every SPD
+matrix (the Newton Hessian, the Picard oracle's frozen matrix) is a
+9-point stencil of half-bandwidth min(ncx, ncy): it is assembled as its
+diagonals (`_Stencil`) straight from the cell blocks.  One `_LinearSolver`
+per solve picks the factorization from that half-bandwidth: band Cholesky
+(LAPACK dpbtrf) up to _BAND_LIMIT; above it, SuperLU on the stencil
+gathered into a CSC matrix in nested-dissection order.  It keeps the
+latest factor; once Newton converges quadratically, and for each stage's
+tangent, it first runs conjugate gradients preconditioned with that
 factor.
 """
 from __future__ import annotations
@@ -62,12 +63,11 @@ _REUSE_GATE = 10.0
 _PCG_RTOL = 1e-6
 _PCG_MAXITER = 5
 _TANGENT_RTOL = 1e-8
-# Grids whose short side has at most this many cells number the interior
-# lexicographically, short axis fastest, and factorize by band Cholesky of
-# half-bandwidth min(ncx, ncy): at 32^2 and 64^2 dpbtrf factorizes about 4x
-# and 2x faster than SuperLU.  Above, nested dissection's smaller fill wins
-# at 256^2, and with two BLAS threads dpbtrf turned erratic at 96^2-128^2
-# (BENCH_solver.json "band_limit", a 2-core host)
+# Stencils of half-bandwidth min(ncx, ncy) at most this are factorized by band
+# Cholesky: at 32^2 and 64^2 dpbtrf factorizes about 4x and 2x faster than
+# SuperLU.  Above, nested dissection's smaller fill wins at 256^2, and with two
+# BLAS threads dpbtrf turned erratic at 96^2-128^2 (BENCH_solver.json
+# "band_limit", a 2-core host)
 _BAND_LIMIT = 64
 # Gauss points per axis of the energy quadrature (the module docstring says why)
 _QUAD_ORDER = 4
@@ -132,9 +132,7 @@ class _Assembler:
         self.vol = hx * hy
         ncx, ncy = dom.n_cells
         self.ncx, self.ncy = ncx, ncy
-        # the Hessian's half-bandwidth in the band numbering, None above
-        # _BAND_LIMIT (nested dissection and SuperLU)
-        self.kd = min(ncx, ncy) if min(ncx, ncy) <= _BAND_LIMIT else None
+        self.n_int = (ncx - 1) * (ncy - 1)
 
         t, w = np.polynomial.legendre.leggauss(quad_order)
         t = (t + 1.0) / 2.0
@@ -173,15 +171,6 @@ class _Assembler:
             Hc = spec.H_cells(dom)
             self.Hlin = self.vol * Hc[..., None] * (self.wq[None, None, :] @ self.S)
 
-        ny1 = ncy + 1
-        ii, jj = np.meshgrid(np.arange(ncx), np.arange(ncy), indexing="ij")
-        n00 = ii * ny1 + jj
-        self.corner_nodes = np.stack(
-            [n00, n00 + ny1, n00 + 1, n00 + ny1 + 1], axis=-1
-        )  # (ncx, ncy, 4)
-
-        self.n_nodes = (ncx + 1) * ny1
-
         # shape gradients with the weights wq * vol folded in, (G, 4): the
         # nodal load of the fluxes (wx, wy) is wx @ WDx + wy @ WDy
         wv = (self.wq * self.vol)[:, None]
@@ -195,30 +184,6 @@ class _Assembler:
             self.WDx[:, :, None] * self.Dy[:, None, :]
             + self.WDy[:, :, None] * self.Dx[:, None, :]
         ).reshape(G, 16)
-
-    # -- interior numbering -------------------------------------------------
-    # interior node indices, the Hessian's row order: along the short axis
-    # first on band grids (kd not None), so the Hessian is a band matrix of
-    # half-bandwidth kd; else in nested-dissection order, so that the
-    # Hessian is assembled already permuted and its natural-order LU has the
-    # fill of a nested-dissection factorization.  Numbered on first use: the
-    # Laplace initial guess never reads them
-
-    @cached_property
-    def interior(self) -> np.ndarray:
-        if self.kd is None:
-            return _nested_dissection(self.ncx, self.ncy)
-        return _short_axis_first(self.ncx, self.ncy)
-
-    @cached_property
-    def n_int(self) -> int:
-        return (self.ncx - 1) * (self.ncy - 1)
-
-    @cached_property
-    def idx_of_node(self) -> np.ndarray:
-        idx = np.full(self.n_nodes, -1, dtype=np.int32)
-        idx[self.interior] = np.arange(self.n_int, dtype=np.int32)
-        return idx
 
     # -- kinematics ---------------------------------------------------------
 
@@ -293,25 +258,20 @@ class _Assembler:
         return float(np.abs(g).max()) / self.vol
 
     def _band_interior(self, full: np.ndarray) -> np.ndarray:
-        """On band grids, the view of a nodal array's interior whose C order
-        is the order of `interior`: transposed when y is the long axis."""
+        """The view of a nodal array's interior whose C order is the
+        stencil's numbering, short axis fastest: transposed when y is the
+        long axis."""
         inner = full[1:-1, 1:-1]
         return inner.T if self.ncy > self.ncx else inner
 
     def gather_interior(self, full: np.ndarray) -> np.ndarray:
-        """The interior entries of a nodal array (nx+1, ny+1), in the order
-        of `interior`."""
-        if self.kd is None:
-            return full.ravel()[self.interior]
+        """The interior entries of a nodal array (nx+1, ny+1), in the
+        stencil's numbering."""
         return self._band_interior(full).ravel()
 
     def scatter_interior(self, values: np.ndarray, d_int: np.ndarray) -> np.ndarray:
-        """`values` with d_int, in the order of `interior`, added to its
+        """`values` with d_int, in the stencil's numbering, added to its
         interior nodes."""
-        if self.kd is None:
-            out = values.ravel().copy()
-            out[self.interior] += d_int
-            return out.reshape(values.shape)
         out = values.copy()
         inner = self._band_interior(out)
         inner += d_int.reshape(inner.shape)
@@ -319,29 +279,20 @@ class _Assembler:
 
     def stiffness(
         self, a11: np.ndarray, a12: np.ndarray | None, a22: np.ndarray
-    ) -> _Stencil | sp.csc_matrix:
+    ) -> _Stencil:
         """Interior stiffness of the per-quadrature-point coefficient matrix
-        [[a11, a12], [a12, a22]] (each (ncx, ncy, G); a12=None means 0),
-        in the order of `interior`."""
+        [[a11, a12], [a12, a22]] (each (ncx, ncy, G); a12=None means 0)."""
         G = self.G
         K = a11.reshape(-1, G) @ self.Txx
         K += a22.reshape(-1, G) @ self.Tyy
         if a12 is not None:
             K += a12.reshape(-1, G) @ self.Txy
-        return self._interior_matrix(K)
-
-    def _interior_matrix(self, K: np.ndarray) -> _Stencil | sp.csc_matrix:
-        """The interior matrix of the (cells, 16) cell blocks K: a `_Stencil`
-        on band grids, else a CSC matrix that takes over K's buffer.  Both
-        sum each entry's cell terms in ascending cell order, as
-        np.add.reduceat does, so their entries have the same bits."""
-        if self.kd is not None:
-            return self._stencil(K)
-        return self._csc(K)
+        return self._stencil(K)
 
     def _stencil(self, K: np.ndarray) -> _Stencil:
-        """The 9 diagonals of the band-grid matrix of the cell blocks K,
-        each summed from strided slices of them."""
+        """The 9 diagonals of the interior matrix of the (cells, 16) cell
+        blocks K, each summed from strided slices of them: every entry adds
+        its cell terms in ascending cell order, as np.add.reduceat would."""
         B = K.reshape(self.ncx, self.ncy, 4, 4)     # [ci, cj, row corner, col corner]
         offsets, terms = self._stencil_terms
         data = np.zeros((offsets.size, self.n_int))
@@ -361,7 +312,7 @@ class _Assembler:
                 t = x[1] + x[2]
                 t += x[3]
                 np.add(x[0], t, out=out)
-        return _Stencil(data, offsets)
+        return _Stencil(data, offsets, (self.ncx, self.ncy))
 
     @cached_property
     def _stencil_terms(self) -> tuple:
@@ -372,9 +323,7 @@ class _Assembler:
         order.  On a grid 2 or 3 cells across two relations can share an
         offset; their nodes never overlap."""
         ncx, ncy = self.ncx, self.ncy
-        # the position of interior node (i, j) is (i - 1) sx + (j - 1) sy
-        ns = min(ncx, ncy) - 1
-        sx, sy = (1, ns) if ncy > ncx else (ns, 1)
+        sx, sy = _strides(ncx, ncy)
         rel = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
         # data[k, col] = A[col - off, col]: the row node is (i + di, j + dj)
         offsets = np.unique([-(di * sx + dj * sy) for di, dj in rel])
@@ -396,44 +345,9 @@ class _Assembler:
             terms.append((k, (slice(i0 - 1, i1 - 1), slice(j0 - 1, j1 - 1)), cells))
         return offsets, terms
 
-    def _csc(self, K: np.ndarray) -> sp.csc_matrix:
-        """The interior CSC matrix of the (cells, 16) cell blocks K, whose
-        buffer it takes over."""
-        gather, starts, indices, indptr = self._csc_pattern
-        # the summed entries overwrite the front of K's own buffer, which the
-        # matrix keeps: one allocation of the matrix's size fewer per call.
-        # glibc keeps freed arrays of that size in its heap; at 512^2 a
-        # two-stage solve peaked at 711 MB with a separate array, 647-695 MB
-        # with this one
-        data = K.reshape(-1)[: starts.size]
-        np.add.reduceat(K.reshape(-1)[gather], starts, out=data)
-        A = sp.csc_matrix((data, indices, indptr), shape=(self.n_int, self.n_int))
-        A.has_canonical_format = True
-        return A
-
-    @cached_property
-    def _csc_pattern(self) -> tuple:
-        """The CSC pattern of `_csc`, computed on its first call (never for
-        0-step solves): the cell-matrix entries in column-major (column,
-        row) order as int32 positions into the (cells, 16) block array, the
-        first entry of each nonzero, and the CSC `indices`/`indptr`."""
-        local = self.idx_of_node[self.corner_nodes].reshape(-1, 4)
-        rows = np.repeat(local, 4, axis=1).ravel()
-        cols = np.tile(local, (1, 4)).ravel()
-        keep = np.flatnonzero((rows >= 0) & (cols >= 0)).astype(np.int32)
-        rows, cols = rows[keep], cols[keep]
-        order = np.lexsort((rows, cols))        # stable: duplicates keep cell order
-        rows, cols = rows[order], cols[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(first).astype(np.int32)
-        indptr = np.zeros(self.n_int + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols[starts], minlength=self.n_int), out=indptr[1:])
-        return keep[order], starts, rows[starts], indptr
-
     def hessian_interior(
         self, values: np.ndarray, a: float, kin: tuple | None = None
-    ) -> _Stencil | sp.csc_matrix:
+    ) -> _Stencil:
         """Interior Hessian: `stiffness(a11, a12, a22)` of the coefficients
         1/r - m m^T / r^3, bit for bit.
 
@@ -441,10 +355,11 @@ class _Assembler:
         into the cell blocks before the next one is formed, in stiffness's
         order (a11, a22, a12), so that beside the kinematics at most four
         arrays of the quadrature size are alive (33.5 MB each at 512^2,
-        while the Newton step holds the last factor).  The blocks, which a
-        CSC matrix keeps, are allocated first: allocated after the
-        temporaries, they raised the resident peak of a 64^2 solve by about
-        4 MB.
+        while the Newton step holds the last factor).  The blocks are
+        allocated first.  That cut a 64^2 solve's resident peak by about
+        4 MB while a CSC matrix kept their buffer; the stencil only reads
+        them, and both orders now peak alike (BENCH_solver.json
+        "hessian_blocks_64").
         """
         mx, my, r = kin or self.kinematics(values, a)
         G = self.G
@@ -467,7 +382,7 @@ class _Assembler:
         del inv_r3
         K += c.reshape(-1, G) @ self.Txy
         del c
-        return self._interior_matrix(K)
+        return self._stencil(K)
 
     def quadratic_gradient_full(self, values: np.ndarray, coeff: np.ndarray) -> np.ndarray:
         """Gradient of the frozen quadratic (plus the H term) at every node."""
@@ -475,12 +390,13 @@ class _Assembler:
         return self._node_gradient(coeff * mx, coeff * my)
 
 
-def _short_axis_first(ncx: int, ncy: int) -> np.ndarray:
-    """Node indices of the interior of an ncx x ncy cell grid, numbered line
-    by line with the shorter axis (y on a square) fastest: a node's 8
-    neighbours are at most min(ncx, ncy) positions away."""
-    nodes = np.arange(1, ncx)[:, None] * (ncy + 1) + np.arange(1, ncy)
-    return (nodes if ncy <= ncx else nodes.T).ravel()
+def _strides(ncx: int, ncy: int) -> tuple[int, int]:
+    """(sx, sy): interior node (i, j) of an ncx x ncy cell grid is number
+    (i - 1) sx + (j - 1) sy of the stencil's numbering, line by line with
+    the shorter axis (y on a square) fastest, so a node's 8 neighbours are
+    at most min(ncx, ncy) numbers away."""
+    ns = min(ncx, ncy) - 1
+    return (1, ns) if ncy > ncx else (ns, 1)
 
 
 def _nested_dissection(ncx: int, ncy: int) -> np.ndarray:
@@ -511,16 +427,17 @@ def _nested_dissection(ncx: int, ncy: int) -> np.ndarray:
 
 
 class _Stencil:
-    """The interior matrix of a band grid as its diagonals in scipy's DIA
-    layout, data[k, col] = A[col - offsets[k], col] with the offsets
-    ascending: a 9-point stencil whose rows and columns number the interior
-    line by line, short axis fastest.  Slots that hold no entry are 0: those
-    past the matrix's edge, and those of node pairs that are not
-    neighbours."""
+    """The interior matrix of an ncx x ncy cell grid, n_cells = (ncx, ncy),
+    as its diagonals in scipy's DIA layout, data[k, col] =
+    A[col - offsets[k], col] with the offsets ascending: a 9-point stencil
+    whose rows and columns number the interior line by line, short axis
+    fastest (`_strides`).  Slots that hold no entry are 0: those past the
+    matrix's edge, and those of node pairs that are not neighbours."""
 
-    def __init__(self, data: np.ndarray, offsets: np.ndarray):
+    def __init__(self, data: np.ndarray, offsets: np.ndarray, n_cells: tuple[int, int]):
         self.data = data
         self.offsets = offsets
+        self.n_cells = n_cells
         n = data.shape[1]
         self.shape = (n, n)
 
@@ -562,39 +479,56 @@ class _LinearSolver:
     factor of an earlier matrix, starting from the factor's solve of b, and
     accepts |b - A x| <= rtol |b| within _PCG_MAXITER iterations.
     Otherwise, or with rtol None or no factor held, it factorizes A and
-    solves directly (b may then have several columns).  The kind of A picks
-    the factor: a `_Stencil` gets a band Cholesky factor of half-bandwidth
-    max(offsets), (kd + 1) n doubles (2.1 MB at 64^2); a CSC matrix, which
-    is assembled in nested-dissection order, gets a SuperLU factor in
-    natural column order with diagonal pivots: about 60 MB at 256^2, 286 MB
-    at 512^2.  The factor lives until the next factorization.  A
-    factorization that meets a non-positive pivot (SuperLU: an exactly zero
-    one) raises np.linalg.LinAlgError and leaves no factor held.
+    solves directly (b may then have several columns).
+
+    The stencil's half-bandwidth kd = max(offsets) picks the factorization.
+    Up to _BAND_LIMIT it is band Cholesky, (kd + 1) n doubles (2.1 MB at
+    64^2).  Above, the stencil is gathered into a CSC matrix whose rows and
+    columns are numbered by nested dissection, and b is permuted into that
+    order: the matrix gets a SuperLU factor in natural column order with
+    diagonal pivots (about 60 MB at 256^2, 286 MB at 512^2, about half the
+    fill of COLAMD's order), and both the direct solve and PCG run on it
+    before x is permuted back.  The numbering and the CSC pattern are built
+    at the first such factorization and kept.  The factor lives until the
+    next factorization.  A factorization that meets a non-positive pivot
+    (SuperLU: an exactly zero one) raises np.linalg.LinAlgError and leaves
+    no factor held.
     """
 
     def __init__(self):
         self.lu = None
         self.factorizations = 0
         self.pcg_iterations = 0
+        self.nd_pattern = None
 
-    def solve(self, A: _Stencil | sp.csc_matrix, b: np.ndarray,
-              rtol: float | None = None) -> np.ndarray:
+    def solve(self, A: _Stencil, b: np.ndarray, rtol: float | None = None) -> np.ndarray:
+        if A.offsets[-1] <= _BAND_LIMIT:
+            return self._solve(A, b, rtol, _band_cholesky)
+        perm, C = self._nested_dissection_csc(A)
+        x = np.empty_like(b)
+        x[perm] = self._solve(C, b[perm], rtol, _superlu)
+        return x
+
+    def _nested_dissection_csc(self, A: _Stencil) -> tuple[np.ndarray, sp.csc_matrix]:
+        """(perm, C): the stencil A gathered into the CSC matrix C whose
+        i-th row and column are A's perm[i]-th."""
+        if self.nd_pattern is None:
+            self.nd_pattern = _nested_dissection_pattern(A)
+        perm, slots, indices, indptr = self.nd_pattern
+        C = sp.csc_matrix((A.data.reshape(-1)[slots], indices, indptr), shape=A.shape)
+        C.has_canonical_format = True
+        return perm, C
+
+    def _solve(self, A: _Stencil | sp.csc_matrix, b: np.ndarray, rtol: float | None,
+               factorize) -> np.ndarray:
+        """`solve` on the matrix A as given, factorized by `factorize`."""
         if rtol is not None and self.lu is not None:
             x = self._pcg(A, b, rtol)
             if x is not None:
                 return x
         # drop the old factor first: two factors are never alive at once
         self.lu = None
-        if isinstance(A, _Stencil):
-            self.lu = _band_cholesky(A)
-        else:
-            try:
-                self.lu = spla.splu(
-                    A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True),
-                )
-            except RuntimeError as err:     # "Factor is exactly singular"
-                raise np.linalg.LinAlgError(str(err)) from err
+        self.lu = factorize(A)
         self.factorizations += 1
         return self.lu.solve(b)
 
@@ -617,6 +551,47 @@ class _LinearSolver:
             rho = rho_new
             self.pcg_iterations += 1
         return x if np.linalg.norm(r) <= tol else None
+
+
+def _nested_dissection_pattern(A: _Stencil) -> tuple:
+    """The stencil A's matrix renumbered by `_nested_dissection`, as
+    (perm, slots, indices, indptr): perm[i] is the stencil number of the
+    i-th node in nested-dissection order, and the CSC matrix with
+    `indices`/`indptr` and data A.data.reshape(-1)[slots] is that matrix,
+    every entry one slot of A, rows ascending in each column.  Its entries
+    therefore keep the stencil's bits."""
+    ncx, ncy = A.n_cells
+    n = A.shape[0]
+    i, j = np.divmod(_nested_dissection(ncx, ncy), ncy + 1)
+    sx, sy = _strides(ncx, ncy)
+    perm = (i - 1) * sx + (j - 1) * sy
+    number = np.empty(n, dtype=np.int32)        # nested-dissection number of each stencil number
+    number[perm] = np.arange(n, dtype=np.int32)
+    rows, cols, slots = [], [], []
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            # columns whose row node (i + di, j + dj) is interior
+            col = np.flatnonzero((0 < i + di) & (i + di < ncx) & (0 < j + dj) & (j + dj < ncy))
+            off = -(di * sx + dj * sy)
+            k = int(np.searchsorted(A.offsets, off))
+            rows.append(number[perm[col] - off])
+            cols.append(col.astype(np.int32))
+            slots.append(k * n + perm[col])
+    rows, cols, slots = (np.concatenate(x) for x in (rows, cols, slots))
+    order = np.lexsort((rows, cols))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    return perm, slots[order], rows[order], indptr
+
+
+def _superlu(A: sp.csc_matrix) -> spla.SuperLU:
+    """SuperLU factor of the SPD matrix A in natural column order with
+    diagonal pivots."""
+    try:
+        return spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
+    except RuntimeError as err:     # "Factor is exactly singular"
+        raise np.linalg.LinAlgError(str(err)) from err
 
 
 class _BandCholesky:

@@ -18,12 +18,14 @@ from areavar.grids import (
 from areavar.solver import (
     _BAND_LIMIT,
     _PCG_MAXITER,
+    _PCG_RTOL,
     _TANGENT_RTOL,
     SolverConfig,
     _Assembler,
     _euler_predict,
     _LinearSolver,
     _nested_dissection,
+    _nested_dissection_pattern,
     _newton,
     _tangent,
     comparison_check,
@@ -100,7 +102,7 @@ def test_harmonic_extension_matches_assembled_direct_solve(n_cells):
     phi = field(dom, lambda x, y: np.sin(3 * x) * np.exp(y) + x * y * y)
     asm = _Assembler(dom, ZERO, 2)
     ones = np.ones((asm.ncx, asm.ncy, asm.G))
-    r = asm.quadratic_gradient_full(phi.values, ones).ravel()[asm.interior]
+    r = asm.gather_interior(asm.quadratic_gradient_full(phi.values, ones))
     d = spla.spsolve(asm.stiffness(ones, None, ones).tocsc(), -r)
     direct = asm.scatter_interior(phi.values, d)
     assert np.abs(harmonic_extension(dom, phi).values - direct).max() <= 1e-12
@@ -339,8 +341,7 @@ def test_assembled_matrices_are_derivatives_of_the_gradients(a):
     eps = 1e-6
 
     def central(grad):
-        diff = (grad(u + eps * v) - grad(u - eps * v)) / (2 * eps)
-        return diff.ravel()[asm.interior]
+        return asm.gather_interior((grad(u + eps * v) - grad(u - eps * v)) / (2 * eps))
 
     def rel(x, y):
         return np.linalg.norm(x - y) / np.linalg.norm(y)
@@ -389,26 +390,25 @@ def test_stiffness_matches_per_point_reference():
     asm = _Assembler(dom_n(6), P_AREA, 4)
     a11, a12, a22 = np.random.RandomState(6).randn(3, 6, 6, asm.G)
     # one cell and one Gauss point at a time
-    ref = np.zeros((asm.n_nodes, asm.n_nodes))
+    ref = np.zeros((49, 49))
+    corners = _corner_nodes(6, 6)
     for i in range(6):
         for j in range(6):
-            nodes = asm.corner_nodes[i, j]
+            nodes = corners[i, j]
             for g in range(asm.G):
                 B = np.stack([asm.Dx[g], asm.Dy[g]])
                 C = np.array([[a11[i, j, g], a12[i, j, g]], [a12[i, j, g], a22[i, j, g]]])
                 ref[np.ix_(nodes, nodes)] += asm.wq[g] * asm.vol * B.T @ C @ B
-    ref = ref[np.ix_(asm.interior, asm.interior)]
+    interior = asm.gather_interior(np.arange(49).reshape(7, 7))
+    ref = ref[np.ix_(interior, interior)]
     K = asm.stiffness(a11, a12, a22).tocsc().toarray()
     assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_hessian_is_the_stiffness_of_its_coefficients():
-    # formed one coefficient at a time, the Hessian keeps stiffness's bits:
-    # stencils on a band grid, CSC matrices over _BAND_LIMIT cells across
-    for n, kind, attrs in (
-        (9, solver_module._Stencil, ("data", "offsets")),
-        (65, csc_matrix, ("data", "indices", "indptr")),
-    ):
+    # formed one coefficient at a time, the Hessian keeps stiffness's bits,
+    # on a band grid and over _BAND_LIMIT cells across
+    for n in (9, 65):
         asm = _Assembler(dom_n(n), EnergySpec(preset="p_area", H=0.3), 4)
         u = np.random.RandomState(8).randn(n + 1, n + 1)
         for a in (1.0, 1e-3):
@@ -418,42 +418,61 @@ def test_hessian_is_the_stiffness_of_its_coefficients():
             H = asm.hessian_interior(u, a)
             S = asm.stiffness(inv_r - mx * mx * inv_r3, -mx * my * inv_r3,
                               inv_r - my * my * inv_r3)
-            assert type(H) is type(S) is kind
-            for attr in attrs:
+            assert type(H) is type(S) is solver_module._Stencil
+            assert H.n_cells == S.n_cells == (n, n)
+            for attr in ("data", "offsets"):
                 assert np.array_equal(getattr(H, attr), getattr(S, attr))
+
+
+def _node_ids(n_cells):
+    return np.arange((n_cells[0] + 1) * (n_cells[1] + 1)).reshape(n_cells[0] + 1, -1)
 
 
 @pytest.mark.parametrize("n_cells", [(2, 2), (2, 5), (7, 3), (32, 35)])
 def test_interior_ordering_is_a_permutation_of_the_interior_nodes(n_cells):
     dom = GridDomain(OFFSET_BOX, n_cells)
     asm = _Assembler(dom, ZERO, 2)
+    interior = asm.gather_interior(_node_ids(n_cells))
     expected = np.flatnonzero(~dom.boundary_mask().ravel())
-    assert asm.interior.size == asm.n_int == expected.size
-    assert np.array_equal(np.sort(asm.interior), expected)
-    assert np.array_equal(asm.idx_of_node[asm.interior], np.arange(asm.n_int))
+    assert interior.size == asm.n_int == expected.size
+    assert np.array_equal(np.sort(interior), expected)
+    # scatter_interior puts each entry where gather_interior takes it from
+    spread = asm.scatter_interior(np.zeros(dom.boundary_mask().shape), np.arange(asm.n_int))
+    assert np.array_equal(spread.ravel()[interior], np.arange(asm.n_int))
+    assert not spread[dom.boundary_mask()].any()
+    # the solver's renumbering is a permutation onto nested dissection
+    ones = np.ones((asm.ncx, asm.ncy, asm.G))
+    perm = _nested_dissection_pattern(asm.stiffness(ones, None, ones))[0]
+    assert np.array_equal(np.sort(perm), np.arange(asm.n_int))
+    assert np.array_equal(interior[perm], _nested_dissection(*n_cells))
 
 
 @pytest.mark.parametrize("n_cells", [(2, 2), (7, 3), (32, 35), (64, 12), (65, 70), (72, 65)])
 def test_interior_is_numbered_by_nested_dissection_on_first_use(n_cells):
-    # by nested dissection above _BAND_LIMIT cells across, else line by line
-    # with the short axis fastest
+    # the stencil numbers the interior line by line with the short axis
+    # fastest on every grid; over _BAND_LIMIT cells across, a solver
+    # renumbers it by nested dissection at its first solve
     asm = _Assembler(GridDomain(OFFSET_BOX, n_cells), ZERO, 2)
-    asm.quadratic_gradient_full(np.zeros((n_cells[0] + 1, n_cells[1] + 1)),
-                                np.ones((asm.ncx, asm.ncy, asm.G)))
-    assert "interior" not in vars(asm)
-    if min(n_cells) > _BAND_LIMIT:
-        assert asm.kd is None
-        assert np.array_equal(asm.interior, _nested_dissection(*n_cells))
-        return
-    assert asm.kd == min(n_cells)
-    i, j = np.divmod(asm.interior, n_cells[1] + 1)
+    interior = asm.gather_interior(_node_ids(n_cells))
+    assert np.array_equal(interior, _short_axis_first(*n_cells))
+    i, j = np.divmod(interior, n_cells[1] + 1)
     long_axis, short_axis = (i, j) if n_cells[1] <= n_cells[0] else (j, i)
     assert np.array_equal(np.lexsort((short_axis, long_axis)), np.arange(asm.n_int))
+    ones = np.ones((asm.ncx, asm.ncy, asm.G))
+    A = asm.stiffness(ones, None, ones)
+    assert A.offsets[-1] == min(n_cells)
+    solver = _LinearSolver()
+    assert solver.nd_pattern is None
+    solver.solve(A, np.ones(asm.n_int))
+    if min(n_cells) <= _BAND_LIMIT:
+        assert solver.nd_pattern is None
+        return
+    assert np.array_equal(interior[solver.nd_pattern[0]], _nested_dissection(*n_cells))
 
 
 def test_csc_pattern_is_built_by_the_first_newton_step():
-    # over _BAND_LIMIT cells across, once; band grids never build it: their
-    # Hessian is a stencil
+    # over _BAND_LIMIT cells across, once per solver; band grids never build
+    # it: their Hessian is factorized as a stencil
     for n_cells in ((9, 12), (65, 70)):
         _check_csc_pattern_built_once(n_cells, banded=min(n_cells) <= _BAND_LIMIT)
 
@@ -461,23 +480,23 @@ def test_csc_pattern_is_built_by_the_first_newton_step():
 def _check_csc_pattern_built_once(n_cells, banded):
     dom = GridDomain(OFFSET_BOX, n_cells)
     cfg = SolverConfig(max_newton_iters=1)
+    asm = _Assembler(dom, P_AREA)
+    solver = _LinearSolver()
     # the saddle xy is exact at every a: 0 Newton steps, no Hessian
-    asm = _Assembler(dom, P_AREA)
     xy = harmonic_extension(dom, field(dom, lambda x, y: x * y)).values
-    result = _newton(asm, 1.0, xy, cfg, _LinearSolver())
-    assert result.iterations == 0
-    assert "_csc_pattern" not in vars(asm)
-    asm = _Assembler(dom, P_AREA)
+    result = _newton(asm, 1.0, xy, cfg, solver)
+    assert result.iterations == 0 and solver.nd_pattern is None
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
-    result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, _LinearSolver())
+    result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, solver)
     assert result.iterations == 1
     if banded:
-        # nor the interior numbering: the interior is gathered by slices
-        assert "_csc_pattern" not in vars(asm) and "interior" not in vars(asm)
+        assert solver.nd_pattern is None
         return
-    pattern = vars(asm)["_csc_pattern"]
-    asm.hessian_interior(result.u.values, 1.0)
-    assert asm._csc_pattern is pattern
+    pattern = solver.nd_pattern
+    assert pattern is not None
+    # the next solve, the stage's tangent, reuses it
+    assert _tangent(asm, 1.0, result.u.values, solver) is not None
+    assert solver.nd_pattern is pattern
 
 
 def _custom_drift(dom):
@@ -519,12 +538,12 @@ def test_newton_direction_matches_spsolve():
     asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3), 4)
     u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
     for a in (1.0, 1e-3):
-        g = asm.gradient_full(u, a).ravel()[asm.interior]
+        g = asm.gather_interior(asm.gradient_full(u, a))
         A = asm.hessian_interior(u, a)
         C = A.tocsc()
         ref = spla.spsolve(C, -g)
-        for M in (A, C):                        # band Cholesky, then SuperLU
-            d = _LinearSolver().solve(M, -g)
+        # band Cholesky, then SuperLU as the over-limit grids call it
+        for d in (_LinearSolver().solve(A, -g), _superlu_reference(C).solve(-g)):
             assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -535,13 +554,13 @@ def test_two_column_solve_matches_spsolve_per_column():
     a = 1e-2
     A = asm.hessian_interior(u, a)
     rhs = -np.column_stack([
-        asm.gradient_full(u, a).ravel()[asm.interior],
-        asm.gradient_a(u, a).ravel()[asm.interior],
+        asm.gather_interior(asm.gradient_full(u, a)),
+        asm.gather_interior(asm.gradient_a(u, a)),
     ])
     C = A.tocsc()
     refs = [spla.spsolve(C, rhs[:, k]) for k in range(2)]
-    for M in (A, C):                            # band Cholesky, then SuperLU
-        x = _LinearSolver().solve(M, rhs)
+    # band Cholesky, then SuperLU as the over-limit grids call it
+    for x in (_LinearSolver().solve(A, rhs), _superlu_reference(C).solve(rhs)):
         assert x.shape == rhs.shape
         for k, ref in enumerate(refs):
             assert np.abs(x[:, k] - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -558,12 +577,12 @@ def _check_pcg_on_held_factor(monkeypatch, n):
     dom = dom_n(n)
     asm = _Assembler(dom, P_AREA, 4)
     u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
-    b = -asm.gradient_full(u, 0.1).ravel()[asm.interior]
+    b = -asm.gather_interior(asm.gradient_full(u, 0.1))
     # the Hessian at a = 0.1, a perturbed copy near it and one far from it
     A, near, far = (asm.hessian_interior(u, a) for a in (0.1, 0.09, 0.01))
     solver = _LinearSolver()
     splu = spla.splu
-    module, name = (solver_module, "_band_cholesky") if asm.kd is not None else (spla, "splu")
+    module, name = (solver_module, "_band_cholesky") if n <= _BAND_LIMIT else (spla, "splu")
     factorize = getattr(module, name)
     dropped = []
 
@@ -595,6 +614,125 @@ def _check_pcg_on_held_factor(monkeypatch, n):
     assert dropped == [True, True, True]
 
 
+# ---- reference CSC assembly -------------------------------------------------------
+
+
+def _corner_nodes(ncx, ncy):
+    """Node ids of each cell's corners (i,j), (i+1,j), (i,j+1), (i+1,j+1),
+    shape (ncx, ncy, 4)."""
+    ny1 = ncy + 1
+    n00 = np.arange(ncx)[:, None] * ny1 + np.arange(ncy)
+    return np.stack([n00, n00 + ny1, n00 + 1, n00 + ny1 + 1], axis=-1)
+
+
+def _short_axis_first(ncx, ncy):
+    """Interior node ids line by line, the shorter axis (y on a square)
+    fastest."""
+    nodes = np.arange(1, ncx)[:, None] * (ncy + 1) + np.arange(1, ncy)
+    return (nodes if ncy <= ncx else nodes.T).ravel()
+
+
+def _oracle_csc(n_cells, K, interior):
+    """The interior CSC matrix of the (cells, 16) cell blocks K, its rows
+    and columns numbered in the order of the node ids `interior`, by a
+    gather of K and np.add.reduceat: each entry sums its cell terms in
+    ascending cell order.  This is how the solver assembled CSC matrices
+    before every Hessian became a stencil."""
+    ncx, ncy = n_cells
+    n = interior.size
+    idx = np.full((ncx + 1) * (ncy + 1), -1)
+    idx[interior] = np.arange(n)
+    local = idx[_corner_nodes(ncx, ncy)].reshape(-1, 4)
+    rows = np.repeat(local, 4, axis=1).ravel()
+    cols = np.tile(local, (1, 4)).ravel()
+    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+    rows, cols = rows[keep], cols[keep]
+    order = np.lexsort((rows, cols))            # stable: duplicates keep cell order
+    rows, cols = rows[order], cols[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(first)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols[starts], minlength=n), out=indptr[1:])
+    data = np.add.reduceat(K.reshape(-1)[keep[order]], starts)
+    return csc_matrix((data, rows[starts].astype(np.int32), indptr), shape=(n, n))
+
+
+def _superlu_reference(C):
+    """SuperLU on C as the solver factorizes over _BAND_LIMIT cells across."""
+    return spla.splu(C, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
+def _reference_pcg(C, b, lu):
+    """CG on C preconditioned with lu from lu's solve of b, step for step
+    as the solver runs it, to relative residual _PCG_RTOL."""
+    x = lu.solve(b)
+    r = b - C @ x
+    tol = _PCG_RTOL * np.linalg.norm(b)
+    p = rho = None
+    for _ in range(_PCG_MAXITER):
+        if np.linalg.norm(r) <= tol:
+            return x
+        z = lu.solve(r)
+        rho_new = float(r @ z)
+        p = z if p is None else z + (rho_new / rho) * p
+        q = C @ p
+        alpha = rho_new / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rho = rho_new
+    assert np.linalg.norm(r) <= tol
+    return x
+
+
+def _bits(x):
+    return x.view(np.int64)
+
+
+@pytest.mark.parametrize("n_cells", [(65, 65), (65, 70), (72, 65), (66, 130)])
+def test_nested_dissection_csc_is_the_oracle_bit_for_bit(monkeypatch, n_cells):
+    # over _BAND_LIMIT cells across, SuperLU gets the stencil gathered in
+    # nested-dissection order: that matrix, its direct solve and PCG on its
+    # factor keep the bits of the CSC assembly numbered that way
+    dom = GridDomain(OFFSET_BOX, n_cells)
+    asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3), 4)
+    u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
+    nd = _nested_dissection(*n_cells)
+    g = -asm.gradient_full(u, 0.1)
+    rhs = (g, 2.0 * g - 1.0)                    # two columns, as a direct solve allows
+    b_int = np.column_stack([asm.gather_interior(c) for c in rhs])
+    b_nd = np.column_stack([c.ravel()[nd] for c in rhs])
+    (A, K), (near, K_near) = (_hessian_and_blocks(monkeypatch, asm, u, a) for a in (0.1, 0.09))
+    C, C_near = (_oracle_csc(n_cells, blocks, nd) for blocks in (K, K_near))
+
+    # each nested-dissection position's stencil number, from node ids alone
+    where = np.empty(u.size, dtype=np.intp)
+    where[_short_axis_first(*n_cells)] = np.arange(asm.n_int)
+
+    def permuted_back(x_nd):
+        x = np.empty_like(x_nd)
+        x[where[nd]] = x_nd
+        return x
+
+    factored = []
+    splu = spla.splu
+    solver = _LinearSolver()
+    with monkeypatch.context() as patch:
+        patch.setattr(spla, "splu", lambda M, **kw: factored.append(M) or splu(M, **kw))
+        x = solver.solve(A, b_int)
+    (M,) = factored
+    assert np.array_equal(_bits(M.data), _bits(C.data))
+    assert np.array_equal(M.indices, C.indices) and np.array_equal(M.indptr, C.indptr)
+    lu = _superlu_reference(C)
+    assert np.array_equal(_bits(x), _bits(permuted_back(lu.solve(b_nd))))
+
+    x = solver.solve(near, b_int[:, 0], _PCG_RTOL)
+    assert solver.factorizations == 1 and solver.pcg_iterations >= 1
+    ref = permuted_back(_reference_pcg(C_near, b_nd[:, 0], lu))
+    assert np.array_equal(_bits(x), _bits(ref))
+
+
 # ---- band Cholesky path ---------------------------------------------------------
 
 
@@ -602,12 +740,11 @@ def _smooth_hessian(n_cells, a=1e-2):
     dom = GridDomain(OFFSET_BOX, n_cells)
     asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3), 4)
     u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
-    return asm, u, asm.hessian_interior(u, a), -asm.gradient_full(u, a).ravel()[asm.interior]
+    return asm, u, asm.hessian_interior(u, a), -asm.gather_interior(asm.gradient_full(u, a))
 
 
-def _reference_csc(monkeypatch, asm, u, a):
-    """The Hessian at (u, a) and, from the same cell blocks, the CSC matrix
-    of the `_csc_pattern` gather (the band grids' assembly before stencils)."""
+def _hessian_and_blocks(monkeypatch, asm, u, a):
+    """The Hessian at (u, a) and the (cells, 16) cell blocks it sums."""
     blocks = []
     stencil = asm._stencil
 
@@ -618,7 +755,7 @@ def _reference_csc(monkeypatch, asm, u, a):
     with monkeypatch.context() as patch:
         patch.setattr(asm, "_stencil", spy)
         A = asm.hessian_interior(u, a)
-    return A, asm._csc(blocks[0])
+    return A, blocks[0]
 
 
 @pytest.mark.parametrize("n_cells", [
@@ -639,10 +776,12 @@ def _check_stencil_against_csc(monkeypatch, n_cells, H, a):
     rng = np.random.RandomState(11)
     u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
     u[1:-1, 1:-1] += 0.1 * rng.randn(*(n - 1 for n in n_cells))
-    A, C = _reference_csc(monkeypatch, asm, u, a)
+    A, K = _hessian_and_blocks(monkeypatch, asm, u, a)
+    C = _oracle_csc(n_cells, K, _short_axis_first(*n_cells))
+    kd = min(n_cells)
     assert isinstance(A, solver_module._Stencil) and isinstance(C, csc_matrix)
     assert A.shape == C.shape == (asm.n_int, asm.n_int)
-    assert np.all(np.diff(A.offsets) > 0) and A.offsets[-1] == asm.kd
+    assert np.all(np.diff(A.offsets) > 0) and A.offsets[-1] == kd
 
     # data[k, col] = C[col - offsets[k], col], and 0 off C's pattern
     rows = C.indices
@@ -667,16 +806,16 @@ def _check_stencil_against_csc(monkeypatch, n_cells, H, a):
     monkeypatch.setattr(solver_module, "dpbtrf", spy)
     _LinearSolver().solve(A, -asm.gather_interior(asm.gradient_full(u, a)))
     ((fortran, ab),) = bands
-    assert fortran and ab.shape == (asm.kd + 1, asm.n_int)
+    assert fortran and ab.shape == (kd + 1, asm.n_int)
     # the CSC matrix's lower entries scattered to row - col + (kd + 1) col
     lower = rows >= cols
     ref = np.zeros(ab.shape, order="F")
-    ref.reshape(-1, order="F")[(rows - cols + (asm.kd + 1) * cols)[lower]] = C.data[lower]
+    ref.reshape(-1, order="F")[(rows - cols + (kd + 1) * cols)[lower]] = C.data[lower]
     assert np.array_equal(ab.view(np.int64), ref.view(np.int64))
     # row k of the lower band is the k-th subdiagonal, zero-padded at its end
     D = C.toarray()
-    assert np.abs(np.tril(D, -asm.kd - 1)).max(initial=0.0) == 0.0
-    for k in range(asm.kd + 1):
+    assert np.abs(np.tril(D, -kd - 1)).max(initial=0.0) == 0.0
+    for k in range(kd + 1):
         sub = np.diagonal(D, -k)
         assert np.array_equal(ab[k, : sub.size].view(np.int64), sub.view(np.int64))
         assert not ab[k, sub.size:].any()
@@ -685,11 +824,11 @@ def _check_stencil_against_csc(monkeypatch, n_cells, H, a):
 @pytest.mark.parametrize("n_cells", [(32, 32), (12, 40), (40, 12)])
 def test_band_and_superlu_solves_agree(n_cells):
     asm, _, A, b = _smooth_hessian(n_cells)
-    assert asm.kd == min(n_cells)
+    assert A.offsets[-1] == min(n_cells)
     band = _LinearSolver()
     x = band.solve(A, b)
     assert isinstance(band.lu, solver_module._BandCholesky)
-    ref = _LinearSolver().solve(A.tocsc(), b)
+    ref = _superlu_reference(A.tocsc()).solve(b)
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -699,17 +838,17 @@ def test_band_path_runs_up_to_the_limit(n, banded):
     asm, _, A, b = _smooth_hessian((n, n))
     solver = _LinearSolver()
     solver.solve(A, b)
-    assert asm.kd == (n if banded else None)
+    assert A.offsets[-1] == n                   # the half-bandwidth picks the path
     assert isinstance(solver.lu, solver_module._BandCholesky) is banded
     assert isinstance(solver.lu, spla.SuperLU) is not banded
 
 
 def test_band_two_column_solve_is_two_single_solves():
     asm, u, A, g = _smooth_hessian((32, 35))
-    rhs = np.column_stack([g, -asm.gradient_a(u, 1e-2).ravel()[asm.interior]])
+    rhs = np.column_stack([g, -asm.gather_interior(asm.gradient_a(u, 1e-2))])
     solver = _LinearSolver()
     x = solver.solve(A, rhs)
-    assert x.shape == rhs.shape and asm.kd is not None
+    assert x.shape == rhs.shape and A.offsets[-1] == 32 <= _BAND_LIMIT
     for k in range(2):
         assert np.array_equal(x[:, k], solver.lu.solve(rhs[:, k]))
 
@@ -826,7 +965,7 @@ def test_newton_tangent_is_the_a_derivative_of_the_solution(a):
     da = 1e-3 * a
     up = _newton(asm, a + da, result.u.values, cfg, _LinearSolver())
     down = _newton(asm, a - da, result.u.values, cfg, _LinearSolver())
-    fd = ((up.u.values - down.u.values) / (2 * da)).ravel()[asm.interior]
+    fd = asm.gather_interior((up.u.values - down.u.values) / (2 * da))
     assert np.abs(tangent - fd).max() <= 1e-5 * np.abs(fd).max()
 
 

@@ -75,13 +75,16 @@ def run_one(n: int) -> dict:
         "gradient": _edge(st, "gradient_full", newton),
         "tangent_rhs": _edge(st, "gradient_a", newton),
         "hessian_assembly": _edge(st, "hessian_interior", newton),
+        # over the band limit: the stencil gathered into nested-dissection
+        # CSC order, and the pattern built at the first call
+        "csc_gather": _own(st, "_nested_dissection_csc", 3, "solver.py"),
         "factorization": _own(st, GSTRF, 2) + _own(st, BAND, 3, "solver.py"),
-        # direct solves after a factorization (by `_spd_solve` in older
-        # checkouts), SuperLU's or the band factor's `solve`; the solves
-        # inside PCG are in "pcg"
+        # direct solves after a factorization (by `_spd_solve` or `solve` in
+        # older checkouts), SuperLU's or the band factor's `solve`; the
+        # solves inside PCG are in "pcg"
         "triangular_solve": _edge(st, "<method 'solve' of 'SuperLU' objects>",
-                                  ("solve", "_spd_solve"))
-        + _edge(st, "solve", ("solve",), "solver.py"),
+                                  ("_solve", "solve", "_spd_solve"))
+        + _edge(st, "solve", ("_solve", "solve"), "solver.py"),
         "pcg": _own(st, "_pcg", 3, "solver.py"),
         "line_search": sum(_edge(st, f, newton) for f in ("energy", "residual_norm", "scatter_interior")),
         "predictor": _own(st, "_euler_predict", 3),
