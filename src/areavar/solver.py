@@ -16,18 +16,19 @@ O(h^{2k}), which is what makes plane reproduction at 1e-8 possible.
 
 The interior is numbered line by line, short axis first, so every SPD
 matrix (the Newton Hessian, the Picard oracle's frozen matrix) is a
-9-point stencil of half-bandwidth min(ncx, ncy): it is assembled as its
-diagonals (`_Stencil`) straight from the cell blocks.  One `_LinearSolver`
-per solve picks the factorization from that half-bandwidth: band Cholesky
-(LAPACK dpbtrf) up to _BAND_LIMIT; above it, SuperLU on the stencil
-gathered into a CSC matrix in nested-dissection order.  It keeps the
-latest factor; once Newton converges quadratically, and for each stage's
-tangent, it first runs conjugate gradients preconditioned with that
-factor.
+9-point stencil of half-bandwidth min(ncx, ncy): its diagonals are summed
+straight from the cell blocks into a scipy `dia_array`.  One
+`_LinearSolver` per solve, made for the grid's n_cells, picks the
+factorization from that half-bandwidth: band Cholesky (LAPACK dpbtrf) up
+to _BAND_LIMIT; above it, SuperLU on the stencil gathered into a CSC
+matrix in nested-dissection order.  It keeps the latest factor; once
+Newton converges quadratically, and for each stage's tangent, it first
+runs conjugate gradients preconditioned with that factor.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -93,6 +94,9 @@ class SolverConfig:
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ValueError("a_schedule must be strictly decreasing")
         self.a_schedule = sched
+        n = self.max_newton_iters
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"max_newton_iters must be an integer, got {n!r}")
         # every condition is False for NaN, so NaN is rejected as well
         for ok, msg in (
             (0 < self.newton_tol < math.inf, "newton_tol must be finite and > 0"),
@@ -128,7 +132,6 @@ class _Assembler:
         self.dom = dom
         self.spec = spec
         hx, hy = dom.spacing
-        self.hx, self.hy = hx, hy
         self.vol = hx * hy
         ncx, ncy = dom.n_cells
         self.ncx, self.ncy = ncx, ncy
@@ -251,8 +254,6 @@ class _Assembler:
         return self._node_gradient(c * mx, c * my, h_term=False)
 
     def residual_norm(self, values: np.ndarray, a: float, kin: tuple | None = None) -> float:
-        if not self.n_int:
-            return 0.0
         # the interior in any order: max is exact
         g = self.gradient_full(values, a, kin)[1:-1, 1:-1]
         return float(np.abs(g).max()) / self.vol
@@ -279,9 +280,10 @@ class _Assembler:
 
     def stiffness(
         self, a11: np.ndarray, a12: np.ndarray | None, a22: np.ndarray
-    ) -> _Stencil:
+    ) -> sp.dia_array:
         """Interior stiffness of the per-quadrature-point coefficient matrix
-        [[a11, a12], [a12, a22]] (each (ncx, ncy, G); a12=None means 0)."""
+        [[a11, a12], [a12, a22]] (each (ncx, ncy, G); a12=None means 0), as
+        the `dia_array` of `_stencil`."""
         G = self.G
         K = a11.reshape(-1, G) @ self.Txx
         K += a22.reshape(-1, G) @ self.Tyy
@@ -289,10 +291,17 @@ class _Assembler:
             K += a12.reshape(-1, G) @ self.Txy
         return self._stencil(K)
 
-    def _stencil(self, K: np.ndarray) -> _Stencil:
-        """The 9 diagonals of the interior matrix of the (cells, 16) cell
-        blocks K, each summed from strided slices of them: every entry adds
-        its cell terms in ascending cell order, as np.add.reduceat would."""
+    def _stencil(self, K: np.ndarray) -> sp.dia_array:
+        """The interior matrix of the (cells, 16) cell blocks K as its 9
+        diagonals, data[k, col] = A[col - offsets[k], col] with the offsets
+        ascending, rows and columns numbered as in `_strides`.  Each diagonal
+        is summed from strided slices of the blocks: every entry adds its
+        cell terms in ascending cell order, as np.add.reduceat would.  Slots
+        that hold no entry are 0: those past the matrix's edge, and those of
+        node pairs that are not neighbours.  The array keeps `data` without
+        a copy, and its product adds each row's terms in ascending offset,
+        that is ascending column, order into zeros: the bits of the CSC
+        product."""
         B = K.reshape(self.ncx, self.ncy, 4, 4)     # [ci, cj, row corner, col corner]
         offsets, terms = self._stencil_terms
         data = np.zeros((offsets.size, self.n_int))
@@ -312,7 +321,7 @@ class _Assembler:
                 t = x[1] + x[2]
                 t += x[3]
                 np.add(x[0], t, out=out)
-        return _Stencil(data, offsets, (self.ncx, self.ncy))
+        return sp.dia_array((data, offsets), shape=(self.n_int, self.n_int))
 
     @cached_property
     def _stencil_terms(self) -> tuple:
@@ -347,9 +356,9 @@ class _Assembler:
 
     def hessian_interior(
         self, values: np.ndarray, a: float, kin: tuple | None = None
-    ) -> _Stencil:
-        """Interior Hessian: `stiffness(a11, a12, a22)` of the coefficients
-        1/r - m m^T / r^3, bit for bit.
+    ) -> sp.dia_array:
+        """Interior Hessian, a `dia_array`: `stiffness(a11, a12, a22)` of the
+        coefficients 1/r - m m^T / r^3, bit for bit.
 
         Each coefficient is formed in one scratch buffer c and contracted
         into the cell blocks before the next one is formed, in stiffness's
@@ -426,54 +435,10 @@ def _nested_dissection(ncx: int, ncy: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-class _Stencil:
-    """The interior matrix of an ncx x ncy cell grid, n_cells = (ncx, ncy),
-    as its diagonals in scipy's DIA layout, data[k, col] =
-    A[col - offsets[k], col] with the offsets ascending: a 9-point stencil
-    whose rows and columns number the interior line by line, short axis
-    fastest (`_strides`).  Slots that hold no entry are 0: those past the
-    matrix's edge, and those of node pairs that are not neighbours."""
-
-    def __init__(self, data: np.ndarray, offsets: np.ndarray, n_cells: tuple[int, int]):
-        self.data = data
-        self.offsets = offsets
-        self.n_cells = n_cells
-        n = data.shape[1]
-        self.shape = (n, n)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """A x for a vector x, bit for bit scipy's CSC product: each row
-        adds its terms in ascending column, that is ascending offset, order
-        into zeros."""
-        y = np.zeros(self.shape[0])
-        t = np.empty(self.shape[0])
-        for d, cols, rows in self._diagonals:
-            p = t[: d.size]
-            np.multiply(d, x[cols], out=p)
-            y[rows] += p
-        return y
-
-    @cached_property
-    def _diagonals(self) -> list:
-        """The entries of each diagonal inside the matrix, with the columns
-        they multiply and the rows they add to; computed on the first
-        product."""
-        n = self.shape[0]
-        out = []
-        for d, off in zip(self.data, self.offsets.tolist()):
-            m = n - abs(off)
-            if m > 0:
-                c = max(off, 0)
-                out.append((d[c:c + m], slice(c, c + m), slice(c - off, c - off + m)))
-        return out
-
-    def tocsc(self) -> sp.csc_matrix:
-        return sp.dia_matrix((self.data, self.offsets), shape=self.shape).tocsc()
-
-
 class _LinearSolver:
-    """SPD solves of one Newton or Picard solve, holding the latest factor
-    and counting factorizations and CG iterations.
+    """SPD solves of one Newton or Picard solve on a grid of n_cells =
+    (ncx, ncy) cells, holding the latest factor and counting factorizations
+    and CG iterations.
 
     `solve(A, b, rtol)` first runs CG on A preconditioned with the held
     factor of an earlier matrix, starting from the factor's solve of b, and
@@ -481,27 +446,29 @@ class _LinearSolver:
     Otherwise, or with rtol None or no factor held, it factorizes A and
     solves directly (b may then have several columns).
 
-    The stencil's half-bandwidth kd = max(offsets) picks the factorization.
-    Up to _BAND_LIMIT it is band Cholesky, (kd + 1) n doubles (2.1 MB at
-    64^2).  Above, the stencil is gathered into a CSC matrix whose rows and
-    columns are numbered by nested dissection, and b is permuted into that
-    order: the matrix gets a SuperLU factor in natural column order with
-    diagonal pivots (about 60 MB at 256^2, 286 MB at 512^2, about half the
-    fill of COLAMD's order), and both the direct solve and PCG run on it
-    before x is permuted back.  The numbering and the CSC pattern are built
-    at the first such factorization and kept.  The factor lives until the
-    next factorization.  A factorization that meets a non-positive pivot
-    (SuperLU: an exactly zero one) raises np.linalg.LinAlgError and leaves
-    no factor held.
+    A is a stencil from `_Assembler`, a `dia_array`; its half-bandwidth
+    kd = max(offsets) picks the factorization.  Up to _BAND_LIMIT it is
+    band Cholesky, (kd + 1) n doubles (2.1 MB at 64^2).  Above, the stencil
+    is gathered into a CSC matrix whose rows and columns are numbered by
+    nested dissection, and b is permuted into that order: the matrix gets a
+    SuperLU factor in natural column order with diagonal pivots (about
+    60 MB at 256^2, 286 MB at 512^2, about half the fill of COLAMD's
+    order), and both the direct solve and PCG run on it before x is
+    permuted back.  The numbering, `_nested_dissection` of n_cells, and the
+    CSC pattern are built at the first such factorization and kept.  The
+    factor lives until the next factorization.  A factorization that meets
+    a non-positive pivot (SuperLU: an exactly zero one) raises
+    np.linalg.LinAlgError and leaves no factor held.
     """
 
-    def __init__(self):
+    def __init__(self, n_cells: tuple[int, int]):
+        self.n_cells = n_cells
         self.lu = None
         self.factorizations = 0
         self.pcg_iterations = 0
         self.nd_pattern = None
 
-    def solve(self, A: _Stencil, b: np.ndarray, rtol: float | None = None) -> np.ndarray:
+    def solve(self, A: sp.dia_array, b: np.ndarray, rtol: float | None = None) -> np.ndarray:
         if A.offsets[-1] <= _BAND_LIMIT:
             return self._solve(A, b, rtol, _band_cholesky)
         perm, C = self._nested_dissection_csc(A)
@@ -509,17 +476,17 @@ class _LinearSolver:
         x[perm] = self._solve(C, b[perm], rtol, _superlu)
         return x
 
-    def _nested_dissection_csc(self, A: _Stencil) -> tuple[np.ndarray, sp.csc_matrix]:
+    def _nested_dissection_csc(self, A: sp.dia_array) -> tuple[np.ndarray, sp.csc_matrix]:
         """(perm, C): the stencil A gathered into the CSC matrix C whose
         i-th row and column are A's perm[i]-th."""
         if self.nd_pattern is None:
-            self.nd_pattern = _nested_dissection_pattern(A)
+            self.nd_pattern = _nested_dissection_pattern(A, self.n_cells)
         perm, slots, indices, indptr = self.nd_pattern
         C = sp.csc_matrix((A.data.reshape(-1)[slots], indices, indptr), shape=A.shape)
         C.has_canonical_format = True
         return perm, C
 
-    def _solve(self, A: _Stencil | sp.csc_matrix, b: np.ndarray, rtol: float | None,
+    def _solve(self, A: sp.dia_array | sp.csc_matrix, b: np.ndarray, rtol: float | None,
                factorize) -> np.ndarray:
         """`solve` on the matrix A as given, factorized by `factorize`."""
         if rtol is not None and self.lu is not None:
@@ -532,7 +499,8 @@ class _LinearSolver:
         self.factorizations += 1
         return self.lu.solve(b)
 
-    def _pcg(self, A: _Stencil | sp.csc_matrix, b: np.ndarray, rtol: float) -> np.ndarray | None:
+    def _pcg(self, A: sp.dia_array | sp.csc_matrix, b: np.ndarray,
+             rtol: float) -> np.ndarray | None:
         precond = self.lu.solve
         x = precond(b)
         r = b - A @ x
@@ -553,14 +521,14 @@ class _LinearSolver:
         return x if np.linalg.norm(r) <= tol else None
 
 
-def _nested_dissection_pattern(A: _Stencil) -> tuple:
-    """The stencil A's matrix renumbered by `_nested_dissection`, as
+def _nested_dissection_pattern(A: sp.dia_array, n_cells: tuple[int, int]) -> tuple:
+    """The stencil A of an n_cells grid renumbered by `_nested_dissection`, as
     (perm, slots, indices, indptr): perm[i] is the stencil number of the
     i-th node in nested-dissection order, and the CSC matrix with
     `indices`/`indptr` and data A.data.reshape(-1)[slots] is that matrix,
     every entry one slot of A, rows ascending in each column.  Its entries
     therefore keep the stencil's bits."""
-    ncx, ncy = A.n_cells
+    ncx, ncy = n_cells
     n = A.shape[0]
     i, j = np.divmod(_nested_dissection(ncx, ncy), ncy + 1)
     sx, sy = _strides(ncx, ncy)
@@ -605,7 +573,7 @@ class _BandCholesky:
         return dpbtrs(self.ab, b, lower=1)[0]
 
 
-def _band_cholesky(A: _Stencil) -> _BandCholesky:
+def _band_cholesky(A: sp.dia_array) -> _BandCholesky:
     """Factorize the SPD stencil A by dpbtrf: its diagonals with offset
     -k <= 0 are rows k of a zeroed (kd + 1, n) lower band, kd = max(offsets),
     which dpbtrf overwrites with the factor.  The band is Fortran-ordered
@@ -689,7 +657,7 @@ def _newton(
     res_prev = 0.0              # no accepted step yet: the gate is closed
     for _ in range(cfg.max_newton_iters):
         g_int = asm.gather_interior(asm.gradient_full(values, a, kin))
-        res = float(np.abs(g_int).max()) / asm.vol if asm.n_int else 0.0
+        res = float(np.abs(g_int).max()) / asm.vol
         if res <= cfg.newton_tol:
             break
         H = asm.hessian_interior(values, a, kin)
@@ -806,7 +774,7 @@ def continuation_minimize(
     """
     cfg = cfg or SolverConfig()
     asm = _Assembler(dom, spec)
-    solver = _LinearSolver()
+    solver = _LinearSolver(dom.n_cells)
     values = harmonic_extension(dom, phi).values
     stages = []
     result = None
@@ -854,7 +822,7 @@ def solve_fixed_point(dom: GridDomain, spec: EnergySpec, a: float, phi: ScalarFi
     if not 0 < a < math.inf:
         raise ValueError("regularization parameter a must be finite and positive")
     asm = _Assembler(dom, spec)
-    solver = _LinearSolver()
+    solver = _LinearSolver(dom.n_cells)
     values = harmonic_extension(dom, phi).values
     iterations = 0
     converged = False

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, dia_array
 
 import areavar.solver as solver_module
 from areavar.grids import (
@@ -152,7 +152,7 @@ def test_stage_energies_decrease_with_a():
     values = harmonic_extension(dom, phi).values
     prev = None
     for a in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        result = _newton(asm, a, values, cfg, _LinearSolver())
+        result = _newton(asm, a, values, cfg, _LinearSolver(dom.n_cells))
         assert result.converged
         values = result.u.values
         if prev is not None:
@@ -418,8 +418,8 @@ def test_hessian_is_the_stiffness_of_its_coefficients():
             H = asm.hessian_interior(u, a)
             S = asm.stiffness(inv_r - mx * mx * inv_r3, -mx * my * inv_r3,
                               inv_r - my * my * inv_r3)
-            assert type(H) is type(S) is solver_module._Stencil
-            assert H.n_cells == S.n_cells == (n, n)
+            assert type(H) is type(S) is dia_array
+            assert H.shape == S.shape == (asm.n_int, asm.n_int)
             for attr in ("data", "offsets"):
                 assert np.array_equal(getattr(H, attr), getattr(S, attr))
 
@@ -442,16 +442,16 @@ def test_interior_ordering_is_a_permutation_of_the_interior_nodes(n_cells):
     assert not spread[dom.boundary_mask()].any()
     # the solver's renumbering is a permutation onto nested dissection
     ones = np.ones((asm.ncx, asm.ncy, asm.G))
-    perm = _nested_dissection_pattern(asm.stiffness(ones, None, ones))[0]
+    perm = _nested_dissection_pattern(asm.stiffness(ones, None, ones), n_cells)[0]
     assert np.array_equal(np.sort(perm), np.arange(asm.n_int))
     assert np.array_equal(interior[perm], _nested_dissection(*n_cells))
 
 
 @pytest.mark.parametrize("n_cells", [(2, 2), (7, 3), (32, 35), (64, 12), (65, 70), (72, 65)])
-def test_interior_is_numbered_by_nested_dissection_on_first_use(n_cells):
+def test_interior_is_numbered_by_nested_dissection_on_first_use(monkeypatch, n_cells):
     # the stencil numbers the interior line by line with the short axis
     # fastest on every grid; over _BAND_LIMIT cells across, a solver
-    # renumbers it by nested dissection at its first solve
+    # renumbers it by nested dissection of its own n_cells at its first solve
     asm = _Assembler(GridDomain(OFFSET_BOX, n_cells), ZERO, 2)
     interior = asm.gather_interior(_node_ids(n_cells))
     assert np.array_equal(interior, _short_axis_first(*n_cells))
@@ -461,12 +461,17 @@ def test_interior_is_numbered_by_nested_dissection_on_first_use(n_cells):
     ones = np.ones((asm.ncx, asm.ncy, asm.G))
     A = asm.stiffness(ones, None, ones)
     assert A.offsets[-1] == min(n_cells)
-    solver = _LinearSolver()
+    solver = _LinearSolver(n_cells)
     assert solver.nd_pattern is None
+    numbered = []
+    nested_dissection = solver_module._nested_dissection
+    monkeypatch.setattr(solver_module, "_nested_dissection",
+                        lambda *grid: numbered.append(grid) or nested_dissection(*grid))
     solver.solve(A, np.ones(asm.n_int))
     if min(n_cells) <= _BAND_LIMIT:
-        assert solver.nd_pattern is None
+        assert solver.nd_pattern is None and numbered == []
         return
+    assert numbered == [n_cells]
     assert np.array_equal(interior[solver.nd_pattern[0]], _nested_dissection(*n_cells))
 
 
@@ -481,7 +486,7 @@ def _check_csc_pattern_built_once(n_cells, banded):
     dom = GridDomain(OFFSET_BOX, n_cells)
     cfg = SolverConfig(max_newton_iters=1)
     asm = _Assembler(dom, P_AREA)
-    solver = _LinearSolver()
+    solver = _LinearSolver(dom.n_cells)
     # the saddle xy is exact at every a: 0 Newton steps, no Hessian
     xy = harmonic_extension(dom, field(dom, lambda x, y: x * y)).values
     result = _newton(asm, 1.0, xy, cfg, solver)
@@ -543,7 +548,7 @@ def test_newton_direction_matches_spsolve():
         C = A.tocsc()
         ref = spla.spsolve(C, -g)
         # band Cholesky, then SuperLU as the over-limit grids call it
-        for d in (_LinearSolver().solve(A, -g), _superlu_reference(C).solve(-g)):
+        for d in (_LinearSolver(dom.n_cells).solve(A, -g), _superlu_reference(C).solve(-g)):
             assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -560,7 +565,7 @@ def test_two_column_solve_matches_spsolve_per_column():
     C = A.tocsc()
     refs = [spla.spsolve(C, rhs[:, k]) for k in range(2)]
     # band Cholesky, then SuperLU as the over-limit grids call it
-    for x in (_LinearSolver().solve(A, rhs), _superlu_reference(C).solve(rhs)):
+    for x in (_LinearSolver(dom.n_cells).solve(A, rhs), _superlu_reference(C).solve(rhs)):
         assert x.shape == rhs.shape
         for k, ref in enumerate(refs):
             assert np.abs(x[:, k] - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -580,7 +585,7 @@ def _check_pcg_on_held_factor(monkeypatch, n):
     b = -asm.gather_interior(asm.gradient_full(u, 0.1))
     # the Hessian at a = 0.1, a perturbed copy near it and one far from it
     A, near, far = (asm.hessian_interior(u, a) for a in (0.1, 0.09, 0.01))
-    solver = _LinearSolver()
+    solver = _LinearSolver(dom.n_cells)
     splu = spla.splu
     module, name = (solver_module, "_band_cholesky") if n <= _BAND_LIMIT else (spla, "splu")
     factorize = getattr(module, name)
@@ -717,7 +722,7 @@ def test_nested_dissection_csc_is_the_oracle_bit_for_bit(monkeypatch, n_cells):
 
     factored = []
     splu = spla.splu
-    solver = _LinearSolver()
+    solver = _LinearSolver(dom.n_cells)
     with monkeypatch.context() as patch:
         patch.setattr(spla, "splu", lambda M, **kw: factored.append(M) or splu(M, **kw))
         x = solver.solve(A, b_int)
@@ -779,7 +784,7 @@ def _check_stencil_against_csc(monkeypatch, n_cells, H, a):
     A, K = _hessian_and_blocks(monkeypatch, asm, u, a)
     C = _oracle_csc(n_cells, K, _short_axis_first(*n_cells))
     kd = min(n_cells)
-    assert isinstance(A, solver_module._Stencil) and isinstance(C, csc_matrix)
+    assert isinstance(A, dia_array) and isinstance(C, csc_matrix)
     assert A.shape == C.shape == (asm.n_int, asm.n_int)
     assert np.all(np.diff(A.offsets) > 0) and A.offsets[-1] == kd
 
@@ -804,7 +809,7 @@ def _check_stencil_against_csc(monkeypatch, n_cells, H, a):
         return dpbtrf(ab, **kwargs)
 
     monkeypatch.setattr(solver_module, "dpbtrf", spy)
-    _LinearSolver().solve(A, -asm.gather_interior(asm.gradient_full(u, a)))
+    _LinearSolver(dom.n_cells).solve(A, -asm.gather_interior(asm.gradient_full(u, a)))
     ((fortran, ab),) = bands
     assert fortran and ab.shape == (kd + 1, asm.n_int)
     # the CSC matrix's lower entries scattered to row - col + (kd + 1) col
@@ -825,7 +830,7 @@ def _check_stencil_against_csc(monkeypatch, n_cells, H, a):
 def test_band_and_superlu_solves_agree(n_cells):
     asm, _, A, b = _smooth_hessian(n_cells)
     assert A.offsets[-1] == min(n_cells)
-    band = _LinearSolver()
+    band = _LinearSolver(asm.dom.n_cells)
     x = band.solve(A, b)
     assert isinstance(band.lu, solver_module._BandCholesky)
     ref = _superlu_reference(A.tocsc()).solve(b)
@@ -836,7 +841,7 @@ def test_band_and_superlu_solves_agree(n_cells):
 def test_band_path_runs_up_to_the_limit(n, banded):
     assert _BAND_LIMIT == 64
     asm, _, A, b = _smooth_hessian((n, n))
-    solver = _LinearSolver()
+    solver = _LinearSolver(asm.dom.n_cells)
     solver.solve(A, b)
     assert A.offsets[-1] == n                   # the half-bandwidth picks the path
     assert isinstance(solver.lu, solver_module._BandCholesky) is banded
@@ -846,7 +851,7 @@ def test_band_path_runs_up_to_the_limit(n, banded):
 def test_band_two_column_solve_is_two_single_solves():
     asm, u, A, g = _smooth_hessian((32, 35))
     rhs = np.column_stack([g, -asm.gather_interior(asm.gradient_a(u, 1e-2))])
-    solver = _LinearSolver()
+    solver = _LinearSolver(asm.dom.n_cells)
     x = solver.solve(A, rhs)
     assert x.shape == rhs.shape and A.offsets[-1] == 32 <= _BAND_LIMIT
     for k in range(2):
@@ -868,7 +873,7 @@ def _fail_superlu(*args, **kwargs):
 def test_failed_factorization_ends_the_stage_unconverged(monkeypatch, n, module, name, fail):
     monkeypatch.setattr(module, name, fail)
     asm, u, A, b = _smooth_hessian((n, n))
-    solver = _LinearSolver()
+    solver = _LinearSolver(asm.dom.n_cells)
     with pytest.raises(np.linalg.LinAlgError):
         solver.solve(A, b)
     assert solver.lu is None and solver.factorizations == 0
@@ -891,7 +896,7 @@ def test_failed_tangent_factorization_predicts_nothing(monkeypatch):
 
     monkeypatch.setattr(_LinearSolver, "solve", fail_tangent)
     asm = _Assembler(dom, P_AREA)
-    solver = _LinearSolver()
+    solver = _LinearSolver(dom.n_cells)
     result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, SolverConfig(), solver)
     assert _tangent(asm, 1.0, result.u.values, solver) is None
     # every stage then starts from the last one's end, and still converges
@@ -899,7 +904,7 @@ def test_failed_tangent_factorization_predicts_nothing(monkeypatch):
     assert res.converged
     values = result.u.values
     for a in (1.0, 0.25):
-        chain = _newton(asm, a, values, SolverConfig(), _LinearSolver())
+        chain = _newton(asm, a, values, SolverConfig(), _LinearSolver(dom.n_cells))
         values = chain.u.values
     assert np.array_equal(res.u.values, values)
 
@@ -930,7 +935,7 @@ def test_continuation_matches_unpredicted_chain_in_fewer_steps():
     values = harmonic_extension(dom, phi).values
     chain_steps = 0
     for a in cfg.a_schedule:
-        chain = _newton(asm, a, values, cfg, _LinearSolver())
+        chain = _newton(asm, a, values, cfg, _LinearSolver(dom.n_cells))
         assert chain.converged
         values = chain.u.values
         chain_steps += chain.iterations
@@ -958,13 +963,13 @@ def test_newton_tangent_is_the_a_derivative_of_the_solution(a):
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
     cfg = SolverConfig()
     asm = _Assembler(dom, P_AREA)
-    solver = _LinearSolver()
+    solver = _LinearSolver(dom.n_cells)
     result = _newton(asm, a, harmonic_extension(dom, phi).values, cfg, solver)
     assert result.converged
     tangent = _tangent(asm, a, result.u.values, solver)
     da = 1e-3 * a
-    up = _newton(asm, a + da, result.u.values, cfg, _LinearSolver())
-    down = _newton(asm, a - da, result.u.values, cfg, _LinearSolver())
+    up = _newton(asm, a + da, result.u.values, cfg, _LinearSolver(dom.n_cells))
+    down = _newton(asm, a - da, result.u.values, cfg, _LinearSolver(dom.n_cells))
     fd = asm.gather_interior((up.u.values - down.u.values) / (2 * da))
     assert np.abs(tangent - fd).max() <= 1e-5 * np.abs(fd).max()
 
@@ -974,7 +979,8 @@ def test_zero_step_stage_gives_no_prediction():
     phi = field(dom, lambda x, y: x * y)
     cfg = SolverConfig()
     asm = _Assembler(dom, P_AREA)
-    result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, _LinearSolver())
+    start = harmonic_extension(dom, phi).values
+    result = _newton(asm, 1.0, start, cfg, _LinearSolver(dom.n_cells))
     assert result.iterations == 0 and result.factorizations == 0
     # no step, no tangent: the next stage starts where this one ended
     res = continuation_minimize(dom, P_AREA, phi, cfg)
@@ -988,7 +994,7 @@ def test_predictor_is_used_only_when_it_lowers_the_energy():
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
     cfg = SolverConfig()
     asm = _Assembler(dom, P_AREA)
-    solver = _LinearSolver()
+    solver = _LinearSolver(dom.n_cells)
     result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, solver)
     tangent = _tangent(asm, 1.0, result.u.values, solver)
     values, a = result.u.values, 0.5
@@ -1000,8 +1006,8 @@ def test_predictor_is_used_only_when_it_lowers_the_energy():
     bad = (1.0 - a) * tangent
     kept, kin = _euler_predict(asm, a, values, bad)
     assert kept is values and kin is None
-    unpredicted = _newton(asm, a, values, cfg, _LinearSolver())
-    guarded = _newton(asm, a, values, cfg, _LinearSolver(), bad)
+    unpredicted = _newton(asm, a, values, cfg, _LinearSolver(dom.n_cells))
+    guarded = _newton(asm, a, values, cfg, _LinearSolver(dom.n_cells), bad)
     assert np.array_equal(guarded.u.values, unpredicted.u.values)
     assert guarded.iterations == unpredicted.iterations
 
@@ -1029,6 +1035,11 @@ def test_solver_config_validation():
         {"newton_tol": math.nan},
         {"continuation_stop": -1e-6},
         {"max_newton_iters": 0},
+        {"max_newton_iters": 2.5},
+        {"max_newton_iters": 3.0},
+        {"max_newton_iters": True},
+        {"max_newton_iters": np.True_},
+        {"max_newton_iters": "3"},
         {"newton_tol": math.inf},
         {"continuation_stop": math.inf},
         {"a_schedule": (math.inf, 1.0)},
@@ -1041,6 +1052,8 @@ def test_solver_config_validation():
     # the boundary values themselves are accepted
     cfg = SolverConfig(continuation_stop=0.0, max_newton_iters=1)
     assert cfg.continuation_stop == 0.0
+    # numpy integers count as integers
+    assert SolverConfig(max_newton_iters=np.int64(3)).max_newton_iters == 3
 
 
 def test_rejects_nonpositive_a():

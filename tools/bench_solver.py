@@ -6,9 +6,11 @@ For each grid size n, one fresh process solves the p_area problem on
 [-1, 1]^2 with n x n cells, boundary data xy + 0.3 sin(2x + 0.3y) and the
 default SolverConfig: once untimed by the profiler (wall time, Newton steps
 in all and per stage, factorizations, PCG iterations, minor page faults of
-the solve, peak RSS, and a digest of the final nodal values, so that two source trees can be checked to return
-the same field bit for bit), then once under cProfile for the per-phase
-split.  Each line of output is one JSON object, with the BLAS thread cap
+the solve, peak RSS, and a digest of the final nodal values, so that two
+source trees can be checked to return the same field bit for bit), then
+once under cProfile for the per-phase split and, beside the phases, the
+seconds of the matrix products inside PCG (part of the "pcg" phase).  Each
+line of output is one JSON object, with the BLAS thread cap
 (OPENBLAS_NUM_THREADS, unset unless the caller sets it) and the usable CPU
 count.  These are single runs.
 """
@@ -109,6 +111,9 @@ def run_one(n: int) -> dict:
         "nproc": len(os.sched_getaffinity(0)),
         "profiled_s": round(total, 3),
         "phases_s": {k: round(v, 3) for k, v in phases.items()},
+        # every A @ x inside `_pcg`: the stencil's product, or the CSC
+        # matrix's over 64 cells across
+        "pcg_matmul_s": round(_edge(st, "__matmul__", ("_pcg",)), 3),
     }
 
 
