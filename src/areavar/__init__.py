@@ -6,6 +6,7 @@ from .grids import (
     GridDomain,
     ScalarField,
     SingularSet,
+    SolvedField,
     VectorField,
     area_energy,
     field_to_measure,

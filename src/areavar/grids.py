@@ -122,6 +122,30 @@ class ScalarField:
         return 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
 
 
+class SolvedField(ScalarField):
+    """A solver's nodal solution: read-only, with the EnergySpec it was
+    solved under.
+
+    Its values are marked read-only and no attribute can be rebound, so
+    what is derived from them cannot go stale: `gradient`, `singular_set`
+    and `field_to_measure` compute their result for a solved field once and
+    keep it (see `_kept`), with every array of that result marked read-only
+    as well.  The gradient is kept for any spec; the singular set and the
+    measure only for `spec` itself, the same object, at the default tol.
+    """
+
+    def __init__(self, dom: GridDomain, values: np.ndarray, spec: EnergySpec):
+        super().__init__(dom, values)
+        self.values.flags.writeable = False
+        self.spec = spec
+        self._kept = {}
+
+    def __setattr__(self, name, value):
+        if "_kept" in self.__dict__:
+            raise AttributeError(f"a solved field is read-only: cannot set {name!r}")
+        super().__setattr__(name, value)
+
+
 @dataclass
 class VectorField:
     """Cell-centered d-vector data on a grid."""
@@ -223,11 +247,37 @@ class EnergySpec:
 # ---- core operations --------------------------------------------------------
 
 
+def _kept(u: ScalarField, name: str, compute: Callable, spec: EnergySpec | None = None,
+          tol: float = 1.0):
+    """compute(), the result `name` of the field u.
+
+    On a SolvedField asked under its own spec (the same object; None for a
+    result that does not depend on one) at the default tol, it is computed
+    once, its arrays are marked read-only, and it is kept on u; every other
+    field, spec or tol gets it computed afresh.
+    """
+    if not isinstance(u, SolvedField) or tol != 1.0 or (spec is not None and spec is not u.spec):
+        return compute()
+    kept = u._kept
+    if name not in kept:
+        result = compute()
+        for part in result if isinstance(result, tuple) else (result,):
+            for a in vars(part).values():
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+        kept[name] = result
+    return kept[name]
+
+
 def gradient(u: ScalarField) -> VectorField:
     """Cell-centered gradient: average of the four forward differences.
 
-    Exact for affine nodal data on any grid.
+    Exact for affine nodal data on any grid.  Kept on a SolvedField.
     """
+    return _kept(u, "gradient", lambda: _gradient(u))
+
+
+def _gradient(u: ScalarField) -> VectorField:
     dom = u.dom
     hx, hy = dom.spacing
     v = u.values
@@ -266,7 +316,7 @@ def area_energy(u: ScalarField, spec: EnergySpec) -> float:
     return pairwise_sum(integrand.ravel() * dom.cell_volume)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SingularSet:
     """Cells where |grad u + F| falls below the detection threshold, with
     the cell values of grad u + F and of |grad u + F| it thresholded."""
@@ -286,10 +336,15 @@ def singular_set(u: ScalarField, spec: EnergySpec, tol: float = 1.0) -> Singular
     cell's worth of variation of a typical density.  A small relative slack
     keeps cells sitting exactly at the threshold (the generic situation for
     piecewise-linear fields) robust against roundoff in the solver output.
-    With tol = 0 only exact zeros are flagged.
+    With tol = 0 only exact zeros are flagged.  Kept on a SolvedField for
+    its own spec at the default tol.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
+    return _kept(u, "singular_set", lambda: _singular_set(u, spec, tol), spec, tol)
+
+
+def _singular_set(u: ScalarField, spec: EnergySpec, tol: float) -> SingularSet:
     dom = u.dom
     m = drift_gradient(u, spec)
     norms = np.sqrt(dot2(m, m))
@@ -310,7 +365,14 @@ def field_to_measure(
     decomposition of a direction measure against this one sends direction
     mass on those cells to the mutually singular remainder.  Also returns a
     zero measure on the same complex as a template for building directions.
+    Both are kept on a SolvedField for its own spec at the default tol.
     """
+    return _kept(u, "measure", lambda: _field_to_measure(u, spec, tol), spec, tol)
+
+
+def _field_to_measure(
+    u: ScalarField, spec: EnergySpec, tol: float
+) -> tuple[VectorMeasure, VectorMeasure]:
     dom = u.dom
     sing = singular_set(u, spec, tol)
     m = sing.drift.copy()

@@ -41,11 +41,12 @@ from .grids import (
     EnergySpec,
     GridDomain,
     ScalarField,
+    SolvedField,
     area_energy,
     drift_gradient,
     hypothesis_checks,
 )
-from .util import dot2, pairwise_sum
+from .util import dot2, fixed_dot, pairwise_sum
 
 # a = 4^-k down to 2^-12: from the Euler predictor, Newton corrects a quartering
 # of a in barely more steps than a halving, so halving stages mostly add
@@ -88,6 +89,12 @@ class SolverConfig:
     continuation_stop: float = 1e-6
 
     def __post_init__(self):
+        # float(True) is 1.0: a boolean is refused wherever a number is read
+        for name, x in (("newton_tol", self.newton_tol),
+                        ("continuation_stop", self.continuation_stop),
+                        *(("a_schedule", a) for a in self.a_schedule)):
+            if isinstance(x, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {x!r}")
         sched = tuple(float(a) for a in self.a_schedule)
         if not sched or any(not 0 < a < math.inf for a in sched):
             raise ValueError("a_schedule must be finite and positive")
@@ -109,9 +116,12 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    """Outcome of one regularized solve (or of the whole continuation)."""
+    """Outcome of one regularized solve (or of the whole continuation).
 
-    u: ScalarField
+    u is read-only and keeps its gradient, singular set and measure once
+    asked for them (grids.SolvedField)."""
+
+    u: SolvedField
     residual_norm: float
     a_final: float
     iterations: int
@@ -504,21 +514,21 @@ class _LinearSolver:
         precond = self.lu.solve
         x = precond(b)
         r = b - A @ x
-        tol = rtol * np.linalg.norm(b)
+        tol = rtol * math.sqrt(fixed_dot(b, b))
         p = rho = None
         for _ in range(_PCG_MAXITER):
-            if np.linalg.norm(r) <= tol:
+            if math.sqrt(fixed_dot(r, r)) <= tol:
                 return x
             z = precond(r)
-            rho_new = float(r @ z)
+            rho_new = fixed_dot(r, z)
             p = z if p is None else z + (rho_new / rho) * p
             q = A @ p
-            alpha = rho_new / float(p @ q)
+            alpha = rho_new / fixed_dot(p, q)
             x += alpha * p
             r -= alpha * q
             rho = rho_new
             self.pcg_iterations += 1
-        return x if np.linalg.norm(r) <= tol else None
+        return x if math.sqrt(fixed_dot(r, r)) <= tol else None
 
 
 def _nested_dissection_pattern(A: sp.dia_array, n_cells: tuple[int, int]) -> tuple:
@@ -669,10 +679,10 @@ def _newton(
             d = solver.solve(H, -g_int, _PCG_RTOL if quadratic else None)
         except np.linalg.LinAlgError:
             break               # a failed factorization: the stage does not converge
-        slope = float(g_int @ d)
+        slope = fixed_dot(g_int, d)
         if slope > 0:           # safeguard: fall back to steepest descent
             d = -g_int
-            slope = float(g_int @ d)
+            slope = fixed_dot(g_int, d)
         # once the predicted decrease drops below the resolution of the
         # energy sum itself, the energy can no longer certify a step;
         # fall back to judging trial steps by their residual instead
@@ -710,9 +720,11 @@ def _result(
     converged: bool, E: float, solver: _LinearSolver, energies: tuple = (),
 ) -> SolveResult:
     """The SolveResult of an iterate at level a, with its unregularized area
-    energy (midpoint rule, H = 0) and `solver`'s counts."""
-    u = ScalarField(asm.dom, values)
+    energy (midpoint rule, H = 0) and `solver`'s counts.  Its field is the
+    SolvedField of `values` under asm.spec, which marks `values` read-only:
+    no step writes an iterate in place (`scatter_interior` copies)."""
     spec = asm.spec
+    u = SolvedField(asm.dom, values, spec)
     spec_h0 = EnergySpec(preset=spec.preset, F_field=spec.F_field, H=0.0)
     return SolveResult(
         u=u,

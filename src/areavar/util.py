@@ -1,5 +1,5 @@
-"""Shared numerics helpers: deterministic reductions, 2-vector dot products
-and 2D rotations."""
+"""Shared numerics helpers: deterministic reductions, 2-vector and
+thread-count-independent 1-D dot products, and 2D rotations."""
 from __future__ import annotations
 
 import numpy as np
@@ -40,6 +40,22 @@ def dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a is not b:
             out += 0.0
     return out
+
+
+# fixed_dot's chunk: OpenBLAS splits one ddot across threads above 10 000
+# entries, so a longer dot product's bits depend on the thread count
+_DOT_CHUNK = 8192
+
+
+def fixed_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b for 1-D float64 arrays, with bits independent of the BLAS thread
+    count: ddot over consecutive chunks of at most _DOT_CHUNK entries, the
+    partial sums added in order.  Up to _DOT_CHUNK entries it is one ddot,
+    a @ b itself; np.linalg.norm(x) of a 1-D array is sqrt(x @ x)."""
+    total = float(a[:_DOT_CHUNK] @ b[:_DOT_CHUNK])
+    for k in range(_DOT_CHUNK, a.shape[0], _DOT_CHUNK):
+        total += float(a[k:k + _DOT_CHUNK] @ b[k:k + _DOT_CHUNK])
+    return total
 
 
 def rotate_quarter(v: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +39,7 @@ from areavar.solver import (
     solve_fixed_point,
     solve_regularized,
 )
+from areavar.util import fixed_dot
 
 SQ = ((-1.0, 1.0), (-1.0, 1.0))
 P_AREA = EnergySpec(preset="p_area")
@@ -671,23 +675,24 @@ def _superlu_reference(C):
 
 def _reference_pcg(C, b, lu):
     """CG on C preconditioned with lu from lu's solve of b, step for step
-    as the solver runs it, to relative residual _PCG_RTOL."""
+    as the solver runs it (its 1-D reductions by util.fixed_dot), to
+    relative residual _PCG_RTOL."""
     x = lu.solve(b)
     r = b - C @ x
-    tol = _PCG_RTOL * np.linalg.norm(b)
+    tol = _PCG_RTOL * math.sqrt(fixed_dot(b, b))
     p = rho = None
     for _ in range(_PCG_MAXITER):
-        if np.linalg.norm(r) <= tol:
+        if math.sqrt(fixed_dot(r, r)) <= tol:
             return x
         z = lu.solve(r)
-        rho_new = float(r @ z)
+        rho_new = fixed_dot(r, z)
         p = z if p is None else z + (rho_new / rho) * p
         q = C @ p
-        alpha = rho_new / float(p @ q)
+        alpha = rho_new / fixed_dot(p, q)
         x += alpha * p
         r -= alpha * q
         rho = rho_new
-    assert np.linalg.norm(r) <= tol
+    assert math.sqrt(fixed_dot(r, r)) <= tol
     return x
 
 
@@ -1015,6 +1020,35 @@ def test_predictor_is_used_only_when_it_lowers_the_energy():
 # ---- configuration and failure paths ----------------------------------------------
 
 
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from areavar.grids import EnergySpec, GridDomain, ScalarField
+from areavar.solver import SolverConfig, continuation_minimize
+dom = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (104, 104))
+phi = ScalarField.from_function(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+res = continuation_minimize(dom, EnergySpec(preset="p_area"), phi,
+                            SolverConfig(a_schedule=(1.0, 0.25)))
+assert res.converged and res.pcg_iterations > 0
+print(hashlib.sha256(res.u.values.tobytes()).hexdigest())
+"""
+
+
+def test_solved_field_has_the_same_bits_under_one_and_two_blas_threads():
+    # 103^2 interior unknowns: OpenBLAS would split each ddot of the Newton
+    # slope and of PCG across threads (over 10 000 entries)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(a_schedule=(0.5, 0.5))
@@ -1044,6 +1078,11 @@ def test_solver_config_validation():
         {"continuation_stop": math.inf},
         {"a_schedule": (math.inf, 1.0)},
         {"a_schedule": (1.0, math.nan)},
+        {"newton_tol": True},
+        {"newton_tol": np.True_},
+        {"continuation_stop": False},
+        {"a_schedule": (True,)},
+        {"a_schedule": (2.0, np.True_)},
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)

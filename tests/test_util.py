@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 
-from areavar.util import dot2, g17, pairwise_sum, rotate_pairs, rotate_quarter, to_json
+from areavar.util import dot2, fixed_dot, g17, pairwise_sum, rotate_pairs, rotate_quarter, to_json
 
 
 def test_pairwise_sum_matches_fsum():
@@ -13,6 +13,17 @@ def test_pairwise_sum_matches_fsum():
         ref = math.fsum(x.tolist())
         got = pairwise_sum(x)
         assert abs(got - ref) <= 1e-13 * (1.0 + np.abs(x).sum())
+
+
+def test_fixed_dot_is_one_ddot_per_chunk_summed_in_order():
+    rng = np.random.RandomState(3)
+    for n in (1, 100, 8192):
+        a, b = rng.randn(n), rng.randn(n)
+        assert fixed_dot(a, b) == float(a @ b)
+    a, b = rng.randn(20000), rng.randn(20000)
+    parts = [float(a[k:k + 8192] @ b[k:k + 8192]) for k in (0, 8192, 16384)]
+    assert fixed_dot(a, b) == (parts[0] + parts[1]) + parts[2]
+    assert abs(fixed_dot(a, b) - math.fsum((a * b).tolist())) <= 1e-12 * float(np.abs(a) @ np.abs(b))
 
 
 def test_pairwise_sum_edge_cases():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import areavar.grids as grids_module
 from areavar import measures
 from areavar.grids import (
     EnergySpec,
     GridDomain,
     ScalarField,
+    SolvedField,
     area_energy,
     field_to_measure,
     gradient,
@@ -301,6 +303,105 @@ def test_fd_validate_shares_the_closed_forms():
         smooth = np.einsum("...k,...k->...", gu, gradient(d.phi).values) / W
         lifted = pairwise_sum(smooth.ravel() * u.dom.cell_volume)
         assert fdr["analytic_plus"] == fdr["analytic_minus"] == lifted
+
+
+# ---- solved fields keep what is derived from them --------------------------------
+
+
+def _solved(n, fn):
+    dom = dom_n(n)
+    return continuation_minimize(dom, P_AREA, ScalarField.from_function(dom, fn))
+
+
+def _kept_results(u, spec):
+    """Every array of u's gradient, singular set and measure pair, in order."""
+    sing = singular_set(u, spec)
+    mu, template = field_to_measure(u, spec)
+    return [gradient(u).values, sing.mask, sing.drift, sing.norms,
+            mu.ac_density, mu.cell_weights, template.ac_density, template.cell_weights]
+
+
+@pytest.mark.parametrize("n, fn", [
+    (16, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)),   # band grid, Newton steps
+    (72, lambda x, y: x * y),                                   # over 64 across, a singular band
+])
+def test_solved_field_keeps_the_bits_of_a_fresh_field(n, fn):
+    res = _solved(n, fn)
+    u = res.u
+    assert isinstance(u, SolvedField) and u.spec is P_AREA
+    fresh = ScalarField(u.dom, u.values.copy())
+    kept = _kept_results(u, P_AREA)
+    for a, b in zip(kept, _kept_results(fresh, P_AREA)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    sing, ref = singular_set(u, P_AREA), singular_set(fresh, P_AREA)
+    assert (sing.measure, sing.threshold) == (ref.measure, ref.threshold)
+    # asked again, the same objects come back
+    assert singular_set(u, P_AREA) is sing
+    assert field_to_measure(u, P_AREA) is field_to_measure(u, P_AREA)
+    assert gradient(u) is gradient(u)
+    if n == 72:
+        assert sing.mask.any()
+
+
+def test_solved_field_and_its_kept_arrays_are_read_only():
+    res = _solved(16, lambda x, y: x * y)
+    u = res.u
+    with pytest.raises(ValueError):
+        u.values[3, 3] = 1.0
+    for a in _kept_results(u, P_AREA):
+        with pytest.raises(ValueError):
+            a.flat[0] = a.flat[0]
+    with pytest.raises(AttributeError):
+        u.values = u.values.copy()
+    with pytest.raises(AttributeError):
+        u.spec = ZERO
+    sing = singular_set(u, P_AREA)
+    with pytest.raises(AttributeError):
+        sing.mask = ~sing.mask
+
+
+def test_other_spec_or_tol_is_computed_afresh():
+    res = _solved(24, lambda x, y: x * y)
+    u = res.u
+    kept_sing = singular_set(u, P_AREA)
+    kept_mu, _ = field_to_measure(u, P_AREA)
+    twin = EnergySpec(preset="p_area")      # equal, but not the solve's spec
+    for sing in (singular_set(u, twin), singular_set(u, P_AREA, tol=0.5)):
+        assert sing is not kept_sing and sing.norms.flags.writeable
+    assert singular_set(u, twin) is not singular_set(u, twin)
+    for mu, _ in (field_to_measure(u, twin), field_to_measure(u, P_AREA, tol=0.5)):
+        assert mu is not kept_mu and mu.ac_density.flags.writeable
+    # a plain field with the same values keeps nothing
+    plain = ScalarField(u.dom, u.values.copy())
+    assert gradient(plain) is not gradient(plain)
+    assert singular_set(plain, P_AREA) is not singular_set(plain, P_AREA)
+
+
+def test_certification_detects_the_singular_set_once(monkeypatch):
+    # eight directions certified as one round of the saddle benchmark does:
+    # one detection, one measure, no gradient of u beyond the solve's own
+    rng = np.random.RandomState(41)
+    res = _solved(48, lambda x, y: x * y)
+    u = res.u
+    calls = {"singular_set": 0, "field_to_measure": 0, "gradient": 0}
+
+    def spy(name):
+        compute = getattr(grids_module, f"_{name}")
+
+        def counted(field, *args):
+            calls[name] += field is u
+            return compute(field, *args)
+        monkeypatch.setattr(grids_module, f"_{name}", counted)
+
+    for name in calls:
+        spy(name)
+    angle_condition(u, P_AREA)
+    for d in _random_directions(u.dom, rng, 8):
+        minimizer_first_variation(u, P_AREA, d)
+        for mode in ("area", "riemannian"):
+            second_variation_graph(u, P_AREA, d, mode)
+            fd_validate(u, P_AREA, d, h_list=(1e-4,), mode=mode)
+    assert calls == {"singular_set": 1, "field_to_measure": 1, "gradient": 0}
 
 
 def test_fd_validate_riemannian_orders():

@@ -13,6 +13,13 @@ seconds of the matrix products inside PCG (part of the "pcg" phase).  Each
 line of output is one JSON object, with the BLAS thread cap
 (OPENBLAS_NUM_THREADS, unset unless the caller sets it) and the usable CPU
 count.  These are single runs.
+
+The profiled phases overstate any layer that makes many small Python-level
+calls, because cProfile charges each of them.  Building the Hessian's
+`dia_array` runs about fifteen such calls in scipy and numpy (shape,
+index-dtype and duplicate-offset checks), so the profiled
+"hessian_assembly" of a 32^2 solve reads 19-21 ms where its unprofiled
+calls take 13-15 ms; compare wall times, not phases, across such changes.
 """
 from __future__ import annotations
 
@@ -76,6 +83,8 @@ def run_one(n: int) -> dict:
         "kinematics": _edge(st, "kinematics", newton),
         "gradient": _edge(st, "gradient_full", newton),
         "tangent_rhs": _edge(st, "gradient_a", newton),
+        # profiled, this includes cProfile's charge for the ~15 Python-level
+        # calls of each dia_array build (see the module docstring)
         "hessian_assembly": _edge(st, "hessian_interior", newton),
         # over the band limit: the stencil gathered into nested-dissection
         # CSC order, and the pattern built at the first call
