@@ -28,7 +28,7 @@ ZERO_REL_TOL = 1e-14
 CANCEL_REL_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class VectorMeasure:
     """A d-vector measure: cell densities against weights, plus atoms.
 
@@ -36,6 +36,9 @@ class VectorMeasure:
     ac_density    -- (n_cells, d) densities of the absolutely continuous part
     atoms         -- sequence of (site_id, mass) pairs; site ids are opaque
                      hashable labels disjoint from cell indices
+
+    Its attributes cannot be rebound, so a measure a solved field keeps
+    (grids.field_to_measure) cannot be replaced piecewise under its holder.
     """
 
     dimension: int
@@ -46,8 +49,10 @@ class VectorMeasure:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("d must be >= 1")
-        self.cell_weights = np.asarray(self.cell_weights, dtype=np.float64).ravel()
-        self.ac_density = np.asarray(self.ac_density, dtype=np.float64)
+        # frozen: the normalized fields are set through object.__setattr__
+        object.__setattr__(self, "cell_weights",
+                           np.asarray(self.cell_weights, dtype=np.float64).ravel())
+        object.__setattr__(self, "ac_density", np.asarray(self.ac_density, dtype=np.float64))
         if self.ac_density.ndim != 2 or self.ac_density.shape[1] != self.dimension:
             raise ValueError(
                 f"ac_density must have shape (n_cells, {self.dimension})"
@@ -70,7 +75,7 @@ class VectorMeasure:
                 raise ValueError(f"duplicate atom site {site!r}")
             seen.add(site)
             atoms.append((site, m))
-        self.atoms = tuple(atoms)
+        object.__setattr__(self, "atoms", tuple(atoms))
 
     @property
     def n_cells(self) -> int:

@@ -24,6 +24,13 @@ to _BAND_LIMIT; above it, SuperLU on the stencil gathered into a CSC
 matrix in nested-dissection order.  It keeps the latest factor; once
 Newton converges quadratically, and for each stage's tangent, it first
 runs conjugate gradients preconditioned with that factor.
+
+Up to _BAND_LIMIT a continuation's Newton steps, predictor and tangents
+work in one `_Workspace`: the kinematics, the gradients' and the Hessian's
+scratch arrays and the stencil's diagonals are kept for the whole solve
+and filled in place by the same numpy operations, in the same order, as
+the kernels called without it run on fresh arrays, so every value keeps
+its bits.  A tangent reuses its stage's final kinematics.
 """
 from __future__ import annotations
 
@@ -206,29 +213,46 @@ class _Assembler:
             axis=-1,
         )
 
-    def field_at_quad(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def field_at_quad(self, values: np.ndarray, ws: _Workspace | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
         U = self.corners(values).reshape(-1, 4)
         shape = (self.ncx, self.ncy, self.G)
-        mx = (U @ self.Dx.T).reshape(shape)
-        my = (U @ self.Dy.T).reshape(shape)
+        mx, my = (_array(ws, name, shape) for name in ("mx", "my"))
+        np.matmul(U, self.Dx.T, out=mx.reshape(-1, self.G))
+        np.matmul(U, self.Dy.T, out=my.reshape(-1, self.G))
         mx += self.Fx
         my += self.Fy
         return mx, my
 
-    def kinematics(self, values: np.ndarray, a: float) -> tuple:
+    def kinematics(self, values: np.ndarray, a: float, ws: _Workspace | None = None) -> tuple:
         """(mx, my, r) at every quadrature point: m = grad u + F and
-        r = sqrt(a^2 + |m|^2).  The `kin` argument of the methods below
-        takes this tuple for the same values and a, to share it."""
-        mx, my = self.field_at_quad(values)
+        r = sqrt(a^2 + |m|^2), in ws's kinematics buffers if ws is given.
+        The `kin` argument of the methods below takes this tuple for the
+        same values and a, to share it."""
+        mx, my = self.field_at_quad(values, ws)
         # a huge field makes r, and so the energy, inf: `_newton` reports
         # that as non-convergence, without numpy's overflow warning
         with np.errstate(over="ignore"):
-            return mx, my, np.sqrt(a * a + mx * mx + my * my)
+            if ws is None:
+                # numpy works its temporaries in place here; allocating r
+                # and a scratch array instead raised a 128^2 solve's peak
+                # RSS (BENCH_solver.json "not_kept")
+                return mx, my, np.sqrt(a * a + mx * mx + my * my)
+            # the same sum, (a^2 + mx^2) + my^2, in ws's buffers
+            r, t = (_array(ws, name, mx.shape) for name in ("r", "s0"))
+            np.multiply(mx, mx, out=r)
+            r += a * a
+            np.multiply(my, my, out=t)
+            r += t
+            np.sqrt(r, out=r)
+        ws.kin_of = (values, a)
+        return mx, my, r
 
     # -- energy / gradient / hessian ----------------------------------------
 
-    def energy(self, values: np.ndarray, a: float, kin: tuple | None = None) -> float:
-        r = (kin or self.kinematics(values, a))[2]
+    def energy(self, values: np.ndarray, a: float, kin: tuple | None = None,
+               ws: _Workspace | None = None) -> float:
+        r = (kin or self.kinematics(values, a, ws))[2]
         cell = self.vol * (r.reshape(-1, self.G) @ self.wq)
         if self.Hlin is not None:
             U = self.corners(values).reshape(-1, 4)
@@ -251,21 +275,32 @@ class _Assembler:
         out[1:, 1:] += C[..., 3]
         return out
 
-    def gradient_full(self, values: np.ndarray, a: float, kin: tuple | None = None) -> np.ndarray:
+    def gradient_full(self, values: np.ndarray, a: float, kin: tuple | None = None,
+                      ws: _Workspace | None = None) -> np.ndarray:
         """dE/du at every node, shape (nx+1, ny+1)."""
-        mx, my, r = kin or self.kinematics(values, a)
-        return self._node_gradient(mx / r, my / r)
+        mx, my, r = kin or self.kinematics(values, a, ws)
+        wx, wy = (_array(ws, name, r.shape) for name in ("s0", "s1"))
+        np.divide(mx, r, out=wx)
+        np.divide(my, r, out=wy)
+        return self._node_gradient(wx, wy)
 
-    def gradient_a(self, values: np.ndarray, a: float, kin: tuple | None = None) -> np.ndarray:
+    def gradient_a(self, values: np.ndarray, a: float, kin: tuple | None = None,
+                   ws: _Workspace | None = None) -> np.ndarray:
         """d/da of dE/du at every node: the load of -a m / r^3 (H does not
         depend on a)."""
-        mx, my, r = kin or self.kinematics(values, a)
-        c = -a / (r * r * r)
-        return self._node_gradient(c * mx, c * my, h_term=False)
+        mx, my, r = kin or self.kinematics(values, a, ws)
+        c, wx, wy = (_array(ws, name, r.shape) for name in ("s0", "s1", "s2"))
+        np.multiply(r, r, out=c)
+        c *= r
+        np.divide(-a, c, out=c)
+        np.multiply(c, mx, out=wx)
+        np.multiply(c, my, out=wy)
+        return self._node_gradient(wx, wy, h_term=False)
 
-    def residual_norm(self, values: np.ndarray, a: float, kin: tuple | None = None) -> float:
+    def residual_norm(self, values: np.ndarray, a: float, kin: tuple | None = None,
+                      ws: _Workspace | None = None) -> float:
         # the interior in any order: max is exact
-        g = self.gradient_full(values, a, kin)[1:-1, 1:-1]
+        g = self.gradient_full(values, a, kin, ws)[1:-1, 1:-1]
         return float(np.abs(g).max()) / self.vol
 
     def _band_interior(self, full: np.ndarray) -> np.ndarray:
@@ -301,7 +336,7 @@ class _Assembler:
             K += a12.reshape(-1, G) @ self.Txy
         return self._stencil(K)
 
-    def _stencil(self, K: np.ndarray) -> sp.dia_array:
+    def _stencil(self, K: np.ndarray, ws: _Workspace | None = None) -> sp.dia_array:
         """The interior matrix of the (cells, 16) cell blocks K as its 9
         diagonals, data[k, col] = A[col - offsets[k], col] with the offsets
         ascending, rows and columns numbered as in `_strides`.  Each diagonal
@@ -311,10 +346,12 @@ class _Assembler:
         node pairs that are not neighbours.  The array keeps `data` without
         a copy, and its product adds each row's terms in ascending offset,
         that is ascending column, order into zeros: the bits of the CSC
-        product."""
+        product.  With ws, `data` is ws's stencil buffer: every call writes
+        the same slots, so the others stay the zeros it was allocated with,
+        and the array is valid until the next stencil made in ws."""
         B = K.reshape(self.ncx, self.ncy, 4, 4)     # [ci, cj, row corner, col corner]
         offsets, terms = self._stencil_terms
-        data = np.zeros((offsets.size, self.n_int))
+        data = _array(ws, "stencil", (offsets.size, self.n_int), np.zeros)
         # each data[k] as the (ncx - 1, ncy - 1) interior, indexed like the nodes
         if self.ncy > self.ncx:
             inner = data.reshape(-1, self.ncy - 1, self.ncx - 1).transpose(0, 2, 1)
@@ -365,48 +402,101 @@ class _Assembler:
         return offsets, terms
 
     def hessian_interior(
-        self, values: np.ndarray, a: float, kin: tuple | None = None
+        self, values: np.ndarray, a: float, kin: tuple | None = None,
+        ws: _Workspace | None = None,
     ) -> sp.dia_array:
         """Interior Hessian, a `dia_array`: `stiffness(a11, a12, a22)` of the
         coefficients 1/r - m m^T / r^3, bit for bit.
 
-        Each coefficient is formed in one scratch buffer c and contracted
-        into the cell blocks before the next one is formed, in stiffness's
-        order (a11, a22, a12), so that beside the kinematics at most four
-        arrays of the quadrature size are alive (33.5 MB each at 512^2,
-        while the Newton step holds the last factor).  The blocks are
-        allocated first.  That cut a 64^2 solve's resident peak by about
-        4 MB while a CSC matrix kept their buffer; the stencil only reads
-        them, and both orders now peak alike (BENCH_solver.json
-        "hessian_blocks_64").
+        Each coefficient is formed in one scratch array c and contracted
+        into the cell blocks K before the next one is formed, in
+        stiffness's order (a11, a22, a12).  Beside the kinematics that
+        takes four arrays of the quadrature size: K, 1/r, 1/r^3 and c, with
+        the products c @ Tyy and c @ Txy written into 1/r's array once a22
+        is formed.  With ws they are ws's buffers "K", "s0", "s1" and "s2",
+        filled in place, and so is the stencil's `data`; without, each is
+        allocated afresh.
         """
-        mx, my, r = kin or self.kinematics(values, a)
+        mx, my, r = kin or self.kinematics(values, a, ws)
         G = self.G
-        K = np.empty((self.ncx * self.ncy, 16))
-        inv_r = 1.0 / r
-        inv_r3 = inv_r / r
+        K = _array(ws, "K", (self.ncx * self.ncy, 16))
+        inv_r, inv_r3, c = (_array(ws, name, r.shape) for name in ("s0", "s1", "s2"))
+        np.divide(1.0, r, out=inv_r)
+        np.divide(inv_r, r, out=inv_r3)
         inv_r3 *= inv_r
-        c = mx * mx
+        np.multiply(mx, mx, out=c)
         c *= inv_r3
         np.subtract(inv_r, c, out=c)                     # a11
         np.matmul(c.reshape(-1, G), self.Txx, out=K)
         np.multiply(my, my, out=c)
         c *= inv_r3
         np.subtract(inv_r, c, out=c)                     # a22
-        del inv_r
-        K += c.reshape(-1, G) @ self.Tyy
+        product = inv_r.reshape(-1, G)                   # 1/r is dead from here
+        np.matmul(c.reshape(-1, G), self.Tyy, out=product)
+        K += product
         np.negative(mx, out=c)
         c *= my
         c *= inv_r3                                      # a12
-        del inv_r3
-        K += c.reshape(-1, G) @ self.Txy
-        del c
-        return self._stencil(K)
+        np.matmul(c.reshape(-1, G), self.Txy, out=product)
+        K += product
+        # without ws, free the scratch before the stencil's data is allocated
+        del inv_r, inv_r3, c, product
+        return self._stencil(K, ws)
 
     def quadratic_gradient_full(self, values: np.ndarray, coeff: np.ndarray) -> np.ndarray:
         """Gradient of the frozen quadratic (plus the H term) at every node."""
         mx, my = self.field_at_quad(values)
         return self._node_gradient(coeff * mx, coeff * my)
+
+
+class _Workspace:
+    """The quadrature-size arrays of one solve's Newton path, kept from step
+    to step so that `_Assembler`'s kernels fill them in place (numpy's
+    `out=`) instead of allocating, and faulting in, fresh ones each call.
+
+    The buffers are named by role, each allocated at its first use: "mx",
+    "my" and "r" hold the kinematics of `kin_of`, the (values, a) they were
+    last computed for; "s0", "s1", "s2" and "K" are the scratch of the
+    gradients and the Hessian, and "stencil" is the Hessian's diagonals.
+    A kernel overwrites what an earlier one left in the buffers it uses,
+    so only the Newton path (`_newton`, `_euler_predict`, `_tangent`)
+    passes a workspace, one per solve, and a Hessian made in it is valid
+    until the next one."""
+
+    def __init__(self):
+        self.arrays = {}
+        self.kin_of = None
+
+    def kinematics(self, values: np.ndarray, a: float) -> tuple | None:
+        """The kept (mx, my, r) if they are those of this very `values`
+        array at a, else None."""
+        if self.kin_of is None or self.kin_of[0] is not values or self.kin_of[1] != a:
+            return None
+        return self.arrays["mx"], self.arrays["my"], self.arrays["r"]
+
+    @staticmethod
+    def for_grid(n_cells: tuple[int, int]) -> _Workspace | None:
+        """A workspace for a Newton solve on n_cells, or None over
+        _BAND_LIMIT.  Up to the limit the Hessian assembly is a step's
+        memory peak, and the kept buffers are no more than it allocates
+        anyway.  Over it SuperLU's factorization is the peak.  Kept through
+        it, the buffers raised a 512^2 solve's peak RSS from 736 to 828 MB.
+        Freed before it and allocated again after, they fragmented the heap:
+        a 128^2 solve peaked at 123-141 MB against 115-126 MB.  So those
+        grids allocate as the kernels go (BENCH_solver.json
+        "workspace_limit")."""
+        return _Workspace() if min(n_cells) <= _BAND_LIMIT else None
+
+
+def _array(ws: _Workspace | None, name: str, shape: tuple, alloc=np.empty) -> np.ndarray:
+    """ws's buffer `name`, allocated by `alloc` at its first use; a fresh
+    array from `alloc` without ws."""
+    if ws is None:
+        return alloc(shape)
+    buf = ws.arrays.get(name)
+    if buf is None:
+        buf = ws.arrays[name] = alloc(shape)
+    return buf
 
 
 def _strides(ncx: int, ncy: int) -> tuple[int, int]:
@@ -477,6 +567,7 @@ class _LinearSolver:
         self.factorizations = 0
         self.pcg_iterations = 0
         self.nd_pattern = None
+        self.nd_data = None     # the CSC data, refilled in place by each gather
 
     def solve(self, A: sp.dia_array, b: np.ndarray, rtol: float | None = None) -> np.ndarray:
         if A.offsets[-1] <= _BAND_LIMIT:
@@ -488,11 +579,17 @@ class _LinearSolver:
 
     def _nested_dissection_csc(self, A: sp.dia_array) -> tuple[np.ndarray, sp.csc_matrix]:
         """(perm, C): the stencil A gathered into the CSC matrix C whose
-        i-th row and column are A's perm[i]-th."""
+        i-th row and column are A's perm[i]-th.  C's data is the solver's
+        one gather buffer, so C is valid until the next gather; SuperLU
+        copies it into its factor."""
         if self.nd_pattern is None:
             self.nd_pattern = _nested_dissection_pattern(A, self.n_cells)
+            self.nd_data = np.empty(self.nd_pattern[1].size)
         perm, slots, indices, indptr = self.nd_pattern
-        C = sp.csc_matrix((A.data.reshape(-1)[slots], indices, indptr), shape=A.shape)
+        # the slots are in range by construction; under the default
+        # mode="raise" numpy would gather into a temporary and copy it
+        np.take(A.data.reshape(-1), slots, out=self.nd_data, mode="clip")
+        C = sp.csc_matrix((self.nd_data, indices, indptr), shape=A.shape)
         C.has_canonical_format = True
         return perm, C
 
@@ -648,6 +745,7 @@ def solve_regularized(
 def _newton(
     asm: _Assembler, a: float, values: np.ndarray, cfg: SolverConfig,
     solver: _LinearSolver, step: np.ndarray | None = None,
+    ws: _Workspace | None = None,
 ) -> SolveResult:
     """Damped Newton on the energy at level a from `values`, whose boundary
     already holds the Dirichlet data, or from `values` moved by the
@@ -655,24 +753,28 @@ def _newton(
 
     Every step assembles the Hessian.  Once the previous accepted step cut
     the residual by _REUSE_GATE, `solver` tries PCG on its held factor
-    before it factorizes; a stage's first step always factorizes.
+    before it factorizes; a stage's first step always factorizes.  With
+    the solve's workspace `ws` the kernels work in its buffers, and on
+    return it holds the kinematics of the result's values if it converged;
+    without, they allocate their arrays.
     """
     energies = []
     iterations = 0
     kin = None
     if step is not None:
-        values, kin = _euler_predict(asm, a, values, step)
-    kin = kin or asm.kinematics(values, a)
+        values, kin = _euler_predict(asm, a, values, step, ws)
+    kin = kin or asm.kinematics(values, a, ws)
     E = asm.energy(values, a, kin)
     res_prev = 0.0              # no accepted step yet: the gate is closed
     for _ in range(cfg.max_newton_iters):
-        g_int = asm.gather_interior(asm.gradient_full(values, a, kin))
+        g_int = asm.gather_interior(asm.gradient_full(values, a, kin, ws))
         res = float(np.abs(g_int).max()) / asm.vol
         if res <= cfg.newton_tol:
             break
-        H = asm.hessian_interior(values, a, kin)
-        # release the kinematics (both names of the accepted trial's) before
-        # the solve: a factorization is the step's memory peak
+        H = asm.hessian_interior(values, a, kin, ws)
+        # without a workspace, release the kinematics (both names of the
+        # accepted trial's) before the solve: a factorization is the step's
+        # memory peak
         kin = kin_trial = None
         quadratic = res * _REUSE_GATE <= res_prev
         try:
@@ -691,12 +793,12 @@ def _newton(
         accepted = False
         for _ in range(_LINE_SEARCH_MAX + 1):
             trial = asm.scatter_interior(values, t * d)
-            kin_trial = asm.kinematics(trial, a)
+            kin_trial = asm.kinematics(trial, a, ws)
             E_trial = asm.energy(trial, a, kin_trial)
             if E_trial <= E + 1e-4 * t * slope or E_trial <= E:
                 accepted = True
                 break
-            if endgame and asm.residual_norm(trial, a, kin_trial) <= 0.9 * res:
+            if endgame and asm.residual_norm(trial, a, kin_trial, ws) <= 0.9 * res:
                 accepted = True
                 break
             t *= _LINE_SEARCH_FACTOR
@@ -708,7 +810,7 @@ def _newton(
         energies.append(E)
         iterations += 1
     else:
-        res = asm.residual_norm(values, a, kin)
+        res = asm.residual_norm(values, a, kin, ws)
 
     # an overflowing energy has a zero gradient, so its residual proves nothing
     converged = res <= cfg.newton_tol and math.isfinite(E)
@@ -741,14 +843,17 @@ def _result(
 
 
 def _tangent(
-    asm: _Assembler, a: float, values: np.ndarray, solver: _LinearSolver
+    asm: _Assembler, a: float, values: np.ndarray, solver: _LinearSolver,
+    ws: _Workspace | None = None,
 ) -> np.ndarray | None:
     """du/da on the interior at a converged iterate, -H^-1 dg/da: by PCG on
     the held factor of the stage's last Newton step, else by a new
-    factorization; None, no prediction, if that factorization fails."""
-    kin = asm.kinematics(values, a)
-    H = asm.hessian_interior(values, a, kin)
-    rhs = -asm.gather_interior(asm.gradient_a(values, a, kin))
+    factorization; None, no prediction, if that factorization fails.  The
+    kinematics are ws's if it holds those of `values` at a, as `_newton`
+    leaves them at convergence."""
+    kin = (ws and ws.kinematics(values, a)) or asm.kinematics(values, a, ws)
+    H = asm.hessian_interior(values, a, kin, ws)
+    rhs = -asm.gather_interior(asm.gradient_a(values, a, kin, ws))
     kin = None                  # released before a possible factorization
     try:
         return solver.solve(H, rhs, _TANGENT_RTOL)
@@ -757,13 +862,16 @@ def _tangent(
 
 
 def _euler_predict(
-    asm: _Assembler, a: float, values: np.ndarray, step: np.ndarray
+    asm: _Assembler, a: float, values: np.ndarray, step: np.ndarray,
+    ws: _Workspace | None = None,
 ) -> tuple[np.ndarray, tuple | None]:
     """`values` moved by `step` on the interior, with its kinematics, if
-    that lowers E_a; else `values` and None."""
+    that lowers E_a; else `values` and None.  The energy of `values` comes
+    first: its kinematics share ws's buffers with the candidate's."""
+    E = asm.energy(values, a, ws=ws)
     cand = asm.scatter_interior(values, step)
-    kin = asm.kinematics(cand, a)
-    if asm.energy(cand, a, kin) < asm.energy(values, a):
+    kin = asm.kinematics(cand, a, ws)
+    if asm.energy(cand, a, kin) < E:
         return cand, kin
     return values, None
 
@@ -787,6 +895,7 @@ def continuation_minimize(
     cfg = cfg or SolverConfig()
     asm = _Assembler(dom, spec)
     solver = _LinearSolver(dom.n_cells)
+    ws = _Workspace.for_grid(dom.n_cells)
     values = harmonic_extension(dom, phi).values
     stages = []
     result = None
@@ -796,7 +905,7 @@ def continuation_minimize(
     total_iters = 0
     for k, a in enumerate(cfg.a_schedule):
         step = None if tangent is None else (a - a_prev) * tangent
-        result = _newton(asm, a, values, cfg, solver, step)
+        result = _newton(asm, a, values, cfg, solver, step, ws)
         a_prev = a
         values = result.u.values
         total_iters += result.iterations
@@ -813,7 +922,7 @@ def continuation_minimize(
         prev_values = result.u.values
         # a stage that took no Newton step predicts nothing
         last = k + 1 == len(cfg.a_schedule)
-        tangent = None if last or not result.iterations else _tangent(asm, a, values, solver)
+        tangent = None if last or not result.iterations else _tangent(asm, a, values, solver, ws)
     # nothing is solved after the last stage run: its linear-solver counts
     # are already the continuation's totals
     return replace(

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from areavar.solver import (
     _nested_dissection_pattern,
     _newton,
     _tangent,
+    _Workspace,
     comparison_check,
     continuation_minimize,
     energy_bound_check,
@@ -508,6 +510,29 @@ def _check_csc_pattern_built_once(n_cells, banded):
     assert solver.nd_pattern is pattern
 
 
+def test_csc_gather_fills_one_kept_buffer():
+    # over _BAND_LIMIT every factorization gathers the stencil's data into
+    # the solver's one buffer, in place: no array of that size is allocated
+    n_cells = (70, 66)
+    asm, u, A, _ = _smooth_hessian(n_cells)
+    solver = _LinearSolver(n_cells)
+    _, C = solver._nested_dissection_csc(A)
+    buf = solver.nd_data
+    assert np.shares_memory(C.data, buf)
+    B = asm.hessian_interior(u, 0.5)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _, C = solver._nested_dissection_csc(B)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solver.nd_data is buf and np.shares_memory(C.data, buf)
+    assert peak - current < buf.nbytes // 4
+    slots = solver.nd_pattern[1]
+    assert np.array_equal(_bits(C.data), _bits(B.data.reshape(-1)[slots]))
+
+
 def _custom_drift(dom):
     Xc, Yc = dom.center_coords()
     return VectorField(dom, np.stack([np.sin(3 * Xc) - Yc, Xc * Yc + 0.5], axis=-1))
@@ -758,9 +783,9 @@ def _hessian_and_blocks(monkeypatch, asm, u, a):
     blocks = []
     stencil = asm._stencil
 
-    def spy(K):
+    def spy(K, *args):
         blocks.append(K.copy())
-        return stencil(K)
+        return stencil(K, *args)
 
     with monkeypatch.context() as patch:
         patch.setattr(asm, "_stencil", spy)
@@ -1007,6 +1032,13 @@ def test_predictor_is_used_only_when_it_lowers_the_energy():
     assert pred is not values
     assert asm.energy(pred, a) < asm.energy(values, a)
     assert np.array_equal(kin[2], asm.kinematics(pred, a)[2])
+    # in a workspace the energy of `values` is taken first: the kinematics
+    # returned, in the workspace's buffers, are still the candidate's
+    ws = _Workspace()
+    pred_ws, kin_ws = _euler_predict(asm, a, values, (a - 1.0) * tangent, ws)
+    assert np.array_equal(pred_ws, pred) and ws.kinematics(pred_ws, a) is not None
+    for x, y in zip(kin_ws, asm.kinematics(pred, a)):
+        assert np.array_equal(x, y)
     # a step against the tangent raises the energy: keep the old start
     bad = (1.0 - a) * tangent
     kept, kin = _euler_predict(asm, a, values, bad)
@@ -1015,6 +1047,138 @@ def test_predictor_is_used_only_when_it_lowers_the_energy():
     guarded = _newton(asm, a, values, cfg, _LinearSolver(dom.n_cells), bad)
     assert np.array_equal(guarded.u.values, unpredicted.u.values)
     assert guarded.iterations == unpredicted.iterations
+
+
+# ---- workspace ------------------------------------------------------------------------
+
+
+def _kernels(asm, u, a, ws=None):
+    """Every kernel's output at (u, a), computed in ws if given."""
+    kin = asm.kinematics(u, a, ws)
+    out = [x.copy() for x in kin]
+    out.append(np.array(asm.energy(u, a, kin)))
+    out.append(asm.gradient_full(u, a, kin, ws))
+    out.append(asm.gradient_a(u, a, kin, ws))
+    out.append(asm.hessian_interior(u, a, kin, ws).data.copy())
+    out.append(np.array(asm.residual_norm(u, a, None, ws)))
+    return out
+
+
+@pytest.mark.parametrize("n_cells", [(12, 20), (20, 12), (72, 66)])
+def test_kernels_in_a_workspace_keep_the_bits_of_fresh_arrays(n_cells):
+    dom = GridDomain(OFFSET_BOX, n_cells)
+    asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3))
+    u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
+    ws = _Workspace()
+    for a in (1.0, 1e-3, 1.0):                  # the buffers are refilled
+        ref = _kernels(asm, u, a)
+        for x, y in zip(_kernels(asm, u, a, ws), ref):
+            assert np.array_equal(_bits(x), _bits(y))
+    # the same buffers every time; without a workspace, fresh arrays
+    assert asm.kinematics(u, 0.5, ws)[2] is asm.kinematics(u, 1.0, ws)[2]
+    assert asm.kinematics(u, 0.5)[2] is not asm.kinematics(u, 0.5)[2]
+    H_ws = asm.hessian_interior(u, 0.5, ws=ws)
+    assert np.shares_memory(H_ws.data, asm.hessian_interior(u, 0.1, ws=ws).data)
+    H = asm.hessian_interior(u, 0.5)
+    assert not np.shares_memory(H.data, asm.hessian_interior(u, 0.5).data)
+
+
+def test_workspace_kinematics_are_those_of_the_same_array_and_a():
+    dom = dom_n(8)
+    asm = _Assembler(dom, P_AREA)
+    u = field(dom, lambda x, y: x * y).values
+    ws = _Workspace()
+    assert ws.kinematics(u, 0.5) is None
+    kin = asm.kinematics(u, 0.5, ws)
+    assert all(x is y for x, y in zip(ws.kinematics(u, 0.5), kin))
+    assert ws.kinematics(u, 0.25) is None and ws.kinematics(u.copy(), 0.5) is None
+    asm.kinematics(u + 1.0, 0.5, ws)
+    assert ws.kinematics(u, 0.5) is None
+
+
+def test_only_band_grids_get_a_workspace():
+    # over the band limit SuperLU's factorization is the step's memory peak,
+    # and buffers kept through it would raise it
+    for n_cells in ((2, 2), (_BAND_LIMIT, _BAND_LIMIT), (_BAND_LIMIT, 300), (300, 12)):
+        assert isinstance(_Workspace.for_grid(n_cells), _Workspace)
+    for n_cells in ((_BAND_LIMIT + 1, _BAND_LIMIT + 1), (72, 66), (130, 66)):
+        assert _Workspace.for_grid(n_cells) is None
+
+
+def test_tangent_reuses_only_the_kinematics_of_its_iterate(monkeypatch):
+    dom = dom_n(16)
+    phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+    asm = _Assembler(dom, P_AREA)
+    start = harmonic_extension(dom, phi).values
+    ws = _Workspace()
+    result = _newton(asm, 0.5, start, SolverConfig(), _LinearSolver(dom.n_cells), ws=ws)
+    values = result.u.values
+    assert result.converged and ws.kinematics(values, 0.5) is not None
+
+    def tangent(ws=None):                       # each by a fresh factorization
+        return _tangent(asm, 0.5, values, _LinearSolver(dom.n_cells), ws)
+
+    ref = tangent()
+    kinematics = _Assembler.kinematics
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(_Assembler, "kinematics",
+                      lambda self, *args: calls.append(args) or kinematics(self, *args))
+        assert np.array_equal(_bits(tangent(ws)), _bits(ref))
+    assert calls == []                          # the stage's own kinematics
+    # kinematics of another iterate, or of this one at another a, are recomputed
+    for other in ((start, 0.5), (values, 0.25), (values.copy(), 0.5)):
+        asm.kinematics(*other, ws)
+        assert np.array_equal(_bits(tangent(ws)), _bits(ref))
+
+
+def test_continuation_tangents_compute_no_kinematics(monkeypatch):
+    dom = dom_n(16)
+    phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+    ref = continuation_minimize(dom, P_AREA, phi)
+    inside, tangents = [], []
+    tangent, kinematics = solver_module._tangent, _Assembler.kinematics
+
+    def spy_tangent(*args):
+        inside.append(True)
+        try:
+            tangents.append(tangent(*args))
+        finally:
+            inside.pop()
+        return tangents[-1]
+
+    def spy_kinematics(self, *args):
+        assert not inside, "a tangent recomputed the stage's kinematics"
+        return kinematics(self, *args)
+
+    monkeypatch.setattr(solver_module, "_tangent", spy_tangent)
+    monkeypatch.setattr(_Assembler, "kinematics", spy_kinematics)
+    res = continuation_minimize(dom, P_AREA, phi)
+    assert len(tangents) == len(res.stages) - 1 and all(t is not None for t in tangents)
+    assert res.u.values.tobytes() == ref.u.values.tobytes()
+
+
+def test_newton_step_allocates_no_quadrature_size_array():
+    # the benchmark's 64^2 solve_large problem: after the first step has
+    # filled the workspace, a further step works in its buffers
+    dom = dom_n(64)
+    phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+    asm = _Assembler(dom, P_AREA)
+    solver = _LinearSolver(dom.n_cells)
+    ws = _Workspace()
+    one_step = SolverConfig(max_newton_iters=1)
+    quad_bytes = asm.ncx * asm.ncy * asm.G * 8
+    tracemalloc.start()
+    try:
+        result = _newton(asm, 0.25, harmonic_extension(dom, phi).values, one_step, solver, ws=ws)
+        assert result.iterations == 1 and not result.converged
+        tracemalloc.reset_peak()
+        result = _newton(asm, 0.25, result.u.values, one_step, solver, ws=ws)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.iterations == 1 and solver.factorizations == 2
+    assert peak - current < quad_bytes
 
 
 # ---- configuration and failure paths ----------------------------------------------

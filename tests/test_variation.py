@@ -360,6 +360,21 @@ def test_solved_field_and_its_kept_arrays_are_read_only():
         sing.mask = ~sing.mask
 
 
+def test_kept_measure_attributes_cannot_be_rebound():
+    u = _solved(8, lambda x, y: x * y).u
+    mu, template = field_to_measure(u, P_AREA)
+    density = mu.ac_density.copy()
+    for m in (mu, template):
+        for name, value in (("ac_density", np.zeros_like(m.ac_density)),
+                            ("cell_weights", np.ones_like(m.cell_weights)),
+                            ("atoms", ()), ("dimension", 3)):
+            with pytest.raises(AttributeError):
+                setattr(m, name, value)
+    again, _ = field_to_measure(u, P_AREA)
+    assert again is mu and again.ac_density.any()
+    assert again.ac_density.tobytes() == density.tobytes()
+
+
 def test_other_spec_or_tol_is_computed_afresh():
     res = _solved(24, lambda x, y: x * y)
     u = res.u
