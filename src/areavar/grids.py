@@ -364,8 +364,10 @@ def field_to_measure(
     Zeroing makes the singular cells genuinely off-support, so that the
     decomposition of a direction measure against this one sends direction
     mass on those cells to the mutually singular remainder.  Also returns a
-    zero measure on the same complex as a template for building directions.
-    Both are kept on a SolvedField for its own spec at the default tol.
+    zero measure on the same complex as a template for building directions:
+    it shares the first's weights, and its density is a read-only broadcast
+    zero that allocates nothing.  Both are kept on a SolvedField for its own
+    spec at the default tol.
     """
     return _kept(u, "measure", lambda: _field_to_measure(u, spec, tol), spec, tol)
 
@@ -380,7 +382,7 @@ def _field_to_measure(
     n = m.shape[0] * m.shape[1]
     weights = np.full(n, dom.cell_volume)
     mu = VectorMeasure(dom.m, weights, m.reshape(n, dom.m))
-    template = VectorMeasure(dom.m, weights.copy(), np.zeros((n, dom.m)))
+    template = VectorMeasure(dom.m, weights, np.broadcast_to(0.0, (n, dom.m)))
     return mu, template
 
 
@@ -440,35 +442,32 @@ def hypothesis_checks(
 # ---- CSV I/O -----------------------------------------------------------------
 
 
-def _g17_column(a: np.ndarray) -> list[str]:
-    """Every value of `a`, row-major, formatted by g17."""
-    return list(map(g17, np.ravel(a).tolist()))
+def _write_grid_csv(path, header: list[str], xs: np.ndarray, ys: np.ndarray,
+                    values: np.ndarray) -> None:
+    """One CSV row i, j, x, y, *values[i, j] per point of the xs x ys grid,
+    i-major; `values` has shape (xs.size, ys.size) or (xs.size, ys.size, d).
 
-
-def _write_grid_csv(path, header: list[str], xs: np.ndarray, ys: np.ndarray, columns) -> None:
-    """One CSV row i, j, x, y, *values per point of the xs x ys grid, i-major;
-    each of `columns` has shape (xs.size, ys.size).
-
-    Every field is a numeral, nan or inf, which csv.writer's excel dialect
-    never quotes, so rows are joined with that dialect's delimiter and line
-    terminator directly: the same bytes at a sixth of writerows' cost.  Rows
-    are formatted one i at a time, so memory stays O(ys.size).
+    The bytes are csv.writer's excel dialect with every float as g17 (a
+    numeral, nan or inf, never quoted).  One template holds a whole grid
+    line: j and g17(y) filled in, "\\0" and "\\1" for i and x, and a "%.17g"
+    per value, which formats exactly as g17 does.  Each line i fills in i
+    and x and formats its values with one %, so memory stays O(ys.size * d).
     """
-    ny = ys.size
-    js = [str(j) for j in range(ny)]
-    y17 = _g17_column(ys)
     sep, end = csv.excel.delimiter, csv.excel.lineterminator
+    cells = sep.join(["%.17g"] * (len(header) - 4))
+    line = "".join(f"\0{sep}{j}{sep}\1{sep}{g17(y)}{sep}{cells}{end}"
+                   for j, y in enumerate(ys.tolist()))
     with open(path, "w", newline="") as fh:
         fh.write(sep.join(header) + end)
-        for i, x17 in enumerate(_g17_column(xs)):
-            rows = zip([str(i)] * ny, js, [x17] * ny, y17, *(_g17_column(c[i]) for c in columns))
-            fh.writelines(sep.join(row) + end for row in rows)
+        for i, x in enumerate(xs.tolist()):
+            filled = line.replace("\0", str(i)).replace("\1", g17(x))
+            fh.write(filled % tuple(values[i].ravel().tolist()))
 
 
 def write_scalar_csv(u: ScalarField, path) -> None:
     dom = u.dom
     _write_grid_csv(
-        path, ["i", "j", "x", "y", "value"], dom.axis_nodes(0), dom.axis_nodes(1), [u.values]
+        path, ["i", "j", "x", "y", "value"], dom.axis_nodes(0), dom.axis_nodes(1), u.values
     )
 
 
@@ -523,10 +522,10 @@ def write_cell_csv(field: VectorField | CellScalarField, path) -> None:
     dom = field.dom
     if isinstance(field, VectorField):
         header = [f"v{k + 1}" for k in range(field.d)]
-        columns = np.moveaxis(field.values, -1, 0)
+        values = field.values
     else:
         header = ["value"]
-        columns = [np.where(field.mask, field.values, np.nan)]
+        values = np.where(field.mask, field.values, np.nan)
     _write_grid_csv(
-        path, ["i", "j", "x", "y"] + header, dom.axis_centers(0), dom.axis_centers(1), columns
+        path, ["i", "j", "x", "y"] + header, dom.axis_centers(0), dom.axis_centers(1), values
     )

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -461,6 +462,54 @@ def test_cell_csv_exact_bytes(tmp_path):
         b"2,0,0.25,0.25,nan\r\n"
         b"2,1,0.25,0.75,0\r\n"
     )
+
+
+def _reference_csv(path, header, xs, ys, values):
+    """The writer as it was before line templates: csv.writer's excel
+    dialect, one row per point, format(v, ".17g") per float."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i, x in enumerate(xs.tolist()):
+            for j, y in enumerate(ys.tolist()):
+                w.writerow([i, j, format(x, ".17g"), format(y, ".17g")]
+                           + [format(v, ".17g") for v in np.ravel(values[i, j]).tolist()])
+    return path.read_bytes()
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 2.0 ** -40,
+           3.0, -12.0, 1e17]
+
+
+@pytest.mark.parametrize("n_cells", [(11, 13), (13, 11)])
+def test_csv_writers_match_the_reference_writer(tmp_path, n_cells):
+    # off-centre grids where i and j reach two digits, either axis the longer
+    dom = GridDomain(((-0.3, 1.7), (0.2, 1.15)), n_cells)
+    rng = np.random.RandomState(sum(n_cells))
+    xs, ys = dom.axis_nodes(0), dom.axis_nodes(1)
+    u = ScalarField(dom, rng.randn(xs.size, ys.size) * 10.0 ** rng.randint(-5, 6, (xs.size, ys.size)))
+    write_scalar_csv(u, tmp_path / "u.csv")
+    assert (tmp_path / "u.csv").read_bytes() == _reference_csv(
+        tmp_path / "u_ref.csv", ["i", "j", "x", "y", "value"], xs, ys, u.values)
+
+    xc, yc = dom.axis_centers(0), dom.axis_centers(1)
+    for d in (2, 3):
+        vals = rng.randn(*n_cells, d)
+        write_cell_csv(VectorField(dom, vals), tmp_path / "v.csv")
+        header = ["i", "j", "x", "y"] + [f"v{k + 1}" for k in range(d)]
+        assert (tmp_path / "v.csv").read_bytes() == _reference_csv(
+            tmp_path / "v_ref.csv", header, xc, yc, vals)
+
+    vals = rng.randn(*n_cells)
+    vals.flat[:len(SPECIAL)] = SPECIAL
+    vals.flat[-len(SPECIAL):] = SPECIAL
+    mask = rng.rand(*n_cells) < 0.8
+    mask.flat[:len(SPECIAL)] = mask.flat[-len(SPECIAL):] = True
+    assert not mask.all()
+    write_cell_csv(CellScalarField(dom, vals, mask), tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_bytes() == _reference_csv(
+        tmp_path / "c_ref.csv", ["i", "j", "x", "y", "value"], xc, yc,
+        np.where(mask, vals, np.nan))
 
 
 def test_read_scalar_csv_rejects_garbage(tmp_path):

@@ -1,7 +1,10 @@
 import math
+import struct
 import warnings
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from areavar.util import dot2, fixed_dot, g17, pairwise_sum, rotate_pairs, rotate_quarter, to_json
 
@@ -81,6 +84,19 @@ def test_g17_round_trip():
     for _ in range(200):
         x = float(rng.randn() * 10.0 ** rng.randint(-12, 13))
         assert float(g17(x)) == x
+
+
+# grids' CSV writer formats a whole grid line with one "%.17g" template; the
+# bytes stay g17's only while the two agree on every double
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_percent_g17_is_g17(x):
+    assert "%.17g" % x == g17(x)
+
+
+@given(st.integers(0, 2**64 - 1))
+def test_percent_g17_is_g17_on_every_bit_pattern(bits):
+    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    assert "%.17g" % x == g17(x)
 
 
 def test_to_json_deterministic_and_sorted():
