@@ -33,8 +33,6 @@ from .solver import (
     comparison_check,
     continuation_minimize,
     energy_bound_check,
-    local_energy_bound_check,
-    solve_fixed_point,
     solve_regularized,
 )
 from .variation import (

@@ -14,7 +14,6 @@ here; finite differences of the energy are used only in tests, as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -87,12 +86,6 @@ class VectorMeasure:
 
     def atom_sites(self) -> list:
         return [site for site, _ in self.atoms]
-
-    def atom_mass(self, site) -> np.ndarray:
-        for s, m in self.atoms:
-            if s == site:
-                return m
-        return np.zeros(self.dimension)
 
 
 @dataclass

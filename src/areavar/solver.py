@@ -14,10 +14,10 @@ O(h^2) consistency error on planes with the horizontal-area drift; with
 k x k Gauss points the quadrature error on such exact solutions drops to
 O(h^{2k}), which is what makes plane reproduction at 1e-8 possible.
 
-The interior is numbered line by line, short axis first, so every SPD
-matrix (the Newton Hessian, the Picard oracle's frozen matrix) is a
-9-point stencil of half-bandwidth min(ncx, ncy): its diagonals are summed
-straight from the cell blocks into a scipy `dia_array`.  One
+The interior is numbered line by line, short axis first, so the Newton
+Hessian is a 9-point stencil of half-bandwidth min(ncx, ncy): its
+diagonals are summed straight from the cell blocks into a scipy
+`dia_array`.  One
 `_LinearSolver` per solve, made for the grid's n_cells, picks the
 factorization from that half-bandwidth: band Cholesky (LAPACK dpbtrf) up
 to _BAND_LIMIT; above it, SuperLU on the stencil gathered into a CSC
@@ -50,7 +50,6 @@ from .grids import (
     ScalarField,
     SolvedField,
     area_energy,
-    drift_gradient,
     hypothesis_checks,
 )
 from .util import dot2, fixed_dot, pairwise_sum
@@ -80,10 +79,6 @@ _TANGENT_RTOL = 1e-8
 _BAND_LIMIT = 64
 # Gauss points per axis of the energy quadrature (the module docstring says why)
 _QUAD_ORDER = 4
-# the Picard oracle's residual tolerance, iteration cap and step damping
-_PICARD_TOL = 1e-9
-_PICARD_MAX_ITERS = 500
-_PICARD_DAMPING = 0.7
 
 
 @dataclass
@@ -323,19 +318,6 @@ class _Assembler:
         inner += d_int.reshape(inner.shape)
         return out
 
-    def stiffness(
-        self, a11: np.ndarray, a12: np.ndarray | None, a22: np.ndarray
-    ) -> sp.dia_array:
-        """Interior stiffness of the per-quadrature-point coefficient matrix
-        [[a11, a12], [a12, a22]] (each (ncx, ncy, G); a12=None means 0), as
-        the `dia_array` of `_stencil`."""
-        G = self.G
-        K = a11.reshape(-1, G) @ self.Txx
-        K += a22.reshape(-1, G) @ self.Tyy
-        if a12 is not None:
-            K += a12.reshape(-1, G) @ self.Txy
-        return self._stencil(K)
-
     def _stencil(self, K: np.ndarray, ws: _Workspace | None = None) -> sp.dia_array:
         """The interior matrix of the (cells, 16) cell blocks K as its 9
         diagonals, data[k, col] = A[col - offsets[k], col] with the offsets
@@ -405,17 +387,18 @@ class _Assembler:
         self, values: np.ndarray, a: float, kin: tuple | None = None,
         ws: _Workspace | None = None,
     ) -> sp.dia_array:
-        """Interior Hessian, a `dia_array`: `stiffness(a11, a12, a22)` of the
-        coefficients 1/r - m m^T / r^3, bit for bit.
+        """Interior Hessian, a `dia_array`: the stencil of the cell blocks
+        a11 @ Txx + a22 @ Tyy + a12 @ Txy of the coefficients
+        1/r - m m^T / r^3, summed in that order (the tests check it bit for
+        bit against that sum formed at once).
 
         Each coefficient is formed in one scratch array c and contracted
-        into the cell blocks K before the next one is formed, in
-        stiffness's order (a11, a22, a12).  Beside the kinematics that
-        takes four arrays of the quadrature size: K, 1/r, 1/r^3 and c, with
-        the products c @ Tyy and c @ Txy written into 1/r's array once a22
-        is formed.  With ws they are ws's buffers "K", "s0", "s1" and "s2",
-        filled in place, and so is the stencil's `data`; without, each is
-        allocated afresh.
+        into the cell blocks K before the next one is formed.  Beside the
+        kinematics that takes four arrays of the quadrature size: K, 1/r,
+        1/r^3 and c, with the products c @ Tyy and c @ Txy written into
+        1/r's array once a22 is formed.  With ws they are ws's buffers "K",
+        "s0", "s1" and "s2", filled in place, and so is the stencil's
+        `data`; without, each is allocated afresh.
         """
         mx, my, r = kin or self.kinematics(values, a, ws)
         G = self.G
@@ -442,11 +425,6 @@ class _Assembler:
         # without ws, free the scratch before the stencil's data is allocated
         del inv_r, inv_r3, c, product
         return self._stencil(K, ws)
-
-    def quadratic_gradient_full(self, values: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-        """Gradient of the frozen quadratic (plus the H term) at every node."""
-        mx, my = self.field_at_quad(values)
-        return self._node_gradient(coeff * mx, coeff * my)
 
 
 class _Workspace:
@@ -536,7 +514,7 @@ def _nested_dissection(ncx: int, ncy: int) -> np.ndarray:
 
 
 class _LinearSolver:
-    """SPD solves of one Newton or Picard solve on a grid of n_cells =
+    """SPD solves of one Newton solve on a grid of n_cells =
     (ncx, ncy) cells, holding the latest factor and counting factorizations
     and CG iterations.
 
@@ -711,7 +689,7 @@ def harmonic_extension(dom: GridDomain, phi: ScalarField) -> ScalarField:
 
     asm = _Assembler(dom, EnergySpec(preset="zero", H=0.0), 2)
     values = phi.values.copy()
-    r = asm.quadratic_gradient_full(values, np.ones((asm.ncx, asm.ncy, asm.G)))
+    r = asm._node_gradient(*asm.field_at_quad(values))
     (Kx, Mx), (Ky, My) = (_laplace_eigs(n, h) for n, h in zip(dom.n_cells, dom.spacing))
     lam = Kx[:, None] * My[None, :] + Mx[:, None] * Ky[None, :]
     values[1:-1, 1:-1] += idstn(dstn(-r[1:-1, 1:-1], type=1) / lam, type=1)
@@ -932,39 +910,6 @@ def continuation_minimize(
     )
 
 
-def solve_fixed_point(dom: GridDomain, spec: EnergySpec, a: float, phi: ScalarField) -> SolveResult:
-    """Reference solver: damped lagged-coefficient (Picard) iteration.
-
-    Freezes the scalar weight 1/sqrt(a^2 + |grad u + F|^2) at the current
-    iterate, solves the resulting linear problem exactly, and moves a
-    damped step toward that minimizer.  Converges linearly; used as an
-    algorithmically independent cross-check of the Newton solver.
-    """
-    if not 0 < a < math.inf:
-        raise ValueError("regularization parameter a must be finite and positive")
-    asm = _Assembler(dom, spec)
-    solver = _LinearSolver(dom.n_cells)
-    values = harmonic_extension(dom, phi).values
-    iterations = 0
-    converged = False
-    for _ in range(_PICARD_MAX_ITERS):
-        kin = asm.kinematics(values, a)
-        res = asm.residual_norm(values, a, kin)
-        if res <= _PICARD_TOL:
-            converged = True
-            break
-        # the frozen quadratic 0.5 * sum wq * coeff * |grad u + F|^2
-        coeff = 1.0 / kin[2]
-        A = asm.stiffness(coeff, None, coeff)
-        r = asm.gather_interior(asm.quadratic_gradient_full(values, coeff))
-        # PCG on the previous frozen matrix's factor, else a new factor
-        d = solver.solve(A, -r, _PCG_RTOL)
-        values = asm.scatter_interior(values, _PICARD_DAMPING * d)
-        iterations += 1
-    return _result(asm, values, a, asm.residual_norm(values, a), iterations, converged,
-                   asm.energy(values, a), solver)
-
-
 # ---- a-posteriori checks -----------------------------------------------------
 
 
@@ -1044,76 +989,3 @@ def energy_bound_check(r: SolveResult, spec: EnergySpec, phi: ScalarField) -> di
         "slack": slack,
         "passed": bool(lhs <= bound),
     }
-
-
-def local_energy_bound_check(
-    v: ScalarField,
-    w: ScalarField,
-    a: float,
-    rect: tuple[tuple[float, float], tuple[float, float]],
-    spec: EnergySpec,
-    cfg: SolverConfig | None = None,
-) -> dict:
-    """Interior locality of the regularized energy for two solutions.
-
-    For solutions v, w at the same a, the difference of their regularized
-    energies over a subrectangle is bounded by the boundary integral of
-    |v - w| over the subrectangle's edges (up to O(h) slack).  Inputs are
-    verified to be near-solutions first; otherwise the check refuses.
-    """
-    cfg = cfg or SolverConfig()
-    dom = v.dom
-    if w.dom != dom:
-        raise ValueError("fields live on different grids")
-    asm = _Assembler(dom, spec)
-    report: dict = {"refused": False, "reason": ""}
-    res_v = asm.residual_norm(v.values, a)
-    res_w = asm.residual_norm(w.values, a)
-    report["residual_v"] = res_v
-    report["residual_w"] = res_w
-    if max(res_v, res_w) > 1e4 * cfg.newton_tol:
-        report["refused"] = True
-        report["reason"] = "inputs are not solutions at this regularization level"
-        return report
-
-    hx, hy = dom.spacing
-    (x0, x1), (y0, y1) = rect
-    xs = dom.axis_nodes(0)
-    ys = dom.axis_nodes(1)
-    i0 = int(np.clip(round((x0 - xs[0]) / hx), 0, dom.n_cells[0]))
-    i1 = int(np.clip(round((x1 - xs[0]) / hx), 0, dom.n_cells[0]))
-    j0 = int(np.clip(round((y0 - ys[0]) / hy), 0, dom.n_cells[1]))
-    j1 = int(np.clip(round((y1 - ys[0]) / hy), 0, dom.n_cells[1]))
-    if i1 - i0 < 2 or j1 - j0 < 2:
-        raise ValueError("subdomain must span at least 2 cells per axis")
-
-    def _reg_density(field: ScalarField) -> np.ndarray:
-        m = drift_gradient(field, spec)
-        return np.sqrt(a * a + dot2(m, m))
-
-    dens = (_reg_density(v) - _reg_density(w))[i0:i1, j0:j1]
-    lhs = abs(pairwise_sum(dens.ravel() * dom.cell_volume))
-
-    diff = np.abs(v.values - w.values)
-
-    def _edge_integral(line: np.ndarray, h: float) -> float:
-        return float(h * (line.sum() - 0.5 * line[0] - 0.5 * line[-1]))
-
-    rhs = (
-        _edge_integral(diff[i0:i1 + 1, j0], hx)
-        + _edge_integral(diff[i0:i1 + 1, j1], hx)
-        + _edge_integral(diff[i0, j0:j1 + 1], hy)
-        + _edge_integral(diff[i1, j0:j1 + 1], hy)
-    )
-    perim = 2.0 * ((xs[i1] - xs[i0]) + (ys[j1] - ys[j0]))
-    slack = 10.0 * dom.h_max * perim * (1.0 + float(diff.max()))
-    report.update(
-        {
-            "lhs": lhs,
-            "rhs": rhs,
-            "slack": slack,
-            "subdomain_nodes": ((i0, i1), (j0, j1)),
-            "passed": bool(lhs <= rhs + slack),
-        }
-    )
-    return report
