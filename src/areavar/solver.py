@@ -26,11 +26,14 @@ Newton converges quadratically, and for each stage's tangent, it first
 runs conjugate gradients preconditioned with that factor.
 
 Up to _BAND_LIMIT a continuation's Newton steps, predictor and tangents
-work in one `_Workspace`: the kinematics, the gradients' and the Hessian's
-scratch arrays and the stencil's diagonals are kept for the whole solve
-and filled in place by the same numpy operations, in the same order, as
-the kernels called without it run on fresh arrays, so every value keeps
-its bits.  A tangent reuses its stage's final kinematics.
+work in one workspace, a dict of named buffers (see `_array`): the
+kinematics, the gradients' and the Hessian's scratch arrays and the
+stencil's diagonals are kept for the whole solve and filled in place by
+the same numpy operations, in the same order, as the kernels called
+without it run on fresh arrays, so every value keeps its bits.  Each
+stage hands its state on as a `_Stage`; in a workspace that includes its
+final kinematics, which the stage's tangent reuses.  The one SolveResult
+is built after the last stage.
 """
 from __future__ import annotations
 
@@ -118,7 +121,10 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    """Outcome of one regularized solve (or of the whole continuation).
+    """Outcome of a whole continuation (a fixed-a solve is the one-stage
+    continuation): the last stage's iterate, residual, energies and
+    convergence, with the iterations, stages and linear-solver counts of
+    every stage.
 
     u is read-only and keeps its gradient, singular set and measure once
     asked for them (grids.SolvedField)."""
@@ -131,7 +137,7 @@ class SolveResult:
     converged: bool
     energy_regularized: float = math.nan   # quadrature energy at a_final, incl. H
     newton_energies: tuple = ()   # energy after each accepted Newton step
-                                  # (of the last stage only, after a continuation)
+                                  # of the last stage
     stages: tuple = ()            # continuation log: (a, iterations, sup diff)
     factorizations: int = 0       # Hessian factorizations of the whole call
     pcg_iterations: int = 0       # CG iterations on a held factor, likewise
@@ -208,7 +214,7 @@ class _Assembler:
             axis=-1,
         )
 
-    def field_at_quad(self, values: np.ndarray, ws: _Workspace | None = None
+    def field_at_quad(self, values: np.ndarray, ws: dict | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
         U = self.corners(values).reshape(-1, 4)
         shape = (self.ncx, self.ncy, self.G)
@@ -219,7 +225,7 @@ class _Assembler:
         my += self.Fy
         return mx, my
 
-    def kinematics(self, values: np.ndarray, a: float, ws: _Workspace | None = None) -> tuple:
+    def kinematics(self, values: np.ndarray, a: float, ws: dict | None = None) -> tuple:
         """(mx, my, r) at every quadrature point: m = grad u + F and
         r = sqrt(a^2 + |m|^2), in ws's kinematics buffers if ws is given.
         The `kin` argument of the methods below takes this tuple for the
@@ -240,13 +246,12 @@ class _Assembler:
             np.multiply(my, my, out=t)
             r += t
             np.sqrt(r, out=r)
-        ws.kin_of = (values, a)
         return mx, my, r
 
     # -- energy / gradient / hessian ----------------------------------------
 
     def energy(self, values: np.ndarray, a: float, kin: tuple | None = None,
-               ws: _Workspace | None = None) -> float:
+               ws: dict | None = None) -> float:
         r = (kin or self.kinematics(values, a, ws))[2]
         cell = self.vol * (r.reshape(-1, self.G) @ self.wq)
         if self.Hlin is not None:
@@ -271,7 +276,7 @@ class _Assembler:
         return out
 
     def gradient_full(self, values: np.ndarray, a: float, kin: tuple | None = None,
-                      ws: _Workspace | None = None) -> np.ndarray:
+                      ws: dict | None = None) -> np.ndarray:
         """dE/du at every node, shape (nx+1, ny+1)."""
         mx, my, r = kin or self.kinematics(values, a, ws)
         wx, wy = (_array(ws, name, r.shape) for name in ("s0", "s1"))
@@ -280,7 +285,7 @@ class _Assembler:
         return self._node_gradient(wx, wy)
 
     def gradient_a(self, values: np.ndarray, a: float, kin: tuple | None = None,
-                   ws: _Workspace | None = None) -> np.ndarray:
+                   ws: dict | None = None) -> np.ndarray:
         """d/da of dE/du at every node: the load of -a m / r^3 (H does not
         depend on a)."""
         mx, my, r = kin or self.kinematics(values, a, ws)
@@ -293,7 +298,7 @@ class _Assembler:
         return self._node_gradient(wx, wy, h_term=False)
 
     def residual_norm(self, values: np.ndarray, a: float, kin: tuple | None = None,
-                      ws: _Workspace | None = None) -> float:
+                      ws: dict | None = None) -> float:
         # the interior in any order: max is exact
         g = self.gradient_full(values, a, kin, ws)[1:-1, 1:-1]
         return float(np.abs(g).max()) / self.vol
@@ -318,7 +323,7 @@ class _Assembler:
         inner += d_int.reshape(inner.shape)
         return out
 
-    def _stencil(self, K: np.ndarray, ws: _Workspace | None = None) -> sp.dia_array:
+    def _stencil(self, K: np.ndarray, ws: dict | None = None) -> sp.dia_array:
         """The interior matrix of the (cells, 16) cell blocks K as its 9
         diagonals, data[k, col] = A[col - offsets[k], col] with the offsets
         ascending, rows and columns numbered as in `_strides`.  Each diagonal
@@ -385,7 +390,7 @@ class _Assembler:
 
     def hessian_interior(
         self, values: np.ndarray, a: float, kin: tuple | None = None,
-        ws: _Workspace | None = None,
+        ws: dict | None = None,
     ) -> sp.dia_array:
         """Interior Hessian, a `dia_array`: the stencil of the cell blocks
         a11 @ Txx + a22 @ Tyy + a12 @ Txy of the coefficients
@@ -427,53 +432,25 @@ class _Assembler:
         return self._stencil(K, ws)
 
 
-class _Workspace:
-    """The quadrature-size arrays of one solve's Newton path, kept from step
-    to step so that `_Assembler`'s kernels fill them in place (numpy's
-    `out=`) instead of allocating, and faulting in, fresh ones each call.
+def _array(ws: dict | None, name: str, shape: tuple, alloc=np.empty) -> np.ndarray:
+    """The workspace ws's buffer `name`, allocated by `alloc` at its first
+    use; a fresh array from `alloc` without ws.
 
-    The buffers are named by role, each allocated at its first use: "mx",
-    "my" and "r" hold the kinematics of `kin_of`, the (values, a) they were
-    last computed for; "s0", "s1", "s2" and "K" are the scratch of the
+    A workspace holds the quadrature-size arrays of one solve's Newton
+    path, kept from step to step so that `_Assembler`'s kernels fill them
+    in place (numpy's `out=`) instead of allocating, and faulting in, fresh
+    ones each call.  The buffers are named by role: "mx", "my" and "r" hold
+    the latest kinematics; "s0", "s1", "s2" and "K" are the scratch of the
     gradients and the Hessian, and "stencil" is the Hessian's diagonals.
     A kernel overwrites what an earlier one left in the buffers it uses,
     so only the Newton path (`_newton`, `_euler_predict`, `_tangent`)
     passes a workspace, one per solve, and a Hessian made in it is valid
     until the next one."""
-
-    def __init__(self):
-        self.arrays = {}
-        self.kin_of = None
-
-    def kinematics(self, values: np.ndarray, a: float) -> tuple | None:
-        """The kept (mx, my, r) if they are those of this very `values`
-        array at a, else None."""
-        if self.kin_of is None or self.kin_of[0] is not values or self.kin_of[1] != a:
-            return None
-        return self.arrays["mx"], self.arrays["my"], self.arrays["r"]
-
-    @staticmethod
-    def for_grid(n_cells: tuple[int, int]) -> _Workspace | None:
-        """A workspace for a Newton solve on n_cells, or None over
-        _BAND_LIMIT.  Up to the limit the Hessian assembly is a step's
-        memory peak, and the kept buffers are no more than it allocates
-        anyway.  Over it SuperLU's factorization is the peak.  Kept through
-        it, the buffers raised a 512^2 solve's peak RSS from 736 to 828 MB.
-        Freed before it and allocated again after, they fragmented the heap:
-        a 128^2 solve peaked at 123-141 MB against 115-126 MB.  So those
-        grids allocate as the kernels go (BENCH_solver.json
-        "workspace_limit")."""
-        return _Workspace() if min(n_cells) <= _BAND_LIMIT else None
-
-
-def _array(ws: _Workspace | None, name: str, shape: tuple, alloc=np.empty) -> np.ndarray:
-    """ws's buffer `name`, allocated by `alloc` at its first use; a fresh
-    array from `alloc` without ws."""
     if ws is None:
         return alloc(shape)
-    buf = ws.arrays.get(name)
+    buf = ws.get(name)
     if buf is None:
-        buf = ws.arrays[name] = alloc(shape)
+        buf = ws[name] = alloc(shape)
     return buf
 
 
@@ -720,11 +697,28 @@ def solve_regularized(
     return continuation_minimize(dom, spec, phi, replace(cfg or SolverConfig(), a_schedule=(a,)))
 
 
+@dataclass
+class _Stage:
+    """Where `_newton` left a stage at level a: the iterate, its energy E_a
+    and residual, the accepted steps and the energy after each.  In a
+    workspace, `kin` is the converged iterate's kinematics, views of the
+    workspace's buffers valid until the next kernel call in it; else None,
+    so that nothing of the quadrature size outlives the stage."""
+
+    values: np.ndarray
+    energy: float
+    residual: float
+    iterations: int
+    converged: bool
+    energies: tuple
+    kin: tuple | None
+
+
 def _newton(
     asm: _Assembler, a: float, values: np.ndarray, cfg: SolverConfig,
     solver: _LinearSolver, step: np.ndarray | None = None,
-    ws: _Workspace | None = None,
-) -> SolveResult:
+    ws: dict | None = None,
+) -> _Stage:
     """Damped Newton on the energy at level a from `values`, whose boundary
     already holds the Dirichlet data, or from `values` moved by the
     interior predictor `step` if that has the lower energy.
@@ -732,17 +726,20 @@ def _newton(
     Every step assembles the Hessian.  Once the previous accepted step cut
     the residual by _REUSE_GATE, `solver` tries PCG on its held factor
     before it factorizes; a stage's first step always factorizes.  With
-    the solve's workspace `ws` the kernels work in its buffers, and on
-    return it holds the kinematics of the result's values if it converged;
-    without, they allocate their arrays.
+    the solve's workspace `ws` the kernels work in its buffers, and a
+    converged stage hands on its kinematics; without, they allocate their
+    arrays.  No step writes an iterate in place (`scatter_interior` copies).
     """
     energies = []
     iterations = 0
-    kin = None
-    if step is not None:
-        values, kin = _euler_predict(asm, a, values, step, ws)
-    kin = kin or asm.kinematics(values, a, ws)
-    E = asm.energy(values, a, kin)
+    if step is None:
+        kin = asm.kinematics(values, a, ws)
+        E = asm.energy(values, a, kin)
+    else:
+        # a rejected prediction returns no kinematics: in a workspace, the
+        # candidate's overwrote those of `values`
+        values, kin, E = _euler_predict(asm, a, values, step, ws)
+        kin = kin or asm.kinematics(values, a, ws)
     res_prev = 0.0              # no accepted step yet: the gate is closed
     for _ in range(cfg.max_newton_iters):
         g_int = asm.gather_interior(asm.gradient_full(values, a, kin, ws))
@@ -792,46 +789,24 @@ def _newton(
 
     # an overflowing energy has a zero gradient, so its residual proves nothing
     converged = res <= cfg.newton_tol and math.isfinite(E)
-    return _result(asm, values, a, res, iterations, converged, E, solver, tuple(energies))
-
-
-def _result(
-    asm: _Assembler, values: np.ndarray, a: float, res: float, iterations: int,
-    converged: bool, E: float, solver: _LinearSolver, energies: tuple = (),
-) -> SolveResult:
-    """The SolveResult of an iterate at level a, with its unregularized area
-    energy (midpoint rule, H = 0) and `solver`'s counts.  Its field is the
-    SolvedField of `values` under asm.spec, which marks `values` read-only:
-    no step writes an iterate in place (`scatter_interior` copies)."""
-    spec = asm.spec
-    u = SolvedField(asm.dom, values, spec)
-    spec_h0 = EnergySpec(preset=spec.preset, F_field=spec.F_field, H=0.0)
-    return SolveResult(
-        u=u,
-        residual_norm=res,
-        a_final=a,
-        iterations=iterations,
-        energy=area_energy(u, spec_h0),
-        converged=converged,
-        energy_regularized=E,
-        newton_energies=energies,
-        factorizations=solver.factorizations,
-        pcg_iterations=solver.pcg_iterations,
-    )
+    return _Stage(values, E, res, iterations, converged, tuple(energies),
+                  kin if converged and ws is not None else None)
 
 
 def _tangent(
-    asm: _Assembler, a: float, values: np.ndarray, solver: _LinearSolver,
-    ws: _Workspace | None = None,
+    asm: _Assembler, a: float, stage: _Stage, solver: _LinearSolver,
+    ws: dict | None = None,
 ) -> np.ndarray | None:
-    """du/da on the interior at a converged iterate, -H^-1 dg/da: by PCG on
-    the held factor of the stage's last Newton step, else by a new
-    factorization; None, no prediction, if that factorization fails.  The
-    kinematics are ws's if it holds those of `values` at a, as `_newton`
-    leaves them at convergence."""
-    kin = (ws and ws.kinematics(values, a)) or asm.kinematics(values, a, ws)
-    H = asm.hessian_interior(values, a, kin, ws)
-    rhs = -asm.gather_interior(asm.gradient_a(values, a, kin, ws))
+    """du/da on the interior at the converged iterate of `stage` at level
+    a, -H^-1 dg/da: by PCG on the held factor of the stage's last Newton
+    step, else by a new factorization; None, no prediction, if that
+    factorization fails.  The kinematics are the stage's own when it
+    carries them (in a workspace), else computed here and released before
+    the solve, so that none of the quadrature size lives through a
+    factorization."""
+    kin = stage.kin or asm.kinematics(stage.values, a, ws)
+    H = asm.hessian_interior(stage.values, a, kin, ws)
+    rhs = -asm.gather_interior(asm.gradient_a(stage.values, a, kin, ws))
     kin = None                  # released before a possible factorization
     try:
         return solver.solve(H, rhs, _TANGENT_RTOL)
@@ -841,17 +816,19 @@ def _tangent(
 
 def _euler_predict(
     asm: _Assembler, a: float, values: np.ndarray, step: np.ndarray,
-    ws: _Workspace | None = None,
-) -> tuple[np.ndarray, tuple | None]:
-    """`values` moved by `step` on the interior, with its kinematics, if
-    that lowers E_a; else `values` and None.  The energy of `values` comes
-    first: its kinematics share ws's buffers with the candidate's."""
+    ws: dict | None = None,
+) -> tuple[np.ndarray, tuple | None, float]:
+    """`values` moved by `step` on the interior, with its kinematics and
+    E_a, if that lowers E_a; else `values`, None and its E_a.  The energy
+    of `values` comes first: its kinematics share ws's buffers with the
+    candidate's."""
     E = asm.energy(values, a, ws=ws)
     cand = asm.scatter_interior(values, step)
     kin = asm.kinematics(cand, a, ws)
-    if asm.energy(cand, a, kin) < E:
-        return cand, kin
-    return values, None
+    E_cand = asm.energy(cand, a, kin)
+    if E_cand < E:
+        return cand, kin, E_cand
+    return values, None, E
 
 
 def continuation_minimize(
@@ -867,46 +844,58 @@ def continuation_minimize(
     stage's converged iterate, unless that raises the energy at a; every
     stage is still solved to newton_tol.  One linear solver, and its held
     factor, serves every stage.  Stops early once consecutive stage
-    solutions differ by less than continuation_stop in sup norm; the
-    reported energy is the unregularized area energy of the final iterate.
+    solutions differ by less than continuation_stop in sup norm.  The
+    result is built once, from the last stage run: its field is the
+    SolvedField of that iterate (which marks its values read-only) and its
+    energy the unregularized area energy (midpoint rule, H = 0).
     """
     cfg = cfg or SolverConfig()
     asm = _Assembler(dom, spec)
     solver = _LinearSolver(dom.n_cells)
-    ws = _Workspace.for_grid(dom.n_cells)
+    # the Newton path's workspace, up to _BAND_LIMIT.  There the Hessian
+    # assembly is a step's memory peak, and the kept buffers are no more
+    # than it allocates anyway.  Over it SuperLU's factorization is the
+    # peak.  Kept through it, the buffers raised a 512^2 solve's peak RSS
+    # from 736 to 828 MB.  Freed before it and allocated again after, they
+    # fragmented the heap: a 128^2 solve peaked at 123-141 MB against
+    # 115-126 MB.  So those grids allocate as the kernels go
+    # (BENCH_solver.json "workspace_limit")
+    ws = {} if min(dom.n_cells) <= _BAND_LIMIT else None
     values = harmonic_extension(dom, phi).values
     stages = []
-    result = None
     prev_values = None
     tangent = None
     a_prev = None
     total_iters = 0
     for k, a in enumerate(cfg.a_schedule):
         step = None if tangent is None else (a - a_prev) * tangent
-        result = _newton(asm, a, values, cfg, solver, step, ws)
+        stage = _newton(asm, a, values, cfg, solver, step, ws)
         a_prev = a
-        values = result.u.values
-        total_iters += result.iterations
-        diff = (
-            float(np.abs(result.u.values - prev_values).max())
-            if prev_values is not None
-            else math.inf
-        )
-        stages.append((a, result.iterations, diff))
-        if not result.converged:
+        values = stage.values
+        total_iters += stage.iterations
+        diff = float(np.abs(values - prev_values).max()) if prev_values is not None else math.inf
+        stages.append((a, stage.iterations, diff))
+        if not stage.converged:
             break
         if prev_values is not None and diff <= cfg.continuation_stop:
             break
-        prev_values = result.u.values
+        prev_values = values
         # a stage that took no Newton step predicts nothing
         last = k + 1 == len(cfg.a_schedule)
-        tangent = None if last or not result.iterations else _tangent(asm, a, values, solver, ws)
-    # nothing is solved after the last stage run: its linear-solver counts
-    # are already the continuation's totals
-    return replace(
-        result,
+        tangent = None if last or not stage.iterations else _tangent(asm, a, stage, solver, ws)
+    u = SolvedField(dom, values, spec)
+    return SolveResult(
+        u=u,
+        residual_norm=stage.residual,
+        a_final=a,
         iterations=total_iters,
+        energy=area_energy(u, EnergySpec(preset=spec.preset, F_field=spec.F_field, H=0.0)),
+        converged=stage.converged,
+        energy_regularized=stage.energy,
+        newton_energies=stage.energies,
         stages=tuple(stages),
+        factorizations=solver.factorizations,
+        pcg_iterations=solver.pcg_iterations,
     )
 
 

@@ -32,7 +32,6 @@ from areavar.solver import (
     _nested_dissection_pattern,
     _newton,
     _tangent,
-    _Workspace,
     comparison_check,
     continuation_minimize,
     energy_bound_check,
@@ -207,12 +206,12 @@ def test_stage_energies_decrease_with_a():
     values = harmonic_extension(dom, phi).values
     prev = None
     for a in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        result = _newton(asm, a, values, cfg, _LinearSolver(dom.n_cells))
-        assert result.converged
-        values = result.u.values
+        stage = _newton(asm, a, values, cfg, _LinearSolver(dom.n_cells))
+        assert stage.converged
+        values = stage.values
         if prev is not None:
-            assert result.energy_regularized <= prev + 1e-10
-        prev = result.energy_regularized
+            assert stage.energy <= prev + 1e-10
+        prev = stage.energy
 
 
 def test_monotone_boundary_approximation():
@@ -508,18 +507,18 @@ def _check_csc_pattern_built_once(n_cells, banded):
     solver = _LinearSolver(dom.n_cells)
     # the saddle xy is exact at every a: 0 Newton steps, no Hessian
     xy = harmonic_extension(dom, field(dom, lambda x, y: x * y)).values
-    result = _newton(asm, 1.0, xy, cfg, solver)
-    assert result.iterations == 0 and solver.nd_pattern is None
+    stage = _newton(asm, 1.0, xy, cfg, solver)
+    assert stage.iterations == 0 and solver.nd_pattern is None
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
-    result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, solver)
-    assert result.iterations == 1
+    stage = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, solver)
+    assert stage.iterations == 1
     if banded:
         assert solver.nd_pattern is None
         return
     pattern = solver.nd_pattern
     assert pattern is not None
     # the next solve, the stage's tangent, reuses it
-    assert _tangent(asm, 1.0, result.u.values, solver) is not None
+    assert _tangent(asm, 1.0, stage, solver) is not None
     assert solver.nd_pattern is pattern
 
 
@@ -940,15 +939,15 @@ def test_failed_tangent_factorization_predicts_nothing(monkeypatch):
     monkeypatch.setattr(_LinearSolver, "solve", fail_tangent)
     asm = _Assembler(dom, P_AREA)
     solver = _LinearSolver(dom.n_cells)
-    result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, SolverConfig(), solver)
-    assert _tangent(asm, 1.0, result.u.values, solver) is None
+    stage = _newton(asm, 1.0, harmonic_extension(dom, phi).values, SolverConfig(), solver)
+    assert _tangent(asm, 1.0, stage, solver) is None
     # every stage then starts from the last one's end, and still converges
     res = continuation_minimize(dom, P_AREA, phi, SolverConfig(a_schedule=(1.0, 0.25)))
     assert res.converged
-    values = result.u.values
+    values = stage.values
     for a in (1.0, 0.25):
         chain = _newton(asm, a, values, SolverConfig(), _LinearSolver(dom.n_cells))
-        values = chain.u.values
+        values = chain.values
     assert np.array_equal(res.u.values, values)
 
 
@@ -980,9 +979,9 @@ def test_continuation_matches_unpredicted_chain_in_fewer_steps():
     for a in cfg.a_schedule:
         chain = _newton(asm, a, values, cfg, _LinearSolver(dom.n_cells))
         assert chain.converged
-        values = chain.u.values
+        values = chain.values
         chain_steps += chain.iterations
-    assert np.abs(res.u.values - chain.u.values).max() <= 1e-12
+    assert np.abs(res.u.values - chain.values).max() <= 1e-12
     assert res.iterations < chain_steps
 
 
@@ -1007,13 +1006,13 @@ def test_newton_tangent_is_the_a_derivative_of_the_solution(a):
     cfg = SolverConfig()
     asm = _Assembler(dom, P_AREA)
     solver = _LinearSolver(dom.n_cells)
-    result = _newton(asm, a, harmonic_extension(dom, phi).values, cfg, solver)
-    assert result.converged
-    tangent = _tangent(asm, a, result.u.values, solver)
+    stage = _newton(asm, a, harmonic_extension(dom, phi).values, cfg, solver)
+    assert stage.converged
+    tangent = _tangent(asm, a, stage, solver)
     da = 1e-3 * a
-    up = _newton(asm, a + da, result.u.values, cfg, _LinearSolver(dom.n_cells))
-    down = _newton(asm, a - da, result.u.values, cfg, _LinearSolver(dom.n_cells))
-    fd = asm.gather_interior((up.u.values - down.u.values) / (2 * da))
+    up = _newton(asm, a + da, stage.values, cfg, _LinearSolver(dom.n_cells))
+    down = _newton(asm, a - da, stage.values, cfg, _LinearSolver(dom.n_cells))
+    fd = asm.gather_interior((up.values - down.values) / (2 * da))
     assert np.abs(tangent - fd).max() <= 1e-5 * np.abs(fd).max()
 
 
@@ -1023,8 +1022,9 @@ def test_zero_step_stage_gives_no_prediction():
     cfg = SolverConfig()
     asm = _Assembler(dom, P_AREA)
     start = harmonic_extension(dom, phi).values
-    result = _newton(asm, 1.0, start, cfg, _LinearSolver(dom.n_cells))
-    assert result.iterations == 0 and result.factorizations == 0
+    solver = _LinearSolver(dom.n_cells)
+    stage = _newton(asm, 1.0, start, cfg, solver)
+    assert stage.iterations == 0 and solver.factorizations == 0
     # no step, no tangent: the next stage starts where this one ended
     res = continuation_minimize(dom, P_AREA, phi, cfg)
     assert res.factorizations == 0 and res.pcg_iterations == 0
@@ -1038,27 +1038,30 @@ def test_predictor_is_used_only_when_it_lowers_the_energy():
     cfg = SolverConfig()
     asm = _Assembler(dom, P_AREA)
     solver = _LinearSolver(dom.n_cells)
-    result = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, solver)
-    tangent = _tangent(asm, 1.0, result.u.values, solver)
-    values, a = result.u.values, 0.5
-    pred, kin = _euler_predict(asm, a, values, (a - 1.0) * tangent)
+    stage = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, solver)
+    tangent = _tangent(asm, 1.0, stage, solver)
+    values, a = stage.values, 0.5
+    pred, kin, E = _euler_predict(asm, a, values, (a - 1.0) * tangent)
     assert pred is not values
     assert asm.energy(pred, a) < asm.energy(values, a)
     assert np.array_equal(kin[2], asm.kinematics(pred, a)[2])
+    assert E.hex() == asm.energy(pred, a).hex()
     # in a workspace the energy of `values` is taken first: the kinematics
     # returned, in the workspace's buffers, are still the candidate's
-    ws = _Workspace()
-    pred_ws, kin_ws = _euler_predict(asm, a, values, (a - 1.0) * tangent, ws)
-    assert np.array_equal(pred_ws, pred) and ws.kinematics(pred_ws, a) is not None
+    ws = {}
+    pred_ws, kin_ws, E_ws = _euler_predict(asm, a, values, (a - 1.0) * tangent, ws)
+    assert np.array_equal(pred_ws, pred) and E_ws.hex() == E.hex()
+    assert all(x is ws[name] for x, name in zip(kin_ws, ("mx", "my", "r")))
     for x, y in zip(kin_ws, asm.kinematics(pred, a)):
         assert np.array_equal(x, y)
     # a step against the tangent raises the energy: keep the old start
     bad = (1.0 - a) * tangent
-    kept, kin = _euler_predict(asm, a, values, bad)
+    kept, kin, E = _euler_predict(asm, a, values, bad)
     assert kept is values and kin is None
+    assert E.hex() == asm.energy(values, a).hex()
     unpredicted = _newton(asm, a, values, cfg, _LinearSolver(dom.n_cells))
     guarded = _newton(asm, a, values, cfg, _LinearSolver(dom.n_cells), bad)
-    assert np.array_equal(guarded.u.values, unpredicted.u.values)
+    assert np.array_equal(guarded.values, unpredicted.values)
     assert guarded.iterations == unpredicted.iterations
 
 
@@ -1082,7 +1085,7 @@ def test_kernels_in_a_workspace_keep_the_bits_of_fresh_arrays(n_cells):
     dom = GridDomain(OFFSET_BOX, n_cells)
     asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3))
     u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
-    ws = _Workspace()
+    ws = {}
     for a in (1.0, 1e-3, 1.0):                  # the buffers are refilled
         ref = _kernels(asm, u, a)
         for x, y in zip(_kernels(asm, u, a, ws), ref):
@@ -1096,63 +1099,31 @@ def test_kernels_in_a_workspace_keep_the_bits_of_fresh_arrays(n_cells):
     assert not np.shares_memory(H.data, asm.hessian_interior(u, 0.5).data)
 
 
-def test_workspace_kinematics_are_those_of_the_same_array_and_a():
-    dom = dom_n(8)
-    asm = _Assembler(dom, P_AREA)
-    u = field(dom, lambda x, y: x * y).values
-    ws = _Workspace()
-    assert ws.kinematics(u, 0.5) is None
-    kin = asm.kinematics(u, 0.5, ws)
-    assert all(x is y for x, y in zip(ws.kinematics(u, 0.5), kin))
-    assert ws.kinematics(u, 0.25) is None and ws.kinematics(u.copy(), 0.5) is None
-    asm.kinematics(u + 1.0, 0.5, ws)
-    assert ws.kinematics(u, 0.5) is None
-
-
-def test_only_band_grids_get_a_workspace():
-    # over the band limit SuperLU's factorization is the step's memory peak,
-    # and buffers kept through it would raise it
-    for n_cells in ((2, 2), (_BAND_LIMIT, _BAND_LIMIT), (_BAND_LIMIT, 300), (300, 12)):
-        assert isinstance(_Workspace.for_grid(n_cells), _Workspace)
-    for n_cells in ((_BAND_LIMIT + 1, _BAND_LIMIT + 1), (72, 66), (130, 66)):
-        assert _Workspace.for_grid(n_cells) is None
-
-
-def test_tangent_reuses_only_the_kinematics_of_its_iterate(monkeypatch):
-    dom = dom_n(16)
+@pytest.mark.parametrize("n_cells, schedule", [
+    ((16, 16), SolverConfig().a_schedule),
+    ((_BAND_LIMIT + 1, _BAND_LIMIT), (1.0, 0.25, 0.0625)),
+    ((72, 66), (1.0, 0.25, 0.0625)),
+], ids=["band_16x16", "band_65x64", "superlu_72x66"])
+def test_continuation_tangents_compute_no_kinematics(monkeypatch, n_cells, schedule):
+    # up to the band limit, on the shorter axis, a solve's Newton path works
+    # in one workspace and each stage hands its tangent the kinematics of
+    # its iterate; over it no stage keeps them, and each tangent computes
+    # them once, for itself
+    banded = min(n_cells) <= _BAND_LIMIT
+    dom = GridDomain(SQ, n_cells)
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
-    asm = _Assembler(dom, P_AREA)
-    start = harmonic_extension(dom, phi).values
-    ws = _Workspace()
-    result = _newton(asm, 0.5, start, SolverConfig(), _LinearSolver(dom.n_cells), ws=ws)
-    values = result.u.values
-    assert result.converged and ws.kinematics(values, 0.5) is not None
+    cfg = SolverConfig(a_schedule=schedule)
+    ref = continuation_minimize(dom, P_AREA, phi, cfg)
+    newton, tangent, kinematics = solver_module._newton, solver_module._tangent, _Assembler.kinematics
+    workspaces, stages, tangents, per_tangent, inside = [], [], [], [], []
 
-    def tangent(ws=None):                       # each by a fresh factorization
-        return _tangent(asm, 0.5, values, _LinearSolver(dom.n_cells), ws)
-
-    ref = tangent()
-    kinematics = _Assembler.kinematics
-    calls = []
-    with monkeypatch.context() as patch:
-        patch.setattr(_Assembler, "kinematics",
-                      lambda self, *args: calls.append(args) or kinematics(self, *args))
-        assert np.array_equal(_bits(tangent(ws)), _bits(ref))
-    assert calls == []                          # the stage's own kinematics
-    # kinematics of another iterate, or of this one at another a, are recomputed
-    for other in ((start, 0.5), (values, 0.25), (values.copy(), 0.5)):
-        asm.kinematics(*other, ws)
-        assert np.array_equal(_bits(tangent(ws)), _bits(ref))
-
-
-def test_continuation_tangents_compute_no_kinematics(monkeypatch):
-    dom = dom_n(16)
-    phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
-    ref = continuation_minimize(dom, P_AREA, phi)
-    inside, tangents = [], []
-    tangent, kinematics = solver_module._tangent, _Assembler.kinematics
+    def spy_newton(*args):
+        workspaces.append(args[-1])
+        stages.append(newton(*args))
+        return stages[-1]
 
     def spy_tangent(*args):
+        per_tangent.append(0)                   # kinematics computed by this tangent
         inside.append(True)
         try:
             tangents.append(tangent(*args))
@@ -1161,14 +1132,62 @@ def test_continuation_tangents_compute_no_kinematics(monkeypatch):
         return tangents[-1]
 
     def spy_kinematics(self, *args):
-        assert not inside, "a tangent recomputed the stage's kinematics"
+        if inside:
+            per_tangent[-1] += 1
         return kinematics(self, *args)
 
+    monkeypatch.setattr(solver_module, "_newton", spy_newton)
     monkeypatch.setattr(solver_module, "_tangent", spy_tangent)
     monkeypatch.setattr(_Assembler, "kinematics", spy_kinematics)
-    res = continuation_minimize(dom, P_AREA, phi)
+    res = continuation_minimize(dom, P_AREA, phi, cfg)
+    assert res.converged and len(stages) == len(res.stages) == len(schedule)
     assert len(tangents) == len(res.stages) - 1 and all(t is not None for t in tangents)
+    if banded:
+        assert all(type(ws) is dict and ws is workspaces[0] for ws in workspaces)
+        assert all(stage.kin is not None for stage in stages)
+        assert per_tangent == [0] * len(tangents)
+    else:
+        assert workspaces == [None] * len(stages)
+        assert all(stage.kin is None for stage in stages)
+        assert per_tangent == [1] * len(tangents)
     assert res.u.values.tobytes() == ref.u.values.tobytes()
+
+
+def test_continuation_computes_its_reported_energy_once(monkeypatch):
+    # the stages hand on their state: only the last one's iterate becomes a
+    # SolvedField, and only its area energy is computed
+    dom = dom_n(16)
+    phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+    ref = continuation_minimize(dom, P_AREA, phi)
+    calls = {"area_energy": 0, "SolvedField": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(solver_module, name, counted(name, getattr(solver_module, name)))
+    res = continuation_minimize(dom, P_AREA, phi)
+    assert len(res.stages) == 7 and calls == {"area_energy": 1, "SolvedField": 1}
+    assert res.u.values.tobytes() == ref.u.values.tobytes()
+    assert res.energy.hex() == ref.energy.hex()
+    assert res.energy_regularized.hex() == ref.energy_regularized.hex()
+    # a stage's energy is E_a of its iterate, bit for bit: also that of an
+    # accepted Euler prediction, here with a tolerance so loose that the
+    # stage takes no Newton step after it
+    asm = _Assembler(dom, P_AREA)
+    solver = _LinearSolver(dom.n_cells)
+    stage = _newton(asm, 1.0, harmonic_extension(dom, phi).values, SolverConfig(), solver)
+    assert stage.converged and stage.energy.hex() == asm.energy(stage.values, 1.0).hex()
+    tangent = _tangent(asm, 1.0, stage, solver)
+    a = 0.5
+    for ws in (None, {}):
+        predicted = _newton(asm, a, stage.values, SolverConfig(newton_tol=1e3), solver,
+                            (a - 1.0) * tangent, ws)
+        assert predicted.iterations == 0 and predicted.values is not stage.values
+        assert predicted.energy.hex() == asm.energy(predicted.values, a).hex()
 
 
 def test_newton_step_allocates_no_quadrature_size_array():
@@ -1178,19 +1197,19 @@ def test_newton_step_allocates_no_quadrature_size_array():
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
     asm = _Assembler(dom, P_AREA)
     solver = _LinearSolver(dom.n_cells)
-    ws = _Workspace()
+    ws = {}
     one_step = SolverConfig(max_newton_iters=1)
     quad_bytes = asm.ncx * asm.ncy * asm.G * 8
     tracemalloc.start()
     try:
-        result = _newton(asm, 0.25, harmonic_extension(dom, phi).values, one_step, solver, ws=ws)
-        assert result.iterations == 1 and not result.converged
+        stage = _newton(asm, 0.25, harmonic_extension(dom, phi).values, one_step, solver, ws=ws)
+        assert stage.iterations == 1 and not stage.converged
         tracemalloc.reset_peak()
-        result = _newton(asm, 0.25, result.u.values, one_step, solver, ws=ws)
+        stage = _newton(asm, 0.25, stage.values, one_step, solver, ws=ws)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.iterations == 1 and solver.factorizations == 2
+    assert stage.iterations == 1 and solver.factorizations == 2
     assert peak - current < quad_bytes
 
 

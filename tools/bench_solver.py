@@ -8,11 +8,13 @@ default SolverConfig: once untimed by the profiler (wall time, Newton steps
 in all and per stage, factorizations, PCG iterations, minor page faults of
 the solve, peak RSS, and a digest of the final nodal values, so that two
 source trees can be checked to return the same field bit for bit), then
-once under cProfile for the per-phase split and, beside the phases, the
-seconds of the matrix products inside PCG (part of the "pcg" phase).  Each
-line of output is one JSON object, with the BLAS thread cap
-(OPENBLAS_NUM_THREADS, unset unless the caller sets it) and the usable CPU
-count.  These are single runs.
+once more the same way for the minor page faults of a second solve in the
+same process (the first solve's count varies from run to run at 128^2 and
+over, where the heap is new), then once under cProfile for the per-phase
+split and, beside the phases, the seconds of the matrix products inside
+PCG (part of the "pcg" phase).  Each line of output is one JSON object,
+with the BLAS thread cap (OPENBLAS_NUM_THREADS, unset unless the caller
+sets it) and the usable CPU count.  These are single runs.
 
 The profiled phases overstate any layer that makes many small Python-level
 calls, because cProfile charges each of them.  Building the Hessian's
@@ -71,6 +73,12 @@ def run_one(n: int) -> dict:
     wall = perf_counter() - t0
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    faults_second = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    again = continuation_minimize(dom, spec, phi)
+    faults_second = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_second
+    if again.u.values.tobytes() != res.u.values.tobytes():
+        raise RuntimeError("a second solve in the same process returned other values")
+    del again
 
     prof = cProfile.Profile()
     prof.runcall(continuation_minimize, dom, spec, phi)
@@ -115,6 +123,7 @@ def run_one(n: int) -> dict:
         "converged": bool(res.converged),
         "digest": hashlib.sha256(res.u.values.tobytes()).hexdigest()[:16],
         "minor_faults": faults,
+        "minor_faults_second": faults_second,
         "peak_rss_mb": round(rss, 1),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "nproc": len(os.sched_getaffinity(0)),
