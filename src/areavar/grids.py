@@ -209,12 +209,22 @@ class EnergySpec:
         return self.F_at(dom, dom.axis_centers(0)[:, None], dom.axis_centers(1)[None, :])
 
     def F_at(self, dom: GridDomain, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Drift at points given per cell, shape (ncx, ncy, ..., 2).
+        """Drift at points given per cell, shape (ncx, ncy, ..., 2): the
+        components of `F_parts`, stacked."""
+        return np.stack(self.F_parts(dom, x, y), axis=-1)
+
+    def F_parts(self, dom: GridDomain, x: np.ndarray, y: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """The drift's two components at points given per cell, each of
+        shape (ncx, ncy, ...).
 
         x and y must broadcast to a shape (ncx, ncy, ...) whose entry
         [i, j, ...] lies in cell (i, j).  Analytic presets evaluate exactly
         at each point; a custom field is constant on each cell, so its cell
-        value is broadcast to every point of that cell.
+        value is broadcast to every point of that cell.  Each component is
+        a read-only broadcast view: of zero, of -y or x, or of the custom
+        field's cell values, so points given as (ncx, 1, G) and (1, ncy, G)
+        arrays cost no array of the full shape.
         """
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
         if shape[:2] != tuple(dom.n_cells):
@@ -222,18 +232,17 @@ class EnergySpec:
                 f"points of shape {shape} are not given per cell of a {dom.n_cells} grid"
             )
         if self.preset == "zero":
-            return np.zeros(shape + (2,))
+            zero = np.broadcast_to(0.0, shape)
+            return zero, zero
         if self.preset in ("p_area", "minus_X_star"):
             # -X* with X* = (y, -x): (x, y) -> (-y, x)
-            out = np.empty(shape + (2,))
-            out[..., 0] = -y
-            out[..., 1] = x
-            return out
+            return np.broadcast_to(-np.asarray(y), shape), np.broadcast_to(x, shape)
         f = self.F_field
         if f.dom != dom:
             raise ValueError("custom drift lives on a different grid")
         per_cell = f.values.reshape(f.values.shape[:2] + (1,) * (len(shape) - 2) + (2,))
-        return np.broadcast_to(per_cell, shape + (2,))
+        return (np.broadcast_to(per_cell[..., 0], shape),
+                np.broadcast_to(per_cell[..., 1], shape))
 
     def H_cells(self, dom: GridDomain) -> np.ndarray:
         if np.isscalar(self.H):

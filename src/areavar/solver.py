@@ -17,23 +17,18 @@ O(h^{2k}), which is what makes plane reproduction at 1e-8 possible.
 The interior is numbered line by line, short axis first, so the Newton
 Hessian is a 9-point stencil of half-bandwidth min(ncx, ncy): its
 diagonals are summed straight from the cell blocks into a scipy
-`dia_array`.  One
-`_LinearSolver` per solve, made for the grid's n_cells, picks the
-factorization from that half-bandwidth: band Cholesky (LAPACK dpbtrf) up
-to _BAND_LIMIT; above it, SuperLU on the stencil gathered into a CSC
-matrix in nested-dissection order.  It keeps the latest factor; once
-Newton converges quadratically, and for each stage's tangent, it first
-runs conjugate gradients preconditioned with that factor.
+`dia_array`.  One `_LinearSolver` per solve, made for the grid's n_cells,
+picks the factorization from that half-bandwidth: band Cholesky (LAPACK
+dpbtrf) up to _BAND_LIMIT; above it, SuperLU on the stencil gathered into a
+CSC matrix in nested-dissection order.  It keeps the latest factor; once
+Newton converges quadratically, and for each stage's tangent, it first runs
+conjugate gradients preconditioned with that factor.
 
-Up to _BAND_LIMIT a continuation's Newton steps, predictor and tangents
-work in one workspace, a dict of named buffers (see `_array`): the
-kinematics, the gradients' and the Hessian's scratch arrays and the
-stencil's diagonals are kept for the whole solve and filled in place by
-the same numpy operations, in the same order, as the kernels called
-without it run on fresh arrays, so every value keeps its bits.  Each
-stage hands its state on as a `_Stage`; in a workspace that includes its
-final kinematics, which the stage's tangent reuses.  The one SolveResult
-is built after the last stage.
+The quadrature layer runs over strips of whole cell rows
+(`_Assembler.evaluate`), in buffers the assembler allocates once, with the
+bits of kernels run over the whole grid: each point the Newton path visits
+is evaluated in one pass.  Each stage hands its last point on as a
+`_Stage`, with the tangent's system; one SolveResult follows the last stage.
 """
 from __future__ import annotations
 
@@ -82,6 +77,17 @@ _TANGENT_RTOL = 1e-8
 _BAND_LIMIT = 64
 # Gauss points per axis of the energy quadrature (the module docstring says why)
 _QUAD_ORDER = 4
+# Quadrature kernels run over strips of whole cell rows: up to _ONE_STRIP
+# cells the grid is one strip, else strips of 4k rows and about _STRIP cells.
+# Under OpenBLAS 0.3.31, on one or two threads, that split keeps each
+# product's bits (tests/test_solver.py pins it): (m, 4) @ (4, 16) and
+# (m, 16) @ (16, 16) under any split, (m, 16) @ (16,) when each strip but the
+# last holds 4k cells.  (m, 16) @ (16, 4), the nodal loads, switches kernels
+# between 8 192 and 16 384 rows; zero-padded to (16, 16) it has the bits of
+# the whole-grid product from 16 384 rows up, so strips form loads that way.
+# Another BLAS may need the loads written without it
+_ONE_STRIP = 2 ** 14
+_STRIP = 2 ** 12
 
 
 @dataclass
@@ -144,7 +150,8 @@ class SolveResult:
 
 
 class _Assembler:
-    """Per-domain tables for the Gauss-quadrature energy and its derivatives."""
+    """Per-domain tables for the Gauss-quadrature energy and its derivatives,
+    and the buffers its strips are evaluated in (see `evaluate`)."""
 
     def __init__(self, dom: GridDomain, spec: EnergySpec, quad_order: int = _QUAD_ORDER):
         self.dom = dom
@@ -181,16 +188,17 @@ class _Assembler:
         ys = dom.axis_nodes(1)[:-1]
         Xg = xs[:, None, None] + xi[None, None, :] * hx    # (ncx, 1, G)
         Yg = ys[None, :, None] + eta[None, None, :] * hy   # (1, ncy, G)
-        F = spec.F_at(dom, Xg, Yg)                         # (ncx, ncy, G, 2)
-        self.Fx, self.Fy = F[..., 0], F[..., 1]
+        # (ncx, ncy, G) views that broadcast Xg, Yg or the cell values
+        self.Fx, self.Fy = spec.F_parts(dom, Xg, Yg)
 
-        # linear bulk term: integral of H * shape_k over each cell; None for
-        # a scalar H = 0, whose term would add +-0 to every cell (as in
-        # grids.area_energy)
+        # linear bulk term: integral of H * shape_k over each cell, (cells,
+        # 4); None for a scalar H = 0, whose term would add +-0 to every
+        # cell (as in grids.area_energy)
         self.Hlin = None
         if not (np.isscalar(spec.H) and spec.H == 0):
             Hc = spec.H_cells(dom)
-            self.Hlin = self.vol * Hc[..., None] * (self.wq[None, None, :] @ self.S)
+            Hlin = self.vol * Hc[..., None] * (self.wq[None, None, :] @ self.S)
+            self.Hlin = Hlin.reshape(-1, 4)
 
         # shape gradients with the weights wq * vol folded in, (G, 4): the
         # nodal load of the fluxes (wx, wy) is wx @ WDx + wy @ WDy
@@ -206,67 +214,154 @@ class _Assembler:
             + self.WDy[:, :, None] * self.Dx[:, None, :]
         ).reshape(G, 16)
 
+        # the strips of whole cell rows, (i0, i1), and the load tables: WDx
+        # and WDy, zero-padded to 16 columns over one strip (_STRIP says why)
+        cut = 4 * max(1, round(_STRIP / (4 * ncy)))
+        self.rows = ncx if ncx * ncy <= _ONE_STRIP else min(cut, ncx)
+        self.strips = [(i, min(i + self.rows, ncx)) for i in range(0, ncx, self.rows)]
+        self.LDx, self.LDy = self.WDx, self.WDy
+        if len(self.strips) > 1:
+            self.LDx, self.LDy = (np.hstack([W, np.zeros((G, 12))]) for W in (self.WDx, self.WDy))
+        self.buffers = {}
+
+    def _array(self, name: str, shape: tuple, alloc=np.empty) -> np.ndarray:
+        """The per-cell buffer `name`, allocated by `alloc` at its first use
+        and kept, for `evaluate` to fill in place (numpy's `out=`): "cells"
+        the energy's cell sums, "loads" the gradients' (cells, 4) loads, "K"
+        the Hessian's cell blocks and "stencil" its diagonals, so a Hessian
+        is valid until the next one."""
+        buf = self.buffers.get(name)
+        if buf is None:
+            buf = self.buffers[name] = alloc(shape)
+        return buf
+
+    def _strip(self, n: int) -> dict:
+        """The strip buffers for a strip of n cells, kept like `_array`'s:
+        "U" its corner values, "mx", "my" and "r" its kinematics, "s0"-"s2"
+        scratch and "P" the loads' products; views of a full strip's."""
+        if n not in self.buffers:
+            m, w = self.rows * self.ncy, {"U": 4, "P": self.LDx.shape[1]}
+            names = ("U", "mx", "my", "r", "s0", "s1", "s2", "P")
+            full = self._strip(m) if n < m else {k: np.empty((m, w.get(k, self.G))) for k in names}
+            self.buffers[n] = {name: a[:n] for name, a in full.items()}
+        return self.buffers[n]
+
     # -- kinematics ---------------------------------------------------------
 
-    def corners(self, values: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [values[:-1, :-1], values[1:, :-1], values[:-1, 1:], values[1:, 1:]],
-            axis=-1,
-        )
+    def _field(self, values: np.ndarray, i0: int, i1: int, U: np.ndarray,
+               mx: np.ndarray, my: np.ndarray) -> None:
+        """Fill U, (cells, 4), with the corner values of the cell rows
+        i0 <= i < i1, and mx, my, (cells, G), with grad u + F at their
+        quadrature points."""
+        V = U.reshape(i1 - i0, self.ncy, 4)
+        for k, (di, dj) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+            V[..., k] = values[i0 + di:i1 + di, dj:dj + self.ncy]
+        np.matmul(U, self.Dx.T, out=mx)
+        np.matmul(U, self.Dy.T, out=my)
+        for m, F in ((mx, self.Fx), (my, self.Fy)):
+            m3 = m.reshape(i1 - i0, self.ncy, self.G)
+            m3 += F[i0:i1]
 
-    def field_at_quad(self, values: np.ndarray, ws: dict | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        U = self.corners(values).reshape(-1, 4)
-        shape = (self.ncx, self.ncy, self.G)
-        mx, my = (_array(ws, name, shape) for name in ("mx", "my"))
-        np.matmul(U, self.Dx.T, out=mx.reshape(-1, self.G))
-        np.matmul(U, self.Dy.T, out=my.reshape(-1, self.G))
-        mx += self.Fx
-        my += self.Fy
-        return mx, my
+    def field_load(self, values: np.ndarray) -> np.ndarray:
+        """The nodal load, (nx+1, ny+1), of the flux grad u + F over the whole
+        grid at once, in fresh arrays, with no H term: `harmonic_extension`'s."""
+        n = self.ncx * self.ncy
+        mx, my = np.empty((n, self.G)), np.empty((n, self.G))
+        self._field(values, 0, self.ncx, np.empty((n, 4)), mx, my)
+        C = mx @ self.WDx
+        C += my @ self.WDy
+        return self._scatter(C)
 
-    def kinematics(self, values: np.ndarray, a: float, ws: dict | None = None) -> tuple:
-        """(mx, my, r) at every quadrature point: m = grad u + F and
-        r = sqrt(a^2 + |m|^2), in ws's kinematics buffers if ws is given.
-        The `kin` argument of the methods below takes this tuple for the
-        same values and a, to share it."""
-        mx, my = self.field_at_quad(values, ws)
+    def kinematics(self, values: np.ndarray, a: float, i0: int, i1: int) -> tuple:
+        """(U, mx, my, r) of the cell rows i0 <= i < i1 (one strip), in the
+        strip buffers: the corner values, and m = grad u + F and
+        r = sqrt(a^2 + |m|^2) at the quadrature points."""
+        b = self._strip((i1 - i0) * self.ncy)
+        U, mx, my, r, t = b["U"], b["mx"], b["my"], b["r"], b["s0"]
+        self._field(values, i0, i1, U, mx, my)
         # a huge field makes r, and so the energy, inf: `_newton` reports
         # that as non-convergence, without numpy's overflow warning
         with np.errstate(over="ignore"):
-            if ws is None:
-                # numpy works its temporaries in place here; allocating r
-                # and a scratch array instead raised a 128^2 solve's peak
-                # RSS (BENCH_solver.json "not_kept")
-                return mx, my, np.sqrt(a * a + mx * mx + my * my)
-            # the same sum, (a^2 + mx^2) + my^2, in ws's buffers
-            r, t = (_array(ws, name, mx.shape) for name in ("r", "s0"))
-            np.multiply(mx, mx, out=r)
+            np.multiply(mx, mx, out=r)              # (a^2 + mx^2) + my^2
             r += a * a
             np.multiply(my, my, out=t)
             r += t
             np.sqrt(r, out=r)
-        return mx, my, r
+        return U, mx, my, r
 
     # -- energy / gradient / hessian ----------------------------------------
 
-    def energy(self, values: np.ndarray, a: float, kin: tuple | None = None,
-               ws: dict | None = None) -> float:
-        r = (kin or self.kinematics(values, a, ws))[2]
-        cell = self.vol * (r.reshape(-1, self.G) @ self.wq)
+    def evaluate(self, values: np.ndarray, a: float, more=(False, False),
+                 gradient: bool = True) -> _Point:
+        """The point `values` at level a: E_a and, unless `gradient` is
+        False, the nodal gradient dE/du with its residual, in one pass over
+        the strips.  `more`, or more(point) once those are known, is a pair
+        of flags: add the interior Hessian, add d/da of the nodal gradient
+        (the load of -a m / r^3).  A second pass forms them, from the
+        kinematics the first left in the buffers on a one-strip grid, else
+        from each strip's formed again.  Each value is formed by the numpy
+        operations of a whole-grid kernel, in its order, and each product
+        keeps its bits under the split (_STRIP)."""
+        n_cells = self.ncx * self.ncy
+        cells = self._array("cells", (n_cells,))
+        loads = self._array("loads", (n_cells, 4))
+        for i0, i1 in self.strips:
+            c = slice(i0 * self.ncy, i1 * self.ncy)
+            U, mx, my, r = kin = self.kinematics(values, a, i0, i1)
+            np.matmul(r, self.wq, out=cells[c])
+            cells[c] *= self.vol
+            if self.Hlin is not None:
+                cells[c] += np.einsum("ck,ck->c", self.Hlin[c], U)
+            if gradient:
+                b = self._strip(len(r))
+                wx, wy = b["s0"], b["s1"]
+                np.divide(mx, r, out=wx)
+                np.divide(my, r, out=wy)
+                self._loads(wx, wy, loads[c])
+        point = _Point(values, pairwise_sum(cells))
+        if not gradient:
+            return point
         if self.Hlin is not None:
-            U = self.corners(values).reshape(-1, 4)
-            cell += np.einsum("ck,ck->c", self.Hlin.reshape(-1, 4), U)
-        return pairwise_sum(cell)
+            loads += self.Hlin
+        point.gradient = self._scatter(loads)
+        # the interior in any order: max is exact
+        point.residual = float(np.abs(point.gradient[1:-1, 1:-1]).max()) / self.vol
+        hessian, tangent = more(point) if callable(more) else more
+        if not (hessian or tangent):
+            return point
+        K = self._array("K", (n_cells, 16)) if hessian else None
+        for i0, i1 in self.strips:
+            c = slice(i0 * self.ncy, i1 * self.ncy)
+            _, mx, my, r = kin = self.kinematics(values, a, i0, i1) if len(self.strips) > 1 else kin
+            if hessian:
+                self._cell_blocks(mx, my, r, K[c])
+            if tangent:
+                b = self._strip(len(r))
+                s, wx, wy = b["s0"], b["s1"], b["s2"]
+                np.multiply(r, r, out=s)
+                s *= r
+                np.divide(-a, s, out=s)
+                np.multiply(s, mx, out=wx)
+                np.multiply(s, my, out=wy)
+                self._loads(wx, wy, loads[c])
+        if hessian:
+            data = self._array("stencil", (self._stencil_terms[0].size, self.n_int), np.zeros)
+            point.hessian = self._stencil(K, data)
+        if tangent:
+            point.gradient_a = self._scatter(loads)
+        return point
 
-    def _node_gradient(self, wx: np.ndarray, wy: np.ndarray, h_term: bool = True) -> np.ndarray:
-        """Nodal load of the quadrature fluxes (wx, wy), plus the H term
-        unless h_term is False, shape (nx+1, ny+1)."""
-        G = self.G
-        C = wx.reshape(-1, G) @ self.WDx
-        C += wy.reshape(-1, G) @ self.WDy
-        if h_term and self.Hlin is not None:
-            C += self.Hlin.reshape(-1, 4)
+    def _loads(self, wx: np.ndarray, wy: np.ndarray, out: np.ndarray) -> None:
+        """out = wx @ WDx + wy @ WDy: the (cells, 4) nodal loads of a
+        strip's fluxes at its quadrature points, through the load tables."""
+        P = self._strip(len(out))["P"]
+        np.matmul(wx, self.LDx, out=P)
+        out[...] = P[:, :4]
+        np.matmul(wy, self.LDy, out=P)
+        out += P[:, :4]
+
+    def _scatter(self, C: np.ndarray) -> np.ndarray:
+        """The nodal array, (nx+1, ny+1), of the (cells, 4) corner loads C."""
         C = C.reshape(self.ncx, self.ncy, 4)
         out = np.zeros((self.ncx + 1, self.ncy + 1))
         out[:-1, :-1] += C[..., 0]
@@ -275,33 +370,31 @@ class _Assembler:
         out[1:, 1:] += C[..., 3]
         return out
 
-    def gradient_full(self, values: np.ndarray, a: float, kin: tuple | None = None,
-                      ws: dict | None = None) -> np.ndarray:
-        """dE/du at every node, shape (nx+1, ny+1)."""
-        mx, my, r = kin or self.kinematics(values, a, ws)
-        wx, wy = (_array(ws, name, r.shape) for name in ("s0", "s1"))
-        np.divide(mx, r, out=wx)
-        np.divide(my, r, out=wy)
-        return self._node_gradient(wx, wy)
-
-    def gradient_a(self, values: np.ndarray, a: float, kin: tuple | None = None,
-                   ws: dict | None = None) -> np.ndarray:
-        """d/da of dE/du at every node: the load of -a m / r^3 (H does not
-        depend on a)."""
-        mx, my, r = kin or self.kinematics(values, a, ws)
-        c, wx, wy = (_array(ws, name, r.shape) for name in ("s0", "s1", "s2"))
-        np.multiply(r, r, out=c)
-        c *= r
-        np.divide(-a, c, out=c)
-        np.multiply(c, mx, out=wx)
-        np.multiply(c, my, out=wy)
-        return self._node_gradient(wx, wy, h_term=False)
-
-    def residual_norm(self, values: np.ndarray, a: float, kin: tuple | None = None,
-                      ws: dict | None = None) -> float:
-        # the interior in any order: max is exact
-        g = self.gradient_full(values, a, kin, ws)[1:-1, 1:-1]
-        return float(np.abs(g).max()) / self.vol
+    def _cell_blocks(self, mx: np.ndarray, my: np.ndarray, r: np.ndarray,
+                     K: np.ndarray) -> None:
+        """K, (cells, 16): a strip's Hessian cell blocks a11 @ Txx + a22 @ Tyy
+        + a12 @ Txy of the coefficients 1/r - m m^T / r^3, summed in that
+        order.  Each coefficient is formed in the scratch c and contracted
+        into K before the next; later products go to 1/r's array."""
+        b = self._strip(len(r))
+        inv_r, inv_r3, c = b["s0"], b["s1"], b["s2"]
+        np.divide(1.0, r, out=inv_r)
+        np.divide(inv_r, r, out=inv_r3)
+        inv_r3 *= inv_r
+        np.multiply(mx, mx, out=c)
+        c *= inv_r3
+        np.subtract(inv_r, c, out=c)                     # a11
+        np.matmul(c, self.Txx, out=K)
+        np.multiply(my, my, out=c)
+        c *= inv_r3
+        np.subtract(inv_r, c, out=c)                     # a22
+        np.matmul(c, self.Tyy, out=inv_r)                # 1/r is dead from here
+        K += inv_r
+        np.negative(mx, out=c)
+        c *= my
+        c *= inv_r3                                      # a12
+        np.matmul(c, self.Txy, out=inv_r)
+        K += inv_r
 
     def _band_interior(self, full: np.ndarray) -> np.ndarray:
         """The view of a nodal array's interior whose C order is the
@@ -323,7 +416,7 @@ class _Assembler:
         inner += d_int.reshape(inner.shape)
         return out
 
-    def _stencil(self, K: np.ndarray, ws: dict | None = None) -> sp.dia_array:
+    def _stencil(self, K: np.ndarray, data: np.ndarray | None = None) -> sp.dia_array:
         """The interior matrix of the (cells, 16) cell blocks K as its 9
         diagonals, data[k, col] = A[col - offsets[k], col] with the offsets
         ascending, rows and columns numbered as in `_strides`.  Each diagonal
@@ -333,12 +426,11 @@ class _Assembler:
         node pairs that are not neighbours.  The array keeps `data` without
         a copy, and its product adds each row's terms in ascending offset,
         that is ascending column, order into zeros: the bits of the CSC
-        product.  With ws, `data` is ws's stencil buffer: every call writes
-        the same slots, so the others stay the zeros it was allocated with,
-        and the array is valid until the next stencil made in ws."""
+        product.  `data` is zeros, or a buffer an earlier call filled: every
+        call writes the same slots; None allocates it."""
         B = K.reshape(self.ncx, self.ncy, 4, 4)     # [ci, cj, row corner, col corner]
         offsets, terms = self._stencil_terms
-        data = _array(ws, "stencil", (offsets.size, self.n_int), np.zeros)
+        data = np.zeros((offsets.size, self.n_int)) if data is None else data
         # each data[k] as the (ncx - 1, ncy - 1) interior, indexed like the nodes
         if self.ncy > self.ncx:
             inner = data.reshape(-1, self.ncy - 1, self.ncx - 1).transpose(0, 2, 1)
@@ -387,71 +479,6 @@ class _Assembler:
             k = int(np.searchsorted(offsets, -(di * sx + dj * sy)))
             terms.append((k, (slice(i0 - 1, i1 - 1), slice(j0 - 1, j1 - 1)), cells))
         return offsets, terms
-
-    def hessian_interior(
-        self, values: np.ndarray, a: float, kin: tuple | None = None,
-        ws: dict | None = None,
-    ) -> sp.dia_array:
-        """Interior Hessian, a `dia_array`: the stencil of the cell blocks
-        a11 @ Txx + a22 @ Tyy + a12 @ Txy of the coefficients
-        1/r - m m^T / r^3, summed in that order (the tests check it bit for
-        bit against that sum formed at once).
-
-        Each coefficient is formed in one scratch array c and contracted
-        into the cell blocks K before the next one is formed.  Beside the
-        kinematics that takes four arrays of the quadrature size: K, 1/r,
-        1/r^3 and c, with the products c @ Tyy and c @ Txy written into
-        1/r's array once a22 is formed.  With ws they are ws's buffers "K",
-        "s0", "s1" and "s2", filled in place, and so is the stencil's
-        `data`; without, each is allocated afresh.
-        """
-        mx, my, r = kin or self.kinematics(values, a, ws)
-        G = self.G
-        K = _array(ws, "K", (self.ncx * self.ncy, 16))
-        inv_r, inv_r3, c = (_array(ws, name, r.shape) for name in ("s0", "s1", "s2"))
-        np.divide(1.0, r, out=inv_r)
-        np.divide(inv_r, r, out=inv_r3)
-        inv_r3 *= inv_r
-        np.multiply(mx, mx, out=c)
-        c *= inv_r3
-        np.subtract(inv_r, c, out=c)                     # a11
-        np.matmul(c.reshape(-1, G), self.Txx, out=K)
-        np.multiply(my, my, out=c)
-        c *= inv_r3
-        np.subtract(inv_r, c, out=c)                     # a22
-        product = inv_r.reshape(-1, G)                   # 1/r is dead from here
-        np.matmul(c.reshape(-1, G), self.Tyy, out=product)
-        K += product
-        np.negative(mx, out=c)
-        c *= my
-        c *= inv_r3                                      # a12
-        np.matmul(c.reshape(-1, G), self.Txy, out=product)
-        K += product
-        # without ws, free the scratch before the stencil's data is allocated
-        del inv_r, inv_r3, c, product
-        return self._stencil(K, ws)
-
-
-def _array(ws: dict | None, name: str, shape: tuple, alloc=np.empty) -> np.ndarray:
-    """The workspace ws's buffer `name`, allocated by `alloc` at its first
-    use; a fresh array from `alloc` without ws.
-
-    A workspace holds the quadrature-size arrays of one solve's Newton
-    path, kept from step to step so that `_Assembler`'s kernels fill them
-    in place (numpy's `out=`) instead of allocating, and faulting in, fresh
-    ones each call.  The buffers are named by role: "mx", "my" and "r" hold
-    the latest kinematics; "s0", "s1", "s2" and "K" are the scratch of the
-    gradients and the Hessian, and "stencil" is the Hessian's diagonals.
-    A kernel overwrites what an earlier one left in the buffers it uses,
-    so only the Newton path (`_newton`, `_euler_predict`, `_tangent`)
-    passes a workspace, one per solve, and a Hessian made in it is valid
-    until the next one."""
-    if ws is None:
-        return alloc(shape)
-    buf = ws.get(name)
-    if buf is None:
-        buf = ws[name] = alloc(shape)
-    return buf
 
 
 def _strides(ncx: int, ncy: int) -> tuple[int, int]:
@@ -666,7 +693,7 @@ def harmonic_extension(dom: GridDomain, phi: ScalarField) -> ScalarField:
 
     asm = _Assembler(dom, EnergySpec(preset="zero", H=0.0), 2)
     values = phi.values.copy()
-    r = asm._node_gradient(*asm.field_at_quad(values))
+    r = asm.field_load(values)
     (Kx, Mx), (Ky, My) = (_laplace_eigs(n, h) for n, h in zip(dom.n_cells, dom.spacing))
     lam = Kx[:, None] * My[None, :] + Mx[:, None] * Ky[None, :]
     values[1:-1, 1:-1] += idstn(dstn(-r[1:-1, 1:-1], type=1) / lam, type=1)
@@ -698,62 +725,64 @@ def solve_regularized(
 
 
 @dataclass
-class _Stage:
-    """Where `_newton` left a stage at level a: the iterate, its energy E_a
-    and residual, the accepted steps and the energy after each.  In a
-    workspace, `kin` is the converged iterate's kinematics, views of the
-    workspace's buffers valid until the next kernel call in it; else None,
-    so that nothing of the quadrature size outlives the stage."""
+class _Point:
+    """A point at level a as `_Assembler.evaluate` left it: values, E_a,
+    nodal gradient and residual sup|g|/vol over the interior nodes, and as
+    asked for, the interior Hessian and d/da of the nodal gradient."""
 
     values: np.ndarray
     energy: float
-    residual: float
+    gradient: np.ndarray | None = None
+    residual: float = math.nan
+    hessian: sp.dia_array | None = None
+    gradient_a: np.ndarray | None = None
+
+
+@dataclass
+class _Stage:
+    """Where `_newton` left a stage: its last point, steps and energies."""
+
+    point: _Point
     iterations: int
     converged: bool
     energies: tuple
-    kin: tuple | None
 
 
 def _newton(
     asm: _Assembler, a: float, values: np.ndarray, cfg: SolverConfig,
-    solver: _LinearSolver, step: np.ndarray | None = None,
-    ws: dict | None = None,
+    solver: _LinearSolver, step: np.ndarray | None = None, tangent: bool = False,
 ) -> _Stage:
     """Damped Newton on the energy at level a from `values`, whose boundary
     already holds the Dirichlet data, or from `values` moved by the
     interior predictor `step` if that has the lower energy.
 
-    Every step assembles the Hessian.  Once the previous accepted step cut
-    the residual by _REUSE_GATE, `solver` tries PCG on its held factor
-    before it factorizes; a stage's first step always factorizes.  With
-    the solve's workspace `ws` the kernels work in its buffers, and a
-    converged stage hands on its kinematics; without, they allocate their
-    arrays.  No step writes an iterate in place (`scatter_interior` copies).
+    Each point visited is evaluated once; an iterate also gets the Hessian
+    for its step or, with `tangent`, once it ends a stage that took a step,
+    the Hessian and dg/da for `_tangent`.  Once the previous accepted step
+    cut the residual by _REUSE_GATE, `solver` tries PCG on its held factor
+    before it factorizes; a stage's first step always factorizes.  No step
+    writes an iterate in place (`scatter_interior` copies).
     """
+    tol = cfg.newton_tol
     energies = []
-    iterations = 0
+
+    def more(q: _Point, steps: int) -> tuple[bool, bool]:
+        # an iterate after `steps` accepted steps: the Hessian for a further
+        # step, or the tangent's system once it converged after a step
+        if q.residual > tol:
+            return steps < cfg.max_newton_iters, False
+        return (tangent and steps > 0 and math.isfinite(q.energy),) * 2
+
     if step is None:
-        kin = asm.kinematics(values, a, ws)
-        E = asm.energy(values, a, kin)
+        p = asm.evaluate(values, a, lambda q: more(q, 0))
     else:
-        # a rejected prediction returns no kinematics: in a workspace, the
-        # candidate's overwrote those of `values`
-        values, kin, E = _euler_predict(asm, a, values, step, ws)
-        kin = kin or asm.kinematics(values, a, ws)
+        p = _euler_predict(asm, a, values, step, lambda q: more(q, 0))
     res_prev = 0.0              # no accepted step yet: the gate is closed
-    for _ in range(cfg.max_newton_iters):
-        g_int = asm.gather_interior(asm.gradient_full(values, a, kin, ws))
-        res = float(np.abs(g_int).max()) / asm.vol
-        if res <= cfg.newton_tol:
-            break
-        H = asm.hessian_interior(values, a, kin, ws)
-        # without a workspace, release the kinematics (both names of the
-        # accepted trial's) before the solve: a factorization is the step's
-        # memory peak
-        kin = kin_trial = None
-        quadratic = res * _REUSE_GATE <= res_prev
+    while p.residual > tol and len(energies) < cfg.max_newton_iters:
+        g_int = asm.gather_interior(p.gradient)
+        quadratic = p.residual * _REUSE_GATE <= res_prev
         try:
-            d = solver.solve(H, -g_int, _PCG_RTOL if quadratic else None)
+            d = solver.solve(p.hessian, -g_int, _PCG_RTOL if quadratic else None)
         except np.linalg.LinAlgError:
             break               # a failed factorization: the stage does not converge
         slope = fixed_dot(g_int, d)
@@ -763,72 +792,51 @@ def _newton(
         # once the predicted decrease drops below the resolution of the
         # energy sum itself, the energy can no longer certify a step;
         # fall back to judging trial steps by their residual instead
-        endgame = abs(slope) <= 64.0 * np.finfo(float).eps * (1.0 + abs(E))
+        endgame = abs(slope) <= 64.0 * np.finfo(float).eps * (1.0 + abs(p.energy))
         t = 1.0
-        accepted = False
+
+        def accepts(q: _Point) -> bool:
+            return (q.energy <= p.energy + 1e-4 * t * slope or q.energy <= p.energy
+                    or endgame and q.residual <= 0.9 * p.residual)
+
         for _ in range(_LINE_SEARCH_MAX + 1):
-            trial = asm.scatter_interior(values, t * d)
-            kin_trial = asm.kinematics(trial, a, ws)
-            E_trial = asm.energy(trial, a, kin_trial)
-            if E_trial <= E + 1e-4 * t * slope or E_trial <= E:
-                accepted = True
-                break
-            if endgame and asm.residual_norm(trial, a, kin_trial, ws) <= 0.9 * res:
-                accepted = True
+            trial = asm.evaluate(asm.scatter_interior(p.values, t * d), a, lambda q: (
+                more(q, len(energies) + 1) if accepts(q) else (False, False)))
+            if accepts(trial):
                 break
             t *= _LINE_SEARCH_FACTOR
-        if not accepted:
-            break               # `res` is still the residual of `values`
-        values, kin = trial, kin_trial
-        E = E_trial
-        res_prev = res
-        energies.append(E)
-        iterations += 1
-    else:
-        res = asm.residual_norm(values, a, kin, ws)
+        else:
+            break               # p is still the last iterate
+        res_prev = p.residual
+        p = trial
+        energies.append(p.energy)
 
     # an overflowing energy has a zero gradient, so its residual proves nothing
-    converged = res <= cfg.newton_tol and math.isfinite(E)
-    return _Stage(values, E, res, iterations, converged, tuple(energies),
-                  kin if converged and ws is not None else None)
+    converged = p.residual <= tol and math.isfinite(p.energy)
+    return _Stage(p, len(energies), converged, tuple(energies))
 
 
-def _tangent(
-    asm: _Assembler, a: float, stage: _Stage, solver: _LinearSolver,
-    ws: dict | None = None,
-) -> np.ndarray | None:
-    """du/da on the interior at the converged iterate of `stage` at level
-    a, -H^-1 dg/da: by PCG on the held factor of the stage's last Newton
-    step, else by a new factorization; None, no prediction, if that
-    factorization fails.  The kinematics are the stage's own when it
-    carries them (in a workspace), else computed here and released before
-    the solve, so that none of the quadrature size lives through a
-    factorization."""
-    kin = stage.kin or asm.kinematics(stage.values, a, ws)
-    H = asm.hessian_interior(stage.values, a, kin, ws)
-    rhs = -asm.gather_interior(asm.gradient_a(stage.values, a, kin, ws))
-    kin = None                  # released before a possible factorization
+def _tangent(asm: _Assembler, stage: _Stage, solver: _LinearSolver) -> np.ndarray | None:
+    """du/da on the interior at the converged iterate of `stage`,
+    -H^-1 dg/da from the system its point holds (`_newton` with `tangent`):
+    by PCG on the held factor of the stage's last Newton step, else by a new
+    factorization; None, no prediction, if that factorization fails."""
     try:
-        return solver.solve(H, rhs, _TANGENT_RTOL)
+        return solver.solve(stage.point.hessian, -asm.gather_interior(stage.point.gradient_a),
+                            _TANGENT_RTOL)
     except np.linalg.LinAlgError:
         return None
 
 
-def _euler_predict(
-    asm: _Assembler, a: float, values: np.ndarray, step: np.ndarray,
-    ws: dict | None = None,
-) -> tuple[np.ndarray, tuple | None, float]:
-    """`values` moved by `step` on the interior, with its kinematics and
-    E_a, if that lowers E_a; else `values`, None and its E_a.  The energy
-    of `values` comes first: its kinematics share ws's buffers with the
-    candidate's."""
-    E = asm.energy(values, a, ws=ws)
-    cand = asm.scatter_interior(values, step)
-    kin = asm.kinematics(cand, a, ws)
-    E_cand = asm.energy(cand, a, kin)
-    if E_cand < E:
-        return cand, kin, E_cand
-    return values, None, E
+def _euler_predict(asm: _Assembler, a: float, values: np.ndarray, step: np.ndarray,
+                   more) -> _Point:
+    """The point of `values` moved by `step` on the interior if that lowers
+    E_a, else the point of `values`, evaluated with `more` (see
+    `_Assembler.evaluate`).  The energy of `values` comes first, alone."""
+    E = asm.evaluate(values, a, gradient=False).energy
+    cand = asm.evaluate(asm.scatter_interior(values, step), a,
+                        lambda q: more(q) if q.energy < E else (False, False))
+    return cand if cand.energy < E else asm.evaluate(values, a, more)
 
 
 def continuation_minimize(
@@ -842,25 +850,17 @@ def continuation_minimize(
     Each stage after the first starts from the Euler predictor
     u(a_prev) + (a - a_prev) du/da, where du/da is solved at the previous
     stage's converged iterate, unless that raises the energy at a; every
-    stage is still solved to newton_tol.  One linear solver, and its held
-    factor, serves every stage.  Stops early once consecutive stage
-    solutions differ by less than continuation_stop in sup norm.  The
-    result is built once, from the last stage run: its field is the
-    SolvedField of that iterate (which marks its values read-only) and its
-    energy the unregularized area energy (midpoint rule, H = 0).
+    stage is still solved to newton_tol.  One assembler, with its buffers,
+    and one linear solver, with its held factor, serve every stage.  Stops
+    early once consecutive stage solutions differ by less than
+    continuation_stop in sup norm.  The result is built once, from the
+    last stage run: its field is the SolvedField of that iterate (which
+    marks its values read-only) and its energy the unregularized area
+    energy (midpoint rule, H = 0).
     """
     cfg = cfg or SolverConfig()
     asm = _Assembler(dom, spec)
     solver = _LinearSolver(dom.n_cells)
-    # the Newton path's workspace, up to _BAND_LIMIT.  There the Hessian
-    # assembly is a step's memory peak, and the kept buffers are no more
-    # than it allocates anyway.  Over it SuperLU's factorization is the
-    # peak.  Kept through it, the buffers raised a 512^2 solve's peak RSS
-    # from 736 to 828 MB.  Freed before it and allocated again after, they
-    # fragmented the heap: a 128^2 solve peaked at 123-141 MB against
-    # 115-126 MB.  So those grids allocate as the kernels go
-    # (BENCH_solver.json "workspace_limit")
-    ws = {} if min(dom.n_cells) <= _BAND_LIMIT else None
     values = harmonic_extension(dom, phi).values
     stages = []
     prev_values = None
@@ -869,9 +869,10 @@ def continuation_minimize(
     total_iters = 0
     for k, a in enumerate(cfg.a_schedule):
         step = None if tangent is None else (a - a_prev) * tangent
-        stage = _newton(asm, a, values, cfg, solver, step, ws)
+        last = k + 1 == len(cfg.a_schedule)
+        stage = _newton(asm, a, values, cfg, solver, step, tangent=not last)
         a_prev = a
-        values = stage.values
+        values = stage.point.values
         total_iters += stage.iterations
         diff = float(np.abs(values - prev_values).max()) if prev_values is not None else math.inf
         stages.append((a, stage.iterations, diff))
@@ -881,17 +882,16 @@ def continuation_minimize(
             break
         prev_values = values
         # a stage that took no Newton step predicts nothing
-        last = k + 1 == len(cfg.a_schedule)
-        tangent = None if last or not stage.iterations else _tangent(asm, a, stage, solver, ws)
+        tangent = None if last or not stage.iterations else _tangent(asm, stage, solver)
     u = SolvedField(dom, values, spec)
     return SolveResult(
         u=u,
-        residual_norm=stage.residual,
+        residual_norm=stage.point.residual,
         a_final=a,
         iterations=total_iters,
         energy=area_energy(u, EnergySpec(preset=spec.preset, F_field=spec.F_field, H=0.0)),
         converged=stage.converged,
-        energy_regularized=stage.energy,
+        energy_regularized=stage.point.energy,
         newton_energies=stage.energies,
         stages=tuple(stages),
         factorizations=solver.factorizations,

@@ -75,6 +75,10 @@ class SingularCurve:
 
 
 def _h_term(spec: EnergySpec, f: ScalarField) -> float:
+    """The bulk term sum(H * cell average of f) * cell volume; 0.0 for a
+    scalar H = 0, skipped as in grids.area_energy."""
+    if np.isscalar(spec.H) and spec.H == 0:
+        return 0.0
     dom = f.dom
     H = spec.H_cells(dom)
     return pairwise_sum((H * f.cell_average()).ravel() * dom.cell_volume)

@@ -21,6 +21,7 @@ from areavar.grids import (
 )
 from areavar.solver import (
     _BAND_LIMIT,
+    _ONE_STRIP,
     _PCG_MAXITER,
     _PCG_RTOL,
     _TANGENT_RTOL,
@@ -38,7 +39,7 @@ from areavar.solver import (
     harmonic_extension,
     solve_regularized,
 )
-from areavar.util import fixed_dot
+from areavar.util import fixed_dot, pairwise_sum
 
 SQ = ((-1.0, 1.0), (-1.0, 1.0))
 P_AREA = EnergySpec(preset="p_area")
@@ -74,10 +75,82 @@ def _stiffness(asm, a11, a12, a22):
     return asm._stencil(K)
 
 
+# The quadrature kernels over the whole grid at once, in fresh arrays: the
+# oracle that the assembler's strips must reproduce bit for bit.
+
+
+def _kinematics(asm, values, a):
+    """(mx, my, r), each (ncx, ncy, G): m = grad u + F and
+    r = sqrt(a^2 + |m|^2) at every quadrature point."""
+    U = np.stack([values[:-1, :-1], values[1:, :-1], values[:-1, 1:], values[1:, 1:]],
+                 axis=-1).reshape(-1, 4)
+    shape = (asm.ncx, asm.ncy, asm.G)
+    mx = (U @ asm.Dx.T).reshape(shape) + asm.Fx
+    my = (U @ asm.Dy.T).reshape(shape) + asm.Fy
+    with np.errstate(over="ignore"):
+        return mx, my, np.sqrt(a * a + mx * mx + my * my)
+
+
+def _node_loads(asm, wx, wy, h_term=True):
+    """Nodal load of the quadrature fluxes (wx, wy), plus the H term unless
+    h_term is False, shape (nx+1, ny+1)."""
+    C = wx.reshape(-1, asm.G) @ asm.WDx
+    C += wy.reshape(-1, asm.G) @ asm.WDy
+    if h_term and asm.Hlin is not None:
+        C += asm.Hlin
+    C = C.reshape(asm.ncx, asm.ncy, 4)
+    out = np.zeros((asm.ncx + 1, asm.ncy + 1))
+    out[:-1, :-1] += C[..., 0]
+    out[1:, :-1] += C[..., 1]
+    out[:-1, 1:] += C[..., 2]
+    out[1:, 1:] += C[..., 3]
+    return out
+
+
+def _whole_grid(asm, values, a):
+    """E_a, the nodal gradient, its residual, d/da of it and the Hessian's
+    `dia_array`, each formed over the whole grid."""
+    mx, my, r = _kinematics(asm, values, a)
+    G = asm.G
+    cell = asm.vol * (r.reshape(-1, G) @ asm.wq)
+    if asm.Hlin is not None:
+        U = np.stack([values[:-1, :-1], values[1:, :-1], values[:-1, 1:], values[1:, 1:]],
+                     axis=-1).reshape(-1, 4)
+        cell += np.einsum("ck,ck->c", asm.Hlin, U)
+    g = _node_loads(asm, mx / r, my / r)
+    c = -a / (r * r * r)
+    inv_r = 1.0 / r
+    inv_r3 = inv_r / r * inv_r
+    H = _stiffness(asm, inv_r - mx * mx * inv_r3, -mx * my * inv_r3, inv_r - my * my * inv_r3)
+    return dict(energy=pairwise_sum(cell), gradient=g,
+                residual=float(np.abs(g[1:-1, 1:-1]).max()) / asm.vol,
+                gradient_a=_node_loads(asm, c * mx, c * my, h_term=False), hessian=H)
+
+
+# the shipped kernels, one quantity at a time
+
+
+def _energy(asm, values, a):
+    return asm.evaluate(values, a, gradient=False).energy
+
+
+def _gradient(asm, values, a):
+    return asm.evaluate(values, a).gradient
+
+
+def _gradient_a(asm, values, a):
+    return asm.evaluate(values, a, (False, True)).gradient_a
+
+
+def _hessian(asm, values, a):
+    """The interior Hessian, copied out of the assembler's buffer."""
+    return asm.evaluate(values, a, (True, False)).hessian.copy()
+
+
 def _quadratic_gradient(asm, values, coeff):
     """Gradient of the frozen quadratic (plus the H term) at every node."""
-    mx, my = asm.field_at_quad(values)
-    return asm._node_gradient(coeff * mx, coeff * my)
+    mx, my, _ = _kinematics(asm, values, 1.0)
+    return _node_loads(asm, coeff * mx, coeff * my)
 
 
 def _picard(dom, spec, a, phi):
@@ -91,11 +164,12 @@ def _picard(dom, spec, a, phi):
     solver = _LinearSolver(dom.n_cells)
     values = harmonic_extension(dom, phi).values
     for _ in range(_PICARD_MAX_ITERS):
-        kin = asm.kinematics(values, a)
-        if asm.residual_norm(values, a, kin) <= _PICARD_TOL:
+        mx, my, r = _kinematics(asm, values, a)
+        g = _node_loads(asm, mx / r, my / r)
+        if np.abs(g[1:-1, 1:-1]).max() / asm.vol <= _PICARD_TOL:
             return values
         # the frozen quadratic 0.5 * sum wq * coeff * |grad u + F|^2
-        coeff = 1.0 / kin[2]
+        coeff = 1.0 / r
         A = _stiffness(asm, coeff, None, coeff)
         r = asm.gather_interior(_quadratic_gradient(asm, values, coeff))
         # PCG on the previous frozen matrix's factor, else a new factor
@@ -208,10 +282,10 @@ def test_stage_energies_decrease_with_a():
     for a in (1.0, 0.5, 0.25, 0.125, 0.0625):
         stage = _newton(asm, a, values, cfg, _LinearSolver(dom.n_cells))
         assert stage.converged
-        values = stage.values
+        values = stage.point.values
         if prev is not None:
-            assert stage.energy <= prev + 1e-10
-        prev = stage.energy
+            assert stage.point.energy <= prev + 1e-10
+        prev = stage.point.energy
 
 
 def test_monotone_boundary_approximation():
@@ -364,8 +438,8 @@ def test_assembled_matrices_are_derivatives_of_the_gradients(a):
     def rel(x, y):
         return np.linalg.norm(x - y) / np.linalg.norm(y)
 
-    H = asm.hessian_interior(u, a)
-    assert rel(H @ v_int, central(lambda w: asm.gradient_full(w, a))) <= 1e-6
+    H = _hessian(asm, u, a)
+    assert rel(H @ v_int, central(lambda w: _gradient(asm, w, a))) <= 1e-6
     Q = _stiffness(asm, coeff, None, coeff)
     assert rel(Q @ v_int, central(lambda w: _quadratic_gradient(asm, w, coeff))) <= 1e-6
     for A in (H.tocsc(), Q.tocsc()):
@@ -379,14 +453,14 @@ def test_gradient_a_is_the_a_derivative_of_the_gradient(a):
     asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3), 4)
     u = np.random.RandomState(7).randn(7, 7)
     eps = 1e-4 * a
-    central = (asm.gradient_full(u, a + eps) - asm.gradient_full(u, a - eps)) / (2 * eps)
-    ga = asm.gradient_a(u, a)
+    central = (_gradient(asm, u, a + eps) - _gradient(asm, u, a - eps)) / (2 * eps)
+    ga = _gradient_a(asm, u, a)
     assert np.linalg.norm(ga - central) <= 1e-6 * np.linalg.norm(central)
-    # the shared kinematics give the same bits as fresh ones
-    kin = asm.kinematics(u, a)
-    assert np.array_equal(asm.gradient_a(u, a, kin), ga)
-    assert np.array_equal(asm.gradient_full(u, a, kin), asm.gradient_full(u, a))
-    assert asm.energy(u, a, kin) == asm.energy(u, a)
+    # formed in one evaluation, each keeps the bits it has formed alone
+    point = asm.evaluate(u, a, (True, True))
+    assert np.array_equal(point.gradient_a, ga)
+    assert np.array_equal(point.gradient, _gradient(asm, u, a))
+    assert point.energy == _energy(asm, u, a)
 
 
 @pytest.mark.parametrize("preset", ["p_area", "zero"])
@@ -397,10 +471,10 @@ def test_scalar_zero_H_skips_the_bulk_term_bit_for_bit(preset):
     assert scalar.Hlin is None and per_cell.Hlin is not None
     u = np.random.RandomState(9).randn(8, 6)
     for a in (1.0, 1e-3):
-        assert np.float64(scalar.energy(u, a)).view(np.int64) == \
-            np.float64(per_cell.energy(u, a)).view(np.int64)
-        for grad in ("gradient_full", "gradient_a"):
-            g, ref = (getattr(asm, grad)(u, a) for asm in (scalar, per_cell))
+        assert np.float64(_energy(scalar, u, a)).view(np.int64) == \
+            np.float64(_energy(per_cell, u, a)).view(np.int64)
+        for grad in (_gradient, _gradient_a):
+            g, ref = (grad(asm, u, a) for asm in (scalar, per_cell))
             assert np.array_equal(g.view(np.int64), ref.view(np.int64))
 
 
@@ -425,15 +499,15 @@ def test_stiffness_matches_per_point_reference():
 
 def test_hessian_is_the_stiffness_of_its_coefficients():
     # formed one coefficient at a time, the Hessian keeps stiffness's bits,
-    # on a band grid and over _BAND_LIMIT cells across
-    for n in (9, 65):
+    # on a band grid, over _BAND_LIMIT cells across and in strips
+    for n in (9, 65, 130):
         asm = _Assembler(dom_n(n), EnergySpec(preset="p_area", H=0.3), 4)
         u = np.random.RandomState(8).randn(n + 1, n + 1)
         for a in (1.0, 1e-3):
-            mx, my, r = asm.kinematics(u, a)
+            mx, my, r = _kinematics(asm, u, a)
             inv_r = 1.0 / r
             inv_r3 = inv_r / r * inv_r
-            H = asm.hessian_interior(u, a)
+            H = _hessian(asm, u, a)
             S = _stiffness(asm, inv_r - mx * mx * inv_r3, -mx * my * inv_r3,
                            inv_r - my * my * inv_r3)
             assert type(H) is type(S) is dia_array
@@ -517,8 +591,9 @@ def _check_csc_pattern_built_once(n_cells, banded):
         return
     pattern = solver.nd_pattern
     assert pattern is not None
-    # the next solve, the stage's tangent, reuses it
-    assert _tangent(asm, 1.0, stage, solver) is not None
+    # the next factorization reuses it
+    stage = _newton(asm, 1.0, stage.point.values, cfg, solver)
+    assert stage.iterations == 1 and solver.factorizations == 2
     assert solver.nd_pattern is pattern
 
 
@@ -531,7 +606,7 @@ def test_csc_gather_fills_one_kept_buffer():
     _, C = solver._nested_dissection_csc(A)
     buf = solver.nd_data
     assert np.shares_memory(C.data, buf)
-    B = asm.hessian_interior(u, 0.5)
+    B = _hessian(asm, u, 0.5)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -584,8 +659,8 @@ def test_newton_direction_matches_spsolve():
     asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3), 4)
     u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
     for a in (1.0, 1e-3):
-        g = asm.gather_interior(asm.gradient_full(u, a))
-        A = asm.hessian_interior(u, a)
+        g = asm.gather_interior(_gradient(asm, u, a))
+        A = _hessian(asm, u, a)
         C = A.tocsc()
         ref = spla.spsolve(C, -g)
         # band Cholesky, then SuperLU as the over-limit grids call it
@@ -598,10 +673,10 @@ def test_two_column_solve_matches_spsolve_per_column():
     asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3), 4)
     u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
     a = 1e-2
-    A = asm.hessian_interior(u, a)
+    A = _hessian(asm, u, a)
     rhs = -np.column_stack([
-        asm.gather_interior(asm.gradient_full(u, a)),
-        asm.gather_interior(asm.gradient_a(u, a)),
+        asm.gather_interior(_gradient(asm, u, a)),
+        asm.gather_interior(_gradient_a(asm, u, a)),
     ])
     C = A.tocsc()
     refs = [spla.spsolve(C, rhs[:, k]) for k in range(2)]
@@ -623,9 +698,9 @@ def _check_pcg_on_held_factor(monkeypatch, n):
     dom = dom_n(n)
     asm = _Assembler(dom, P_AREA, 4)
     u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
-    b = -asm.gather_interior(asm.gradient_full(u, 0.1))
+    b = -asm.gather_interior(_gradient(asm, u, 0.1))
     # the Hessian at a = 0.1, a perturbed copy near it and one far from it
-    A, near, far = (asm.hessian_interior(u, a) for a in (0.1, 0.09, 0.01))
+    A, near, far = (_hessian(asm, u, a) for a in (0.1, 0.09, 0.01))
     solver = _LinearSolver(dom.n_cells)
     splu = spla.splu
     module, name = (solver_module, "_band_cholesky") if n <= _BAND_LIMIT else (spla, "splu")
@@ -746,7 +821,7 @@ def test_nested_dissection_csc_is_the_oracle_bit_for_bit(monkeypatch, n_cells):
     asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3), 4)
     u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
     nd = _nested_dissection(*n_cells)
-    g = -asm.gradient_full(u, 0.1)
+    g = -_gradient(asm, u, 0.1)
     rhs = (g, 2.0 * g - 1.0)                    # two columns, as a direct solve allows
     b_int = np.column_stack([asm.gather_interior(c) for c in rhs])
     b_nd = np.column_stack([c.ravel()[nd] for c in rhs])
@@ -787,7 +862,7 @@ def _smooth_hessian(n_cells, a=1e-2):
     dom = GridDomain(OFFSET_BOX, n_cells)
     asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3), 4)
     u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
-    return asm, u, asm.hessian_interior(u, a), -asm.gather_interior(asm.gradient_full(u, a))
+    return asm, u, _hessian(asm, u, a), -asm.gather_interior(_gradient(asm, u, a))
 
 
 def _hessian_and_blocks(monkeypatch, asm, u, a):
@@ -801,7 +876,7 @@ def _hessian_and_blocks(monkeypatch, asm, u, a):
 
     with monkeypatch.context() as patch:
         patch.setattr(asm, "_stencil", spy)
-        A = asm.hessian_interior(u, a)
+        A = _hessian(asm, u, a)
     return A, blocks[0]
 
 
@@ -851,7 +926,7 @@ def _check_stencil_against_csc(monkeypatch, n_cells, H, a):
         return dpbtrf(ab, **kwargs)
 
     monkeypatch.setattr(solver_module, "dpbtrf", spy)
-    _LinearSolver(dom.n_cells).solve(A, -asm.gather_interior(asm.gradient_full(u, a)))
+    _LinearSolver(dom.n_cells).solve(A, -asm.gather_interior(_gradient(asm, u, a)))
     ((fortran, ab),) = bands
     assert fortran and ab.shape == (kd + 1, asm.n_int)
     # the CSC matrix's lower entries scattered to row - col + (kd + 1) col
@@ -892,7 +967,7 @@ def test_band_path_runs_up_to_the_limit(n, banded):
 
 def test_band_two_column_solve_is_two_single_solves():
     asm, u, A, g = _smooth_hessian((32, 35))
-    rhs = np.column_stack([g, -asm.gather_interior(asm.gradient_a(u, 1e-2))])
+    rhs = np.column_stack([g, -asm.gather_interior(_gradient_a(asm, u, 1e-2))])
     solver = _LinearSolver(asm.dom.n_cells)
     x = solver.solve(A, rhs)
     assert x.shape == rhs.shape and A.offsets[-1] == 32 <= _BAND_LIMIT
@@ -939,25 +1014,40 @@ def test_failed_tangent_factorization_predicts_nothing(monkeypatch):
     monkeypatch.setattr(_LinearSolver, "solve", fail_tangent)
     asm = _Assembler(dom, P_AREA)
     solver = _LinearSolver(dom.n_cells)
-    stage = _newton(asm, 1.0, harmonic_extension(dom, phi).values, SolverConfig(), solver)
-    assert _tangent(asm, 1.0, stage, solver) is None
+    stage = _newton(asm, 1.0, harmonic_extension(dom, phi).values, SolverConfig(), solver,
+                    tangent=True)
+    assert _tangent(asm, stage, solver) is None
     # every stage then starts from the last one's end, and still converges
     res = continuation_minimize(dom, P_AREA, phi, SolverConfig(a_schedule=(1.0, 0.25)))
     assert res.converged
-    values = stage.values
+    values = stage.point.values
     for a in (1.0, 0.25):
         chain = _newton(asm, a, values, SolverConfig(), _LinearSolver(dom.n_cells))
-        values = chain.values
+        values = chain.point.values
     assert np.array_equal(res.u.values, values)
 
 
-def test_solve_large_reference_problem_reuses_factors():
+def test_solve_large_reference_problem_reuses_factors(monkeypatch):
     # the benchmark's 64^2 solve_large problem at seed 0
     dom = dom_n(64)
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+    kinematics, stencil = _Assembler.kinematics, _Assembler._stencil
+    calls = {"kinematics": 0, "hessian": 0}
+
+    def count(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(_Assembler, "kinematics", count("kinematics", kinematics))
+    monkeypatch.setattr(_Assembler, "_stencil", count("hessian", stencil))
     res = continuation_minimize(dom, P_AREA, phi)
     assert res.converged and res.residual_norm <= SolverConfig().newton_tol
     assert res.iterations == 34
+    # one strip: 47 points, each evaluated in one kinematics pass; a
+    # Hessian for each of the 34 steps and the 6 tangents
+    assert calls == {"kinematics": 47, "hessian": 40}
     # every stage's first step factorizes; the quadratic phase runs PCG
     assert len(res.stages) <= res.factorizations < res.iterations
     assert res.pcg_iterations > 0
@@ -979,9 +1069,9 @@ def test_continuation_matches_unpredicted_chain_in_fewer_steps():
     for a in cfg.a_schedule:
         chain = _newton(asm, a, values, cfg, _LinearSolver(dom.n_cells))
         assert chain.converged
-        values = chain.values
+        values = chain.point.values
         chain_steps += chain.iterations
-    assert np.abs(res.u.values - chain.values).max() <= 1e-12
+    assert np.abs(res.u.values - chain.point.values).max() <= 1e-12
     assert res.iterations < chain_steps
 
 
@@ -1006,13 +1096,13 @@ def test_newton_tangent_is_the_a_derivative_of_the_solution(a):
     cfg = SolverConfig()
     asm = _Assembler(dom, P_AREA)
     solver = _LinearSolver(dom.n_cells)
-    stage = _newton(asm, a, harmonic_extension(dom, phi).values, cfg, solver)
+    stage = _newton(asm, a, harmonic_extension(dom, phi).values, cfg, solver, tangent=True)
     assert stage.converged
-    tangent = _tangent(asm, a, stage, solver)
+    tangent = _tangent(asm, stage, solver)
     da = 1e-3 * a
-    up = _newton(asm, a + da, stage.values, cfg, _LinearSolver(dom.n_cells))
-    down = _newton(asm, a - da, stage.values, cfg, _LinearSolver(dom.n_cells))
-    fd = asm.gather_interior((up.values - down.values) / (2 * da))
+    up = _newton(asm, a + da, stage.point.values, cfg, _LinearSolver(dom.n_cells))
+    down = _newton(asm, a - da, stage.point.values, cfg, _LinearSolver(dom.n_cells))
+    fd = asm.gather_interior((up.point.values - down.point.values) / (2 * da))
     assert np.abs(tangent - fd).max() <= 1e-5 * np.abs(fd).max()
 
 
@@ -1038,118 +1128,137 @@ def test_predictor_is_used_only_when_it_lowers_the_energy():
     cfg = SolverConfig()
     asm = _Assembler(dom, P_AREA)
     solver = _LinearSolver(dom.n_cells)
-    stage = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, solver)
-    tangent = _tangent(asm, 1.0, stage, solver)
-    values, a = stage.values, 0.5
-    pred, kin, E = _euler_predict(asm, a, values, (a - 1.0) * tangent)
-    assert pred is not values
-    assert asm.energy(pred, a) < asm.energy(values, a)
-    assert np.array_equal(kin[2], asm.kinematics(pred, a)[2])
-    assert E.hex() == asm.energy(pred, a).hex()
-    # in a workspace the energy of `values` is taken first: the kinematics
-    # returned, in the workspace's buffers, are still the candidate's
-    ws = {}
-    pred_ws, kin_ws, E_ws = _euler_predict(asm, a, values, (a - 1.0) * tangent, ws)
-    assert np.array_equal(pred_ws, pred) and E_ws.hex() == E.hex()
-    assert all(x is ws[name] for x, name in zip(kin_ws, ("mx", "my", "r")))
-    for x, y in zip(kin_ws, asm.kinematics(pred, a)):
-        assert np.array_equal(x, y)
-    # a step against the tangent raises the energy: keep the old start
+    stage = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, solver, tangent=True)
+    tangent = _tangent(asm, stage, solver)
+    values, a = stage.point.values, 0.5
+    asked = []
+
+    def more(q):
+        asked.append(q)
+        return True, False
+
+    pred = _euler_predict(asm, a, values, (a - 1.0) * tangent, more)
+    assert pred.values is not values and len(asked) == 1 and asked[0] is pred
+    assert pred.energy < _energy(asm, values, a)
+    # the returned point is evaluated as asked, with the whole grid's bits
+    ref = _whole_grid(asm, pred.values, a)
+    assert pred.energy.hex() == ref["energy"].hex()
+    assert np.array_equal(_bits(pred.gradient), _bits(ref["gradient"]))
+    assert np.array_equal(_bits(pred.hessian.data), _bits(ref["hessian"].data))
+    # a step against the tangent raises the energy: keep the old start,
+    # evaluated again, and ask only for it
     bad = (1.0 - a) * tangent
-    kept, kin, E = _euler_predict(asm, a, values, bad)
-    assert kept is values and kin is None
-    assert E.hex() == asm.energy(values, a).hex()
+    asked.clear()
+    kept = _euler_predict(asm, a, values, bad, more)
+    assert kept.values is values and len(asked) == 1 and asked[0] is kept
+    assert kept.energy.hex() == _energy(asm, values, a).hex()
+    assert kept.hessian is not None
     unpredicted = _newton(asm, a, values, cfg, _LinearSolver(dom.n_cells))
     guarded = _newton(asm, a, values, cfg, _LinearSolver(dom.n_cells), bad)
-    assert np.array_equal(guarded.values, unpredicted.values)
+    assert np.array_equal(guarded.point.values, unpredicted.point.values)
     assert guarded.iterations == unpredicted.iterations
 
 
-# ---- workspace ------------------------------------------------------------------------
+# ---- strips -------------------------------------------------------------------------
 
 
-def _kernels(asm, u, a, ws=None):
-    """Every kernel's output at (u, a), computed in ws if given."""
-    kin = asm.kinematics(u, a, ws)
-    out = [x.copy() for x in kin]
-    out.append(np.array(asm.energy(u, a, kin)))
-    out.append(asm.gradient_full(u, a, kin, ws))
-    out.append(asm.gradient_a(u, a, kin, ws))
-    out.append(asm.hessian_interior(u, a, kin, ws).data.copy())
-    out.append(np.array(asm.residual_norm(u, a, None, ws)))
-    return out
-
-
-@pytest.mark.parametrize("n_cells", [(12, 20), (20, 12), (72, 66)])
+@pytest.mark.parametrize("n_cells", [(12, 20), (72, 66), (130, 131), (300, 57)])
 def test_kernels_in_a_workspace_keep_the_bits_of_fresh_arrays(n_cells):
+    # the assembler evaluates in its own buffers the bits of the whole-grid
+    # kernels in fresh arrays.  Up to _ONE_STRIP cells the grid is one
+    # strip; over it, strips of whole cell rows, a multiple of 4 rows each
+    # but the last
     dom = GridDomain(OFFSET_BOX, n_cells)
-    asm = _Assembler(dom, EnergySpec(preset="p_area", H=0.3))
+    ncx, ncy = n_cells
+    one_strip = ncx * ncy <= _ONE_STRIP
+    H = np.random.RandomState(4).uniform(-1.0, 1.0, n_cells)
+    specs = (EnergySpec(preset="p_area", H=0.3), ZERO,
+             EnergySpec(preset="custom", F_field=_custom_drift(dom), H=H))
     u = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y)).values
-    ws = {}
-    for a in (1.0, 1e-3, 1.0):                  # the buffers are refilled
-        ref = _kernels(asm, u, a)
-        for x, y in zip(_kernels(asm, u, a, ws), ref):
-            assert np.array_equal(_bits(x), _bits(y))
-    # the same buffers every time; without a workspace, fresh arrays
-    assert asm.kinematics(u, 0.5, ws)[2] is asm.kinematics(u, 1.0, ws)[2]
-    assert asm.kinematics(u, 0.5)[2] is not asm.kinematics(u, 0.5)[2]
-    H_ws = asm.hessian_interior(u, 0.5, ws=ws)
-    assert np.shares_memory(H_ws.data, asm.hessian_interior(u, 0.1, ws=ws).data)
-    H = asm.hessian_interior(u, 0.5)
-    assert not np.shares_memory(H.data, asm.hessian_interior(u, 0.5).data)
+    for spec in specs:
+        asm = _Assembler(dom, spec)
+        assert (len(asm.strips) == 1) is one_strip
+        rows = [i1 - i0 for i0, i1 in asm.strips]
+        assert [i0 for i0, _ in asm.strips] == list(np.cumsum([0] + rows[:-1]))
+        assert sum(rows) == ncx and all(r % 4 == 0 for r in rows[:-1])
+        for a in (1.0, 1e-3, 1.0):                  # the buffers are refilled
+            point = asm.evaluate(u, a, (True, True))
+            ref = _whole_grid(asm, u, a)
+            assert point.energy.hex() == ref["energy"].hex()
+            assert point.residual.hex() == ref["residual"].hex()
+            for name in ("gradient", "gradient_a"):
+                assert np.array_equal(_bits(getattr(point, name)), _bits(ref[name]))
+            assert np.array_equal(point.hessian.offsets, ref["hessian"].offsets)
+            assert np.array_equal(_bits(point.hessian.data), _bits(ref["hessian"].data))
+            assert _energy(asm, u, a).hex() == ref["energy"].hex()
+        # the same buffers every time, strip buffers of one strip
+        buffers = dict(asm.buffers)
+        point = asm.evaluate(u, 0.5, (True, True))
+        assert asm.buffers.keys() == buffers.keys()
+        assert all(asm.buffers[k] is v for k, v in buffers.items())
+        assert np.shares_memory(point.hessian.data, asm.buffers["stencil"])
+        full = asm._strip(asm.rows * ncy)
+        assert full["mx"].shape == (asm.rows * ncy, asm.G)
+        assert full["P"].shape[1] == (4 if one_strip else 16)
+        assert asm.rows == (ncx if one_strip else max(rows))
+    # the drift is never formed at every quadrature point: its tables
+    # broadcast the coordinates or the cell values
+    for F in (asm.Fx, asm.Fy):
+        assert F.shape == (ncx, ncy, asm.G) and 0 in F.strides
 
 
 @pytest.mark.parametrize("n_cells, schedule", [
     ((16, 16), SolverConfig().a_schedule),
     ((_BAND_LIMIT + 1, _BAND_LIMIT), (1.0, 0.25, 0.0625)),
     ((72, 66), (1.0, 0.25, 0.0625)),
-], ids=["band_16x16", "band_65x64", "superlu_72x66"])
+    ((130, 131), (1.0, 0.25, 0.0625)),
+], ids=["band_16x16", "band_65x64", "superlu_72x66", "strips_130x131"])
 def test_continuation_tangents_compute_no_kinematics(monkeypatch, n_cells, schedule):
-    # up to the band limit, on the shorter axis, a solve's Newton path works
-    # in one workspace and each stage hands its tangent the kinematics of
-    # its iterate; over it no stage keeps them, and each tangent computes
-    # them once, for itself
-    banded = min(n_cells) <= _BAND_LIMIT
+    # every point the Newton path visits is evaluated once.  In one strip
+    # (up to _ONE_STRIP cells, on the band and the SuperLU path alike) the
+    # Hessian and the tangent's system reuse the kinematics of that pass; in
+    # strips a second pass forms them again.  No tangent forms any
     dom = GridDomain(SQ, n_cells)
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
     cfg = SolverConfig(a_schedule=schedule)
     ref = continuation_minimize(dom, P_AREA, phi, cfg)
-    newton, tangent, kinematics = solver_module._newton, solver_module._tangent, _Assembler.kinematics
-    workspaces, stages, tangents, per_tangent, inside = [], [], [], [], []
+    strips = len(_Assembler(dom, P_AREA).strips)
+    assert (strips == 1) is (n_cells[0] * n_cells[1] <= _ONE_STRIP)
+    tangent, kinematics, evaluate = solver_module._tangent, _Assembler.kinematics, _Assembler.evaluate
+    points, tangents, inside = [], [], []      # points: [kinematics calls, point]
 
-    def spy_newton(*args):
-        workspaces.append(args[-1])
-        stages.append(newton(*args))
-        return stages[-1]
-
-    def spy_tangent(*args):
-        per_tangent.append(0)                   # kinematics computed by this tangent
-        inside.append(True)
-        try:
-            tangents.append(tangent(*args))
-        finally:
-            inside.pop()
-        return tangents[-1]
+    def spy_evaluate(self, *args, **kwargs):
+        points.append([0, None])
+        points[-1][1] = evaluate(self, *args, **kwargs)
+        return points[-1][1]
 
     def spy_kinematics(self, *args):
         if inside:
-            per_tangent[-1] += 1
+            inside[-1] += 1
+        else:
+            points[-1][0] += 1
         return kinematics(self, *args)
 
-    monkeypatch.setattr(solver_module, "_newton", spy_newton)
-    monkeypatch.setattr(solver_module, "_tangent", spy_tangent)
+    def spy_tangent(*args):
+        inside.append(0)
+        try:
+            tangents.append(tangent(*args))
+        finally:
+            assert inside.pop() == 0
+        return tangents[-1]
+
+    monkeypatch.setattr(_Assembler, "evaluate", spy_evaluate)
     monkeypatch.setattr(_Assembler, "kinematics", spy_kinematics)
+    monkeypatch.setattr(solver_module, "_tangent", spy_tangent)
     res = continuation_minimize(dom, P_AREA, phi, cfg)
-    assert res.converged and len(stages) == len(res.stages) == len(schedule)
+    assert res.converged and len(res.stages) == len(schedule)
     assert len(tangents) == len(res.stages) - 1 and all(t is not None for t in tangents)
-    if banded:
-        assert all(type(ws) is dict and ws is workspaces[0] for ws in workspaces)
-        assert all(stage.kin is not None for stage in stages)
-        assert per_tangent == [0] * len(tangents)
-    else:
-        assert workspaces == [None] * len(stages)
-        assert all(stage.kin is None for stage in stages)
-        assert per_tangent == [1] * len(tangents)
+    for calls, point in points:
+        second = point.hessian is not None or point.gradient_a is not None
+        assert calls == strips * (1 + (second and strips > 1))
+    # one Hessian per Newton step and per tangent, one dg/da per tangent
+    assert sum(p.hessian is not None for _, p in points) == res.iterations + len(tangents)
+    assert sum(p.gradient_a is not None for _, p in points) == len(tangents)
     assert res.u.values.tobytes() == ref.u.values.tobytes()
 
 
@@ -1179,33 +1288,39 @@ def test_continuation_computes_its_reported_energy_once(monkeypatch):
     # stage takes no Newton step after it
     asm = _Assembler(dom, P_AREA)
     solver = _LinearSolver(dom.n_cells)
-    stage = _newton(asm, 1.0, harmonic_extension(dom, phi).values, SolverConfig(), solver)
-    assert stage.converged and stage.energy.hex() == asm.energy(stage.values, 1.0).hex()
-    tangent = _tangent(asm, 1.0, stage, solver)
+    stage = _newton(asm, 1.0, harmonic_extension(dom, phi).values, SolverConfig(), solver,
+                    tangent=True)
+    assert stage.converged
+    assert stage.point.energy.hex() == _energy(asm, stage.point.values, 1.0).hex()
+    tangent = _tangent(asm, stage, solver)
     a = 0.5
-    for ws in (None, {}):
-        predicted = _newton(asm, a, stage.values, SolverConfig(newton_tol=1e3), solver,
-                            (a - 1.0) * tangent, ws)
-        assert predicted.iterations == 0 and predicted.values is not stage.values
-        assert predicted.energy.hex() == asm.energy(predicted.values, a).hex()
+    predicted = _newton(asm, a, stage.point.values, SolverConfig(newton_tol=1e3), solver,
+                        (a - 1.0) * tangent)
+    assert predicted.iterations == 0 and predicted.point.values is not stage.point.values
+    assert predicted.point.energy.hex() == _energy(asm, predicted.point.values, a).hex()
 
 
 def test_newton_step_allocates_no_quadrature_size_array():
-    # the benchmark's 64^2 solve_large problem: after the first step has
-    # filled the workspace, a further step works in its buffers
-    dom = dom_n(64)
+    # after the first step has filled the assembler's buffers, a further
+    # step works in them: on the benchmark's 64^2 solve_large problem, one
+    # strip, and over _ONE_STRIP cells, in strips
+    for n_cells in ((64, 64), (130, 131)):
+        _check_step_allocates_no_quadrature_size_array(n_cells)
+
+
+def _check_step_allocates_no_quadrature_size_array(n_cells):
+    dom = GridDomain(SQ, n_cells)
     phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
     asm = _Assembler(dom, P_AREA)
     solver = _LinearSolver(dom.n_cells)
-    ws = {}
     one_step = SolverConfig(max_newton_iters=1)
     quad_bytes = asm.ncx * asm.ncy * asm.G * 8
     tracemalloc.start()
     try:
-        stage = _newton(asm, 0.25, harmonic_extension(dom, phi).values, one_step, solver, ws=ws)
+        stage = _newton(asm, 0.25, harmonic_extension(dom, phi).values, one_step, solver)
         assert stage.iterations == 1 and not stage.converged
         tracemalloc.reset_peak()
-        stage = _newton(asm, 0.25, stage.values, one_step, solver, ws=ws)
+        stage = _newton(asm, 0.25, stage.point.values, one_step, solver)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1243,6 +1358,41 @@ def test_solved_field_has_the_same_bits_under_one_and_two_blas_threads():
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout.strip())
     assert len(digests) == 1
+
+
+_STRIP_PRODUCTS_SCRIPT = """
+import numpy as np
+from areavar.grids import EnergySpec, GridDomain
+from areavar.solver import _ONE_STRIP, _Assembler
+rng = np.random.RandomState(0)
+for n_cells in ((129, 128), (130, 131), (300, 57), (57, 300), (256, 256)):
+    asm = _Assembler(GridDomain(((-1.0, 1.0), (-1.0, 1.0)), n_cells), EnergySpec(preset="p_area"))
+    assert n_cells[0] * n_cells[1] > _ONE_STRIP and len(asm.strips) > 1
+    cells = [slice(i0 * n_cells[1], i1 * n_cells[1]) for i0, i1 in asm.strips]
+    U, q = rng.randn(n_cells[0] * n_cells[1], 4), rng.randn(n_cells[0] * n_cells[1], asm.G)
+    for name, A, strip, whole in (
+        ("(m, 4) @ (4, 16)", U, lambda X: X @ asm.Dx.T, U @ asm.Dx.T),
+        ("(m, 16) @ (16, 16)", q, lambda X: X @ asm.Txx, q @ asm.Txx),
+        ("(m, 16) @ (16,)", q, lambda X: X @ asm.wq, q @ asm.wq),
+        ("(m, 16) @ (16, 4), padded", q, lambda X: (X @ asm.LDx)[:, :4], q @ asm.WDx),
+    ):
+        got = np.concatenate([strip(A[c]) for c in cells])
+        assert np.array_equal(got.view(np.int64), whole.view(np.int64)), (name, n_cells)
+print("ok")
+"""
+
+
+def test_strip_products_keep_the_whole_grid_bits_under_one_and_two_blas_threads():
+    # the BLAS behaviour the strips rest on (solver._STRIP): each product of
+    # a strip split has the bits of the whole-grid product, on one thread
+    # and on two.  A BLAS that breaks this fails here before any digest moves
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _STRIP_PRODUCTS_SCRIPT],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
 
 
 def test_solver_config_validation():

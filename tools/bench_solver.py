@@ -8,13 +8,14 @@ default SolverConfig: once untimed by the profiler (wall time, Newton steps
 in all and per stage, factorizations, PCG iterations, minor page faults of
 the solve, peak RSS, and a digest of the final nodal values, so that two
 source trees can be checked to return the same field bit for bit), then
-once more the same way for the minor page faults of a second solve in the
-same process (the first solve's count varies from run to run at 128^2 and
-over, where the heap is new), then once under cProfile for the per-phase
-split and, beside the phases, the seconds of the matrix products inside
-PCG (part of the "pcg" phase).  Each line of output is one JSON object,
-with the BLAS thread cap (OPENBLAS_NUM_THREADS, unset unless the caller
-sets it) and the usable CPU count.  These are single runs.
+--repeats times more in the same process for the minor page faults of
+each (reported as median and range: the first solve's count varies from
+run to run at 128^2 and over, where the heap is new), then once under
+cProfile for the per-phase split and, beside the phases, the seconds of
+the matrix products inside PCG (part of the "pcg" phase).  Each line of
+output is one JSON object, with the BLAS thread cap (OPENBLAS_NUM_THREADS,
+unset unless the caller sets it) and the usable CPU count.  These are
+single runs.
 
 The profiled phases overstate any layer that makes many small Python-level
 calls, because cProfile charges each of them.  Building the Hessian's
@@ -59,7 +60,7 @@ GSTRF = "<built-in method scipy.sparse.linalg._dsolve._superlu.gstrf>"   # Super
 BAND = "_band_cholesky"     # band Cholesky factorization: band copy and dpbtrf
 
 
-def run_one(n: int) -> dict:
+def run_one(n: int, repeats: int) -> dict:
     import numpy as np
     from areavar.grids import EnergySpec, GridDomain, ScalarField
     from areavar.solver import continuation_minimize
@@ -73,27 +74,34 @@ def run_one(n: int) -> dict:
     wall = perf_counter() - t0
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    faults_second = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    again = continuation_minimize(dom, spec, phi)
-    faults_second = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_second
-    if again.u.values.tobytes() != res.u.values.tobytes():
-        raise RuntimeError("a second solve in the same process returned other values")
-    del again
+    faults_again = []
+    for _ in range(repeats):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        again = continuation_minimize(dom, spec, phi)
+        faults_again.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        if again.u.values.tobytes() != res.u.values.tobytes():
+            raise RuntimeError("a further solve in the same process returned other values")
+        del again
+    faults_again.sort()
 
     prof = cProfile.Profile()
     prof.runcall(continuation_minimize, dom, spec, phi)
     st = pstats.Stats(prof).stats
-    newton = ("_newton", "solve_regularized", "_tangent")   # Newton and tangent solves
+    kinematics = _own(st, "kinematics", 3, "solver.py")
+    # profiled, this includes cProfile's charge for the ~15 Python-level
+    # calls of each dia_array build (see the module docstring)
+    hessian = _own(st, "_cell_blocks", 3) + _edge(st, "_stencil", ("evaluate",))
     phases = {
         "assembler_setup": _edge(st, "__init__", ("continuation_minimize", "solve_regularized"),
                                  "solver.py"),
         "initial_guess": _own(st, "harmonic_extension", 3),
-        "kinematics": _edge(st, "kinematics", newton),
-        "gradient": _edge(st, "gradient_full", newton),
-        "tangent_rhs": _edge(st, "gradient_a", newton),
-        # profiled, this includes cProfile's charge for the ~15 Python-level
-        # calls of each dia_array build (see the module docstring)
-        "hessian_assembly": _edge(st, "hessian_interior", newton),
+        # every strip's kinematics, in every evaluation of a point
+        "kinematics": kinematics,
+        # the Hessian's cell blocks and its stencil
+        "hessian_assembly": hessian,
+        # the rest of each evaluation: the energy's cell sums, the fluxes,
+        # their nodal loads and dg/da
+        "energy_gradient": _own(st, "evaluate", 3, "solver.py") - kinematics - hessian,
         # over the band limit: the stencil gathered into nested-dissection
         # CSC order, and the pattern built at the first call
         "csc_gather": _own(st, "_nested_dissection_csc", 3, "solver.py"),
@@ -105,8 +113,6 @@ def run_one(n: int) -> dict:
                                   ("_solve", "solve", "_spd_solve"))
         + _edge(st, "solve", ("_solve", "solve"), "solver.py"),
         "pcg": _own(st, "_pcg", 3, "solver.py"),
-        "line_search": sum(_edge(st, f, newton) for f in ("energy", "residual_norm", "scatter_interior")),
-        "predictor": _own(st, "_euler_predict", 3),
     }
     total = _own(st, "continuation_minimize", 3)
     phases["other"] = total - sum(phases.values())
@@ -123,7 +129,9 @@ def run_one(n: int) -> dict:
         "converged": bool(res.converged),
         "digest": hashlib.sha256(res.u.values.tobytes()).hexdigest()[:16],
         "minor_faults": faults,
-        "minor_faults_second": faults_second,
+        # the further solves' faults: median, then min and max
+        "minor_faults_again": [faults_again[len(faults_again) // 2],
+                               faults_again[0], faults_again[-1]] if repeats else None,
         "peak_rss_mb": round(rss, 1),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "nproc": len(os.sched_getaffinity(0)),
@@ -139,14 +147,17 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("sizes", type=int, nargs="*")
     p.add_argument("--src", default=str(ROOT / "src"), help="the areavar source tree to time")
+    p.add_argument("--repeats", type=int, default=3,
+                   help="further solves in the same process, for their page faults")
     p.add_argument("--one", type=int, help=argparse.SUPPRESS)
     args = p.parse_args()
     if args.one is not None:
         sys.path.insert(0, args.src)
-        print(json.dumps(run_one(args.one)), flush=True)
+        print(json.dumps(run_one(args.one, args.repeats)), flush=True)
         return 0
     for n in args.sizes:
-        subprocess.run([sys.executable, __file__, "--one", str(n), "--src", args.src], check=True)
+        subprocess.run([sys.executable, __file__, "--one", str(n), "--src", args.src,
+                        "--repeats", str(args.repeats)], check=True)
     return 0
 
 
