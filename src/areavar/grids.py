@@ -210,10 +210,10 @@ class EnergySpec:
 
     def F_at(self, dom: GridDomain, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Drift at points given per cell, shape (ncx, ncy, ..., 2): the
-        components of `F_parts`, stacked."""
-        return np.stack(self.F_parts(dom, x, y), axis=-1)
+        components of `_F_parts`, stacked."""
+        return np.stack(self._F_parts(dom, x, y), axis=-1)
 
-    def F_parts(self, dom: GridDomain, x: np.ndarray, y: np.ndarray
+    def _F_parts(self, dom: GridDomain, x: np.ndarray, y: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
         """The drift's two components at points given per cell, each of
         shape (ncx, ncy, ...).

@@ -189,7 +189,7 @@ class _Assembler:
         Xg = xs[:, None, None] + xi[None, None, :] * hx    # (ncx, 1, G)
         Yg = ys[None, :, None] + eta[None, None, :] * hy   # (1, ncy, G)
         # (ncx, ncy, G) views that broadcast Xg, Yg or the cell values
-        self.Fx, self.Fy = spec.F_parts(dom, Xg, Yg)
+        self.Fx, self.Fy = spec._F_parts(dom, Xg, Yg)
 
         # linear bulk term: integral of H * shape_k over each cell, (cells,
         # 4); None for a scalar H = 0, whose term would add +-0 to every
@@ -416,7 +416,7 @@ class _Assembler:
         inner += d_int.reshape(inner.shape)
         return out
 
-    def _stencil(self, K: np.ndarray, data: np.ndarray | None = None) -> sp.dia_array:
+    def _stencil(self, K: np.ndarray, data: np.ndarray) -> sp.dia_array:
         """The interior matrix of the (cells, 16) cell blocks K as its 9
         diagonals, data[k, col] = A[col - offsets[k], col] with the offsets
         ascending, rows and columns numbered as in `_strides`.  Each diagonal
@@ -427,10 +427,9 @@ class _Assembler:
         a copy, and its product adds each row's terms in ascending offset,
         that is ascending column, order into zeros: the bits of the CSC
         product.  `data` is zeros, or a buffer an earlier call filled: every
-        call writes the same slots; None allocates it."""
+        call writes the same slots."""
         B = K.reshape(self.ncx, self.ncy, 4, 4)     # [ci, cj, row corner, col corner]
         offsets, terms = self._stencil_terms
-        data = np.zeros((offsets.size, self.n_int)) if data is None else data
         # each data[k] as the (ncx - 1, ncy - 1) interior, indexed like the nodes
         if self.ncy > self.ncx:
             inner = data.reshape(-1, self.ncy - 1, self.ncx - 1).transpose(0, 2, 1)
@@ -750,15 +749,16 @@ class _Stage:
 
 def _newton(
     asm: _Assembler, a: float, values: np.ndarray, cfg: SolverConfig,
-    solver: _LinearSolver, step: np.ndarray | None = None, tangent: bool = False,
+    solver: _LinearSolver, step: np.ndarray | None = None, tangent=None,
 ) -> _Stage:
     """Damped Newton on the energy at level a from `values`, whose boundary
     already holds the Dirichlet data, or from `values` moved by the
     interior predictor `step` if that has the lower energy.
 
     Each point visited is evaluated once; an iterate also gets the Hessian
-    for its step or, with `tangent`, once it ends a stage that took a step,
-    the Hessian and dg/da for `_tangent`.  Once the previous accepted step
+    for its step or, once it ends a stage that took a step, the Hessian
+    and dg/da for `_tangent` if `tangent`, a function of its values, says
+    that a tangent follows there.  Once the previous accepted step
     cut the residual by _REUSE_GATE, `solver` tries PCG on its held factor
     before it factorizes; a stage's first step always factorizes.  No step
     writes an iterate in place (`scatter_interior` copies).
@@ -771,7 +771,8 @@ def _newton(
         # step, or the tangent's system once it converged after a step
         if q.residual > tol:
             return steps < cfg.max_newton_iters, False
-        return (tangent and steps > 0 and math.isfinite(q.energy),) * 2
+        return (steps > 0 and math.isfinite(q.energy) and tangent is not None
+                and tangent(q.values),) * 2
 
     if step is None:
         p = asm.evaluate(values, a, lambda q: more(q, 0))
@@ -870,15 +871,14 @@ def continuation_minimize(
     for k, a in enumerate(cfg.a_schedule):
         step = None if tangent is None else (a - a_prev) * tangent
         last = k + 1 == len(cfg.a_schedule)
-        stage = _newton(asm, a, values, cfg, solver, step, tangent=not last)
+        stage = _newton(asm, a, values, cfg, solver, step, None if last else (   # unless it stops
+            lambda v, p=prev_values: p is None or not np.abs(v - p).max() <= cfg.continuation_stop))
         a_prev = a
         values = stage.point.values
         total_iters += stage.iterations
         diff = float(np.abs(values - prev_values).max()) if prev_values is not None else math.inf
         stages.append((a, stage.iterations, diff))
-        if not stage.converged:
-            break
-        if prev_values is not None and diff <= cfg.continuation_stop:
+        if not stage.converged or diff <= cfg.continuation_stop:
             break
         prev_values = values
         # a stage that took no Newton step predicts nothing

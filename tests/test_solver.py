@@ -72,7 +72,7 @@ def _stiffness(asm, a11, a12, a22):
     K += a22.reshape(-1, G) @ asm.Tyy
     if a12 is not None:
         K += a12.reshape(-1, G) @ asm.Txy
-    return asm._stencil(K)
+    return asm._stencil(K, np.zeros((asm._stencil_terms[0].size, asm.n_int)))
 
 
 # The quadrature kernels over the whole grid at once, in fresh arrays: the
@@ -1015,7 +1015,7 @@ def test_failed_tangent_factorization_predicts_nothing(monkeypatch):
     asm = _Assembler(dom, P_AREA)
     solver = _LinearSolver(dom.n_cells)
     stage = _newton(asm, 1.0, harmonic_extension(dom, phi).values, SolverConfig(), solver,
-                    tangent=True)
+                    tangent=lambda v: True)
     assert _tangent(asm, stage, solver) is None
     # every stage then starts from the last one's end, and still converges
     res = continuation_minimize(dom, P_AREA, phi, SolverConfig(a_schedule=(1.0, 0.25)))
@@ -1096,7 +1096,8 @@ def test_newton_tangent_is_the_a_derivative_of_the_solution(a):
     cfg = SolverConfig()
     asm = _Assembler(dom, P_AREA)
     solver = _LinearSolver(dom.n_cells)
-    stage = _newton(asm, a, harmonic_extension(dom, phi).values, cfg, solver, tangent=True)
+    stage = _newton(asm, a, harmonic_extension(dom, phi).values, cfg, solver,
+                    tangent=lambda v: True)
     assert stage.converged
     tangent = _tangent(asm, stage, solver)
     da = 1e-3 * a
@@ -1128,7 +1129,8 @@ def test_predictor_is_used_only_when_it_lowers_the_energy():
     cfg = SolverConfig()
     asm = _Assembler(dom, P_AREA)
     solver = _LinearSolver(dom.n_cells)
-    stage = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, solver, tangent=True)
+    stage = _newton(asm, 1.0, harmonic_extension(dom, phi).values, cfg, solver,
+                    tangent=lambda v: True)
     tangent = _tangent(asm, stage, solver)
     values, a = stage.point.values, 0.5
     asked = []
@@ -1262,6 +1264,29 @@ def test_continuation_tangents_compute_no_kinematics(monkeypatch, n_cells, sched
     assert res.u.values.tobytes() == ref.u.values.tobytes()
 
 
+def test_a_stage_that_stops_the_continuation_forms_no_tangent_system(monkeypatch):
+    # continuation_stop ends this solve after its fourth of seven stages,
+    # which took Newton steps: its last point gets no dg/da, and no Hessian
+    # beyond those of the steps, since no tangent is solved there
+    dom = GridDomain(SQ, (16, 16))
+    phi = field(dom, lambda x, y: x * y + 0.3 * np.sin(2 * x + 0.3 * y))
+    cfg = SolverConfig(continuation_stop=0.01)
+    evaluate, points = _Assembler.evaluate, []
+
+    def spy_evaluate(self, *args, **kwargs):
+        points.append(evaluate(self, *args, **kwargs))
+        return points[-1]
+
+    monkeypatch.setattr(_Assembler, "evaluate", spy_evaluate)
+    res = continuation_minimize(dom, P_AREA, phi, cfg)
+    assert res.converged and len(res.stages) == 4 and res.stages[-1][1] > 0
+    assert res.stages[-1][2] <= cfg.continuation_stop < res.stages[-2][2]
+    tangents = len(res.stages) - 1
+    assert sum(p.gradient_a is not None for p in points) == tangents
+    assert sum(p.hessian is not None for p in points) == res.iterations + tangents
+    assert points[-1].gradient_a is None and points[-1].hessian is None
+
+
 def test_continuation_computes_its_reported_energy_once(monkeypatch):
     # the stages hand on their state: only the last one's iterate becomes a
     # SolvedField, and only its area energy is computed
@@ -1289,7 +1314,7 @@ def test_continuation_computes_its_reported_energy_once(monkeypatch):
     asm = _Assembler(dom, P_AREA)
     solver = _LinearSolver(dom.n_cells)
     stage = _newton(asm, 1.0, harmonic_extension(dom, phi).values, SolverConfig(), solver,
-                    tangent=True)
+                    tangent=lambda v: True)
     assert stage.converged
     assert stage.point.energy.hex() == _energy(asm, stage.point.values, 1.0).hex()
     tangent = _tangent(asm, stage, solver)

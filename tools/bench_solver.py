@@ -8,7 +8,7 @@ default SolverConfig: once untimed by the profiler (wall time, Newton steps
 in all and per stage, factorizations, PCG iterations, minor page faults of
 the solve, peak RSS, and a digest of the final nodal values, so that two
 source trees can be checked to return the same field bit for bit), then
---repeats times more in the same process for the minor page faults of
+REPEATS (3) times more in the same process for the minor page faults of
 each (reported as median and range: the first solve's count varies from
 run to run at 128^2 and over, where the heap is new), then once under
 cProfile for the per-phase split and, beside the phases, the seconds of
@@ -58,9 +58,10 @@ def _own(stats: dict, name: str, column: int, file: str = "") -> float:
 
 GSTRF = "<built-in method scipy.sparse.linalg._dsolve._superlu.gstrf>"   # SuperLU factorization
 BAND = "_band_cholesky"     # band Cholesky factorization: band copy and dpbtrf
+REPEATS = 3                 # further solves in the same process, for their page faults
 
 
-def run_one(n: int, repeats: int) -> dict:
+def run_one(n: int) -> dict:
     import numpy as np
     from areavar.grids import EnergySpec, GridDomain, ScalarField
     from areavar.solver import continuation_minimize
@@ -75,7 +76,7 @@ def run_one(n: int, repeats: int) -> dict:
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     faults_again = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         again = continuation_minimize(dom, spec, phi)
         faults_again.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
@@ -131,7 +132,7 @@ def run_one(n: int, repeats: int) -> dict:
         "minor_faults": faults,
         # the further solves' faults: median, then min and max
         "minor_faults_again": [faults_again[len(faults_again) // 2],
-                               faults_again[0], faults_again[-1]] if repeats else None,
+                               faults_again[0], faults_again[-1]],
         "peak_rss_mb": round(rss, 1),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "nproc": len(os.sched_getaffinity(0)),
@@ -147,17 +148,15 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("sizes", type=int, nargs="*")
     p.add_argument("--src", default=str(ROOT / "src"), help="the areavar source tree to time")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="further solves in the same process, for their page faults")
     p.add_argument("--one", type=int, help=argparse.SUPPRESS)
     args = p.parse_args()
     if args.one is not None:
         sys.path.insert(0, args.src)
-        print(json.dumps(run_one(args.one, args.repeats)), flush=True)
+        print(json.dumps(run_one(args.one)), flush=True)
         return 0
     for n in args.sizes:
-        subprocess.run([sys.executable, __file__, "--one", str(n), "--src", args.src,
-                        "--repeats", str(args.repeats)], check=True)
+        subprocess.run([sys.executable, __file__, "--one", str(n), "--src", args.src],
+                       check=True)
     return 0
 
 
