@@ -127,11 +127,14 @@ class SolvedField(ScalarField):
     solved under.
 
     Its values are marked read-only and no attribute can be rebound, so
-    what is derived from them cannot go stale: `gradient`, `singular_set`
-    and `field_to_measure` compute their result for a solved field once and
-    keep it (see `_kept`), with every array of that result marked read-only
-    as well.  The gradient is kept for any spec; the singular set and the
-    measure only for `spec` itself, the same object, at the default tol.
+    what is derived from them cannot go stale: `gradient`, `area_energy`,
+    `singular_set` and `field_to_measure` compute their result for a solved
+    field once and keep it (see `_kept`), with every array of that result
+    marked read-only as well.  The gradient is kept for any spec; the
+    energy, the singular set and the measure only for `spec` itself, the
+    same object, at the default tol.  The variation module keeps the
+    lifted area here too, and one slot for the last direction it was asked
+    about.
     """
 
     def __init__(self, dom: GridDomain, values: np.ndarray, spec: EnergySpec):
@@ -257,25 +260,27 @@ class EnergySpec:
 
 
 def _kept(u: ScalarField, name: str, compute: Callable, spec: EnergySpec | None = None,
-          tol: float = 1.0):
+          tol: float = 1.0, key: object = None):
     """compute(), the result `name` of the field u.
 
     On a SolvedField asked under its own spec (the same object; None for a
     result that does not depend on one) at the default tol, it is computed
-    once, its arrays are marked read-only, and it is kept on u; every other
-    field, spec or tol gets it computed afresh.
+    once per key, its arrays are marked read-only, and it is kept on u with
+    that key: asked again with the same key object it comes back as kept,
+    asked with another it is computed afresh and replaces the kept one.
+    Every other field, spec or tol gets it computed afresh.
     """
     if not isinstance(u, SolvedField) or tol != 1.0 or (spec is not None and spec is not u.spec):
         return compute()
-    kept = u._kept
-    if name not in kept:
+    kept = u._kept.get(name)
+    if kept is None or kept[0] is not key:
         result = compute()
         for part in result if isinstance(result, tuple) else (result,):
-            for a in vars(part).values():
+            for a in getattr(part, "__dict__", {}).values():
                 if isinstance(a, np.ndarray):
                     a.flags.writeable = False
-        kept[name] = result
-    return kept[name]
+        kept = u._kept[name] = (key, result)
+    return kept[1]
 
 
 def gradient(u: ScalarField) -> VectorField:
@@ -283,18 +288,19 @@ def gradient(u: ScalarField) -> VectorField:
 
     Exact for affine nodal data on any grid.  Kept on a SolvedField.
     """
-    return _kept(u, "gradient", lambda: _gradient(u))
+    shape = tuple(u.dom.n_cells)
+    return _kept(u, "gradient", lambda: VectorField(
+        u.dom, _gradient(u.dom, u.values, np.empty(shape + (2,)), np.empty(shape))))
 
 
-def _gradient(u: ScalarField) -> VectorField:
-    dom = u.dom
+def _gradient(dom: GridDomain, v: np.ndarray, g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The cell gradient of the nodal values v, written into g (shape
+    (nx, ny, 2)) through the scratch array t (shape (nx, ny)); returns g."""
     hx, hy = dom.spacing
-    v = u.values
     # gx = (v[1:, :-1] - v[:-1, :-1] + v[1:, 1:] - v[:-1, 1:]) / (2 hx) and
     # gy = (v[:-1, 1:] - v[:-1, :-1] + v[1:, 1:] - v[1:, :-1]) / (2 hy),
-    # evaluated left to right through one scratch array
-    g = np.empty(tuple(dom.n_cells) + (2,))
-    t = np.subtract(v[1:, :-1], v[:-1, :-1])
+    # evaluated left to right
+    np.subtract(v[1:, :-1], v[:-1, :-1], out=t)
     t += v[1:, 1:]
     t -= v[:-1, 1:]
     np.divide(t, 2.0 * hx, out=g[..., 0])
@@ -302,7 +308,7 @@ def _gradient(u: ScalarField) -> VectorField:
     t += v[1:, 1:]
     t -= v[1:, :-1]
     np.divide(t, 2.0 * hy, out=g[..., 1])
-    return VectorField(dom, g)
+    return g
 
 
 def drift_gradient(u: ScalarField, spec: EnergySpec) -> np.ndarray:
@@ -315,14 +321,67 @@ def area_energy(u: ScalarField, spec: EnergySpec) -> float:
 
     The cell average of the four corner values stands in for u in the bulk
     term, consistent with the cell-centered gradient.  A scalar H = 0 skips
-    the bulk term: it would add +-0 to every cell.
+    the bulk term: it would add +-0 to every cell.  Kept on a SolvedField
+    for its own spec.
+    """
+    return _kept(u, "area_energy", lambda: _line_energies(u, spec)[0], spec)
+
+
+def _line_energies(u: ScalarField, spec: EnergySpec | None, phi: np.ndarray | None = None,
+                   steps: Iterable[float] = (0.0,)) -> list[float]:
+    """The midpoint energies of the nodal values u + s * phi, one per s in
+    steps; with phi None, the one energy of u itself, from its gradient.
+
+    With an EnergySpec the energy is area_energy's; with spec None it is
+    the lifted graph area, the sum of sqrt(1 + |grad v|^2) * cell volume.
+    One set of buffers serves every step and the drift at the cell centres
+    is formed once.  Each u + s * phi is checked finite, and so is its
+    gradient, as a ScalarField and a VectorField check theirs.
     """
     dom = u.dom
-    m = drift_gradient(u, spec)
-    integrand = np.sqrt(dot2(m, m))
-    if not (np.isscalar(spec.H) and spec.H == 0):
-        integrand = integrand + spec.H_cells(dom) * u.cell_average()
-    return pairwise_sum(integrand.ravel() * dom.cell_volume)
+    shape = tuple(dom.n_cells)
+    m = np.empty(shape + (2,))
+    dens = np.empty(shape)
+    # the drift as F_cells forms it, in two views that allocate nothing
+    F = None if spec is None else spec._F_parts(dom, dom.axis_centers(0)[:, None],
+                                                 dom.axis_centers(1)[None, :])
+    H = None if spec is None or (np.isscalar(spec.H) and spec.H == 0) else spec.H_cells(dom)
+    v = u.values if phi is None else np.empty_like(u.values)
+    out = []
+    for s in steps:
+        if phi is None:
+            g = gradient(u).values
+        else:
+            g = m
+            np.multiply(phi, s, out=v)
+            v += u.values
+            _gradient(dom, v, g, dens)
+            if not np.isfinite(g).all():
+                raise ValueError("nodal values must be finite" if not np.isfinite(v).all()
+                                 else "cell values must be finite")
+        if F is not None:
+            for k in (0, 1):
+                np.add(g[..., k], F[k], out=m[..., k])
+            g = m
+        # dens = dot2(g, g), then the density
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(g, g, out=m)
+            np.add(m[..., 0], m[..., 1], out=dens)
+        if F is None:
+            dens += 1.0
+        np.sqrt(dens, out=dens)
+        if H is not None:
+            # H times the cell average of v, formed in m's first component
+            t = m[..., 0]
+            np.add(v[:-1, :-1], v[1:, :-1], out=t)
+            t += v[:-1, 1:]
+            t += v[1:, 1:]
+            t *= 0.25
+            t *= H
+            dens += t
+        dens *= dom.cell_volume
+        out.append(pairwise_sum(dens))
+    return out
 
 
 @dataclass(frozen=True)

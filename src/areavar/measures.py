@@ -107,9 +107,13 @@ class RNDecomposition:
     sites: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VariationReport:
-    """One-sided derivatives of eps -> total variation along a direction."""
+    """One-sided derivatives of eps -> total variation along a direction.
+
+    Frozen: a solved field keeps the report of the last direction it was
+    asked about (variation.minimizer_first_variation) and returns it again.
+    """
 
     F_value: float
     Fprime_minus: float
@@ -196,7 +200,10 @@ def _first_pm(z: np.ndarray, y: np.ndarray, nz: np.ndarray) -> tuple[float, floa
     nz the entry norms of z."""
     supp = _support(nz)
     smooth = np.where(supp, np.einsum("ij,ij->i", z, y) / np.where(supp, nz, 1.0), 0.0)
-    kink = np.where(supp, 0.0, _entry_norms(y))
+    # the kink term's norms only where z vanishes, written into zeros
+    off = ~supp
+    kink = np.zeros(nz.shape)
+    kink[off] = _entry_norms(y[off])
     interior = pairwise_sum(smooth)
     singular = pairwise_sum(kink)
     return interior - singular, interior + singular

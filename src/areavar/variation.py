@@ -6,13 +6,26 @@ phi vanishing on the boundary induces the direction measure (grad phi) dx,
 and the one-sided derivatives / curvature of eps -> F(u + eps*phi) come out
 of the measure formulas exactly.  Singular sets are always detected at
 singular_set's default threshold.  Finite differencing of the grid energy is
-kept here only as a validation oracle (fd_validate).  The 2-component
-contractions of cell arrays use util.dot2, which gives np.einsum's bits; the
-measure formulas themselves stay in the measures module.
+kept here only as a validation oracle (fd_validate), whose analytic values
+are those of minimizer_first_variation and second_variation_graph.  The
+2-component contractions of cell arrays use util.dot2, which gives
+np.einsum's bits; the measure formulas themselves stay in the measures
+module.
+
+Each quantity of a solved field along a direction is computed once: a
+SolvedField asked under its own spec keeps one direction slot (grids._kept,
+keyed on the direction's read-only values) holding the VariationReport, the
+area-mode second variation and the lifted first and second variations of
+the last direction asked about, and grad phi until those three are kept.
+It also keeps its own area energy and lifted area, the difference
+quotients' base values.  A plain ScalarField, or another spec object,
+computes each call afresh.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import ndimage
@@ -21,19 +34,25 @@ from . import measures
 from .grids import (
     EnergySpec,
     ScalarField,
+    _kept,
+    _line_energies,
     area_energy,
     field_to_measure,
     gradient,
     gradient_measure,
     singular_set,
 )
-from .measures import VariationReport
+from .measures import VariationReport, VectorMeasure
 from .util import dot2, pairwise_sum, rotate_quarter
 
 
-@dataclass
+@dataclass(frozen=True)
 class DirectionField:
-    """A variation direction: nodal data vanishing exactly on the boundary."""
+    """A variation direction: nodal data vanishing exactly on the boundary.
+
+    Frozen, and phi's values are marked read-only at construction, so what
+    a solved field keeps along a direction cannot go stale.
+    """
 
     phi: ScalarField
 
@@ -41,6 +60,7 @@ class DirectionField:
         b = self.phi.values[self.phi.dom.boundary_mask()]
         if np.any(b != 0.0):
             raise ValueError("direction field must vanish exactly on boundary nodes")
+        self.phi.values.flags.writeable = False
 
     def measure(self) -> measures.VectorMeasure:
         return gradient_measure(self.phi)
@@ -94,11 +114,9 @@ def _area_second(m: np.ndarray, sing: np.ndarray, gphi: np.ndarray, vol: float) 
     return pairwise_sum(np.maximum(terms, 0.0).ravel() * vol)
 
 
-def _lifted_variations(u: ScalarField, phi: ScalarField) -> tuple[float, float]:
-    """First and second variation of the lifted graph area along phi."""
-    vol = u.dom.cell_volume
-    gu = gradient(u).values
-    gphi = gradient(phi).values
+def _lifted_variations(gu: np.ndarray, gphi: np.ndarray, vol: float) -> tuple[float, float]:
+    """First and second variation of the lifted graph area along phi, from
+    the cell gradients of u and phi."""
     g2 = dot2(gphi, gphi)
     u2 = dot2(gu, gu)
     dot = dot2(gphi, gu)
@@ -106,6 +124,48 @@ def _lifted_variations(u: ScalarField, phi: ScalarField) -> tuple[float, float]:
     first = pairwise_sum((dot / W).ravel() * vol)
     terms = (g2 * (1.0 + u2) - dot * dot) / W**3
     return first, pairwise_sum(np.maximum(terms, 0.0).ravel() * vol)
+
+
+def _same_grid(u: ScalarField, direction: DirectionField) -> None:
+    if direction.phi.dom != u.dom:
+        raise ValueError("direction lives on a different grid")
+
+
+# the slot's quantities formed from grad phi
+_FROM_GRAD_PHI = {"report", "area_second", "lifted"}
+
+
+def _along(u: ScalarField, spec: EnergySpec, direction: DirectionField, name: str,
+           compute: Callable):
+    """compute(), the quantity `name` of u along direction.
+
+    u's direction slot is kept under u's own spec and keyed on phi's
+    read-only values: while one direction is asked about, each quantity is
+    computed once; another direction replaces the slot.  grad phi is
+    dropped from it once the three closed forms made from it are kept.
+    """
+    slot = _kept(u, "direction", dict, spec, key=direction.phi.values)
+    if name not in slot:
+        slot[name] = compute()
+        if _FROM_GRAD_PHI <= slot.keys():
+            slot.pop("grad_phi", None)
+    return slot[name]
+
+
+
+def _grad_phi(u: ScalarField, spec: EnergySpec, direction: DirectionField) -> np.ndarray:
+    return _along(u, spec, direction, "grad_phi", lambda: gradient(direction.phi).values)
+
+
+def _lifted_pair(u: ScalarField, spec: EnergySpec, direction: DirectionField
+                 ) -> tuple[float, float]:
+    return _along(u, spec, direction, "lifted", lambda: _lifted_variations(
+        gradient(u).values, _grad_phi(u, spec, direction), u.dom.cell_volume))
+
+
+def _lifted_area(u: ScalarField) -> float:
+    """The lifted graph area of u; kept on a SolvedField."""
+    return _kept(u, "lifted_area", lambda: _line_energies(u, None)[0])
 
 
 def minimizer_first_variation(
@@ -122,10 +182,17 @@ def minimizer_first_variation(
     the energy and both measure kernels: the values are those of
     measures.line_energy, first_variation_pm and second_variation at eps = 0.
     """
-    if direction.phi.dom != u.dom:
-        raise ValueError("direction lives on a different grid")
+    _same_grid(u, direction)
+    return _along(u, spec, direction, "report", lambda: _first_variation(u, spec, direction))
+
+
+def _first_variation(u: ScalarField, spec: EnergySpec, direction: DirectionField
+                     ) -> VariationReport:
     mu, _ = field_to_measure(u, spec)
-    z, y, _ = measures._combine(mu, direction.measure(), 0.0)
+    # direction.measure(), on mu's equal weights and the slot's grad phi
+    nu = VectorMeasure(mu.dimension, mu.cell_weights,
+                       _grad_phi(u, spec, direction).reshape(mu.n_cells, mu.dimension))
+    z, y, _ = measures._combine(mu, nu, 0.0)
     nz = measures._entry_norms(z)
     fm, fp = measures._first_pm(z, y, nz)
     ht = _h_term(spec, direction.phi)
@@ -151,14 +218,17 @@ def second_variation_graph(
     Both are nonnegative (Cauchy's inequality) and agree with the measure
     second variation of the corresponding lifted measures.
     """
-    if direction.phi.dom != u.dom:
-        raise ValueError("direction lives on a different grid")
+    _same_grid(u, direction)
     if mode == "riemannian":
-        return _lifted_variations(u, direction.phi)[1]
+        return _lifted_pair(u, spec, direction)[1]
     if mode != "area":
         raise ValueError(f"unknown mode {mode!r}")
-    ss = singular_set(u, spec)
-    return _area_second(ss.drift, ss.mask, gradient(direction.phi).values, u.dom.cell_volume)
+
+    def area_second() -> float:
+        ss = singular_set(u, spec)
+        return _area_second(ss.drift, ss.mask, _grad_phi(u, spec, direction), u.dom.cell_volume)
+
+    return _along(u, spec, direction, "area_second", area_second)
 
 
 def fd_validate(
@@ -175,41 +245,32 @@ def fd_validate(
     analytic values and observed convergence orders.  In "riemannian" mode
     the energy is the lifted graph area; in "area" mode it is the grid
     energy of the given spec (including its H term).  The analytic values
-    are those of minimizer_first_variation and second_variation_graph.
+    are those of minimizer_first_variation and second_variation_graph (the
+    lifted first variation from the same kept pair), and E(u) is u's own
+    energy, which is bitwise E(u + 0*phi).  Every step must be finite and
+    positive; the steps are checked before anything is evaluated.
     """
-    if direction.phi.dom != u.dom:
-        raise ValueError("direction lives on a different grid")
-    dom = u.dom
-    phi = direction.phi
+    _same_grid(u, direction)
+    steps = tuple(h_list)
+    if not all(math.isfinite(h) and h > 0 for h in steps):
+        raise ValueError("steps must be finite and positive")
 
     if mode == "riemannian":
-        def energy_at(eps: float) -> float:
-            g = gradient(ScalarField(dom, u.values + eps * phi.values)).values
-            dens = np.sqrt(1.0 + dot2(g, g))
-            return pairwise_sum(dens.ravel() * dom.cell_volume)
-
-        fp, analytic_second = _lifted_variations(u, phi)
+        fp, analytic_second = _lifted_pair(u, spec, direction)
         fm = fp
+        E0, energy_spec = _lifted_area(u), None
     elif mode == "area":
-        def energy_at(eps: float) -> float:
-            return area_energy(ScalarField(dom, u.values + eps * phi.values), spec)
-
-        # u's measure is zeroed exactly on its singular cells
-        mu, _ = field_to_measure(u, spec)
-        nu = direction.measure()
-        ht = _h_term(spec, phi)
-        fm, fp = (v + ht for v in measures.first_variation_pm(mu, nu, 0.0))
-        m = mu.ac_density
-        analytic_second = _area_second(m, ~m.any(axis=1), nu.ac_density, dom.cell_volume)
+        rep = minimizer_first_variation(u, spec, direction)
+        fm, fp = rep.Fprime_minus, rep.Fprime_plus
+        analytic_second = second_variation_graph(u, spec, direction, "area")
+        E0, energy_spec = area_energy(u, spec), spec
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    E0 = energy_at(0.0)
+    energies = _line_energies(u, energy_spec, direction.phi.values,
+                              [s for h in steps for s in (h, -h)])
     rows = []
-    for h in h_list:
-        if h <= 0:
-            raise ValueError("steps must be positive")
-        Ep, Em = energy_at(h), energy_at(-h)
+    for h, Ep, Em in zip(steps, energies[0::2], energies[1::2]):
         rows.append(
             {
                 "h": h,

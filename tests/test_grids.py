@@ -108,6 +108,51 @@ def test_energy_skips_a_zero_bulk_term_exactly():
             assert area_energy(u, spec) == explicit
 
 
+def _energy_oracle(v, dom, spec):
+    """The midpoint energy of nodal values v, each value through a fresh
+    field as area_energy forms it; spec None: the lifted graph area."""
+    f = ScalarField(dom, v)
+    if spec is not None:
+        m = gradient(f).values + spec.F_cells(dom)
+        integrand = np.sqrt(np.einsum("...k,...k->...", m, m))
+        if not (np.isscalar(spec.H) and spec.H == 0):
+            integrand = integrand + spec.H_cells(dom) * f.cell_average()
+    else:
+        g = gradient(f).values
+        integrand = np.sqrt(1.0 + np.einsum("...k,...k->...", g, g))
+    return pairwise_sum(integrand.ravel() * dom.cell_volume)
+
+
+def test_line_energies_keep_the_bits_of_fresh_fields():
+    from areavar.grids import _line_energies
+    rng = np.random.RandomState(3)
+    dom = GridDomain(((-1.0, 2.0), (0.0, 1.5)), (13, 9))
+    custom = VectorField(dom, rng.randn(13, 9, 2))
+    specs = [None, EnergySpec(preset="zero"), EnergySpec(preset="p_area"),
+             EnergySpec(preset="p_area", H=-0.7), EnergySpec(preset="custom", F_field=custom,
+                                                            H=rng.randn(13, 9))]
+    u = ScalarField(dom, rng.randn(14, 10))
+    u.values[::3, ::2] = -0.0
+    phi = rng.randn(14, 10)
+    steps = [1e-3, -1e-3, 0.0, 0.25, -7.5]
+    for spec in specs:
+        got = _line_energies(u, spec, phi, steps)
+        want = [_energy_oracle(u.values + s * phi, dom, spec) for s in steps]
+        assert [e.hex() for e in got] == [e.hex() for e in want]
+        assert _line_energies(u, spec)[0].hex() == _energy_oracle(u.values, dom, spec).hex()
+    # a step whose values or gradient are not finite is refused, as the fields refuse it
+    huge = np.zeros((14, 10))
+    huge[5, 5], huge[6, 5] = 1.7e308, -1.7e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="nodal values must be finite"):
+            _line_energies(u, specs[2], huge, [1e-3, 10.0])
+        for spec in (specs[2], None):
+            with pytest.raises(ValueError, match="cell values must be finite"):
+                _line_energies(u, spec, huge, [1.0])
+            with pytest.raises(ValueError, match="cell values must be finite"):
+                _energy_oracle(u.values + huge, dom, spec)
+
+
 def test_energy_matches_onesided_tv_at_first_order():
     # the cell-centered energy and a staggered one-sided total variation
     # agree up to O(h): halving h halves the gap

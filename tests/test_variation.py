@@ -403,9 +403,10 @@ def test_certification_detects_the_singular_set_once(monkeypatch):
     def spy(name):
         compute = getattr(grids_module, f"_{name}")
 
-        def counted(field, *args):
-            calls[name] += field is u
-            return compute(field, *args)
+        def counted(*args):
+            # _singular_set and _field_to_measure take u, _gradient its values
+            calls[name] += any(a is u or a is u.values for a in args)
+            return compute(*args)
         monkeypatch.setattr(grids_module, f"_{name}", counted)
 
     for name in calls:
@@ -442,6 +443,179 @@ def test_fd_validate_rejects_bad_input():
     d2 = bump_direction(other, lambda x, y: (1 - x * x) * (1 - y * y))
     with pytest.raises(ValueError):
         minimizer_first_variation(u, ZERO, d2)
+
+
+def test_fd_validate_refuses_a_bad_step_before_evaluating(monkeypatch):
+    dom = dom_n(8)
+    u = ScalarField.from_function(dom, lambda x, y: x * y)
+    d = bump_direction(dom, lambda x, y: (1 - x * x) * (1 - y * y))
+    gradients = []
+    compute = grids_module._gradient
+    monkeypatch.setattr(grids_module, "_gradient",
+                        lambda *args: gradients.append(1) or compute(*args))
+    for steps in ((np.nan,), (np.inf,), (-np.inf,), (0.0,), (-1e-3,), (1e-3, np.nan), (1e-3, 0.0)):
+        for mode in ("area", "riemannian"):
+            with pytest.raises(ValueError, match="steps must be finite and positive"):
+                fd_validate(u, ZERO, d, h_list=steps, mode=mode)
+    assert gradients == []
+    fd_validate(u, ZERO, d, h_list=(1e-3,))
+    assert gradients
+
+
+# ---- one certification per direction ----------------------------------------------
+
+
+def _certify(u, spec, d):
+    """The five calls certify_saddle times for one direction."""
+    return [minimizer_first_variation(u, spec, d),
+            second_variation_graph(u, spec, d, "area"),
+            second_variation_graph(u, spec, d, "riemannian"),
+            fd_validate(u, spec, d, h_list=(1e-3, 1e-4)),
+            fd_validate(u, spec, d, h_list=(1e-3, 1e-4), mode="riemannian")]
+
+
+def _bits(value):
+    """value with every float replaced by its hex form, for bitwise equality."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return _bits(dict(vars(value)))
+    return value
+
+
+def _spies(monkeypatch, u, d):
+    """Count grad phi, the closed-form kernels and the base energies E(u)."""
+    import areavar.variation as variation_module
+    calls = {"grad_phi": 0, "_first_pm": 0, "_area_second": 0, "_lifted_variations": 0,
+             "E_area": 0, "E_lifted": 0}
+
+    def counted(module, name, key, when=lambda *args: True):
+        fn = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls[key] += bool(when(*args, **kwargs))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+
+    counted(grids_module, "_gradient", "grad_phi", lambda dom, v, g, t: v is d.phi.values)
+    counted(measures, "_first_pm", "_first_pm")
+    for name in ("_area_second", "_lifted_variations"):
+        counted(variation_module, name, name)
+    for module in (grids_module, variation_module):
+        counted(module, "_line_energies", "E_area",
+                lambda w, spec, phi=None, steps=(0.0,): w is u and phi is None and spec is not None)
+        counted(module, "_line_energies", "E_lifted",
+                lambda w, spec, phi=None, steps=(0.0,): w is u and phi is None and spec is None)
+    return calls
+
+
+def _solved_32():
+    dom = dom_n(32)
+    res = continuation_minimize(dom, P_AREA, ScalarField.from_function(dom, lambda x, y: x * y))
+    assert isinstance(res.u, SolvedField) and singular_set(res.u, P_AREA).mask.any()
+    return res.u
+
+
+def test_one_direction_forms_each_quantity_once(monkeypatch):
+    u = _solved_32()
+    d1, d2 = _random_directions(u.dom, np.random.RandomState(7), 2)
+    calls = _spies(monkeypatch, u, d1)
+    _certify(u, P_AREA, d1)
+    assert calls == {"grad_phi": 1, "_first_pm": 1, "_area_second": 1, "_lifted_variations": 1,
+                     "E_area": 1, "E_lifted": 1}
+    # asked again, nothing is formed again
+    _certify(u, P_AREA, d1)
+    assert calls == {"grad_phi": 1, "_first_pm": 1, "_area_second": 1, "_lifted_variations": 1,
+                     "E_area": 1, "E_lifted": 1}
+    # a second direction forms its own closed forms, but not E(u)
+    _certify(u, P_AREA, d2)
+    assert calls == {"grad_phi": 1, "_first_pm": 2, "_area_second": 2, "_lifted_variations": 2,
+                     "E_area": 1, "E_lifted": 1}
+
+
+def test_kept_certification_has_the_bits_of_a_plain_field():
+    u = _solved_32()
+    plain = ScalarField(u.dom, u.values.copy())
+    d1, d2 = _random_directions(u.dom, np.random.RandomState(8), 2)
+    fresh = {id(d): _bits(_certify(plain, P_AREA, d)) for d in (d1, d2)}
+    assert fresh[id(d1)] != fresh[id(d2)]
+    # d1, then d2, then d1 again: each gets its own bits back
+    for d in (d1, d2, d1):
+        assert _bits(_certify(u, P_AREA, d)) == fresh[id(d)]
+    # interleaved calls replace the slot in mid-certification
+    for d in (d1, d2):
+        first = minimizer_first_variation(u, P_AREA, d)
+        other = d2 if d is d1 else d1
+        second_variation_graph(u, P_AREA, other, "area")
+        assert _bits([first] + _certify(u, P_AREA, d)[1:]) == fresh[id(d)]
+
+
+def test_a_plain_field_or_another_spec_computes_afresh(monkeypatch):
+    u = _solved_32()
+    (d,) = _random_directions(u.dom, np.random.RandomState(9), 1)
+    twin = EnergySpec(preset="p_area")      # equal, but not the solve's spec
+    plain = ScalarField(u.dom, u.values.copy())
+    ref = _bits(_certify(u, P_AREA, d))
+    calls = _spies(monkeypatch, u, d)
+    for field, spec in ((u, twin), (plain, P_AREA)):
+        for _ in range(2):
+            assert _bits(_certify(field, spec, d)) == ref
+    # in each of the four certifications every call forms grad phi afresh,
+    # the area fd_validate twice: in the two public calls it reads
+    assert calls["_first_pm"] == calls["_area_second"] == 4 * 2
+    assert calls["_lifted_variations"] == 4 * 2
+    assert calls["grad_phi"] == 4 * (1 + 1 + 1 + 2 + 1)
+    assert minimizer_first_variation(u, twin, d) is not minimizer_first_variation(u, twin, d)
+
+
+def test_a_direction_is_read_only():
+    dom = dom_n(8)
+    vals = ScalarField.from_function(dom, lambda x, y: (1 - x * x) * (1 - y * y)).values
+    d = DirectionField(ScalarField(dom, vals))
+    assert d.phi.values is vals and not vals.flags.writeable
+    with pytest.raises(ValueError):
+        d.phi.values[3, 3] = 1.0
+    with pytest.raises(AttributeError):
+        d.phi = ScalarField(dom, vals.copy())
+    u = _solved(8, lambda x, y: x * y).u
+    rep = minimizer_first_variation(u, P_AREA, d)
+    with pytest.raises(AttributeError):
+        rep.Fprime_plus = 0.0
+    assert minimizer_first_variation(u, P_AREA, d) is rep
+
+
+def test_base_energy_is_the_energy_at_step_zero():
+    # E(u), kept on a solved field, is bitwise E(u + 0*phi), also where u has
+    # -0 entries that adding 0*phi turns into +0
+    spec = EnergySpec(preset="p_area", H=0.4)
+    dom = dom_n(24)
+    res = continuation_minimize(dom, spec, ScalarField.from_function(dom, lambda x, y: x * y))
+    vals = res.u.values.copy()
+    X, Y = dom.node_coords()
+    vals[np.abs(X) + np.abs(Y) <= 0.5] = -0.0
+    u = SolvedField(dom, vals, spec)
+    (d,) = _random_directions(dom, np.random.RandomState(10), 1)
+    at_zero = ScalarField(dom, u.values + 0.0 * d.phi.values)
+    assert at_zero.values.tobytes() != u.values.tobytes()
+    for w in (u, ScalarField(dom, vals.copy())):
+        assert area_energy(w, spec).hex() == area_energy(at_zero, spec).hex()
+    # the quotients as the parent formed them, from E(u + 0*phi)
+    lifted = lambda f: pairwise_sum(np.sqrt(1.0 + np.einsum(
+        "...k,...k->...", gradient(f).values, gradient(f).values)).ravel() * dom.cell_volume)
+    for mode, energy in (("area", lambda f: area_energy(f, spec)), ("riemannian", lifted)):
+        fd = fd_validate(u, spec, d, h_list=(1e-3, 1e-4), mode=mode)
+        E0 = energy(at_zero)
+        for row in fd["rows"]:
+            h = row["h"]
+            Ep = energy(ScalarField(dom, u.values + h * d.phi.values))
+            Em = energy(ScalarField(dom, u.values + (-h) * d.phi.values))
+            assert row["q_plus"].hex() == ((Ep - E0) / h).hex()
+            assert row["q_minus"].hex() == ((E0 - Em) / h).hex()
+            assert row["q_second"].hex() == ((Ep - 2.0 * E0 + Em) / (h * h)).hex()
 
 
 # ---- singular-curve geometry -----------------------------------------------------------

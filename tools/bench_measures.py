@@ -20,8 +20,13 @@ continuation, `singular_set`, `field_to_measure`, `angle_condition`), the
 certification of 8 directions and the kink search (`singular_epsilons` for
 every 4th direction).  The certification is split further into its five
 calls per direction: `minimizer_first_variation`, both modes of
-`second_variation_graph` and both modes of `fd_validate`.  Each line of
-output is one JSON object.  These are single runs.
+`second_variation_graph` and both modes of `fd_validate`.  The round also
+reports a digest of every value those five calls return for the 8
+directions (floats by their hex form), so that two source trees can be
+checked to certify alike, byte for byte, and its counts of `grids._gradient`
+calls and of line-energy evaluations (the steps `grids._line_energies`
+evaluates; null for a tree without that kernel).  Each line of output is
+one JSON object.  These are single runs.
 """
 from __future__ import annotations
 
@@ -91,10 +96,42 @@ def kink_search(n: int) -> dict:
     }
 
 
+def _canonical(value) -> str:
+    """A text form of a returned value that fixes every float's bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{k!r}:{_canonical(value[k])}" for k in sorted(value)) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_canonical(v) for v in value) + "]"
+    if hasattr(value, "__dataclass_fields__"):
+        return type(value).__name__ + _canonical(dict(vars(value)))
+    return repr(value)
+
+
+def _count_calls(module, name: str, counts: dict, key: str, weight=lambda *a, **k: 1) -> None:
+    """Wrap module.name so that each call adds weight(*args) to counts[key]."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += weight(*args, **kwargs)
+        return fn(*args, **kwargs)
+    setattr(module, name, counted)
+
+
 def certify_round(n: int) -> dict:
     from areavar import grids, measures, variation
 
     dom, spec, phi, directions, solver = _setup(n)
+    counts = {"gradient_calls": 0, "line_energies": 0}
+    _count_calls(grids, "_gradient", counts, "gradient_calls")
+    if hasattr(grids, "_line_energies"):
+        def evaluated(u, spec, phi=None, steps=(0.0,)):
+            return len(steps)
+        for module in (grids, variation):
+            _count_calls(module, "_line_energies", counts, "line_energies", evaluated)
+    else:
+        counts["line_energies"] = None
     phases = {"solve": 0.0, "certification": 0.0, "kink_search": 0.0}
     calls = {
         "minimizer_first_variation": lambda u, d: variation.minimizer_first_variation(u, spec, d),
@@ -111,11 +148,13 @@ def certify_round(n: int) -> dict:
     mu, _ = grids.field_to_measure(res.u, spec)
     variation.angle_condition(res.u, spec)
     phases["solve"] = perf_counter() - t0
+    returned = []
     for j, d in enumerate(directions):
         for name, call in calls.items():
             t0 = perf_counter()
-            call(res.u, d)
+            out = call(res.u, d)
             certification[name] += perf_counter() - t0
+            returned.append(out)
         if j % SINGULAR_EVERY == 0:
             t0 = perf_counter()
             measures.singular_epsilons(mu, d.measure())
@@ -126,6 +165,8 @@ def certify_round(n: int) -> dict:
         "round_s": round(sum(phases.values()), 3),
         "phases_s": {k: round(v, 3) for k, v in phases.items()},
         "certification_s": {k: round(v, 4) for k, v in certification.items()},
+        "certification_digest": hashlib.sha256(_canonical(returned).encode()).hexdigest()[:16],
+        "counts": counts,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
     }
 
