@@ -22,6 +22,7 @@ from .measures import (
     decompose,
     first_variation_pm,
     line_energy,
+    line_variation,
     second_variation,
     singular_epsilons,
     structural_identity_residual,

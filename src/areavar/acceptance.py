@@ -638,7 +638,7 @@ _PROFILES: dict = {
 }
 
 
-def run_all(seed: int = 2026, profile: str = "full", threshold_override: float | None = None) -> dict:
+def run_all(seed: int = 2026, profile: str = "full") -> dict:
     """Run every criterion and assemble the acceptance report."""
     if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
@@ -650,12 +650,6 @@ def run_all(seed: int = 2026, profile: str = "full", threshold_override: float |
         if cid == 12:
             kwargs["profile"] = profile
         criteria.append(fn(seed, **kwargs))
-    if threshold_override is not None:
-        for crit in criteria:
-            for row in crit["checks"]:
-                row["threshold"] = float(threshold_override)
-                row["ok"] = bool(row["value"] <= row["threshold"])
-            crit["passed"] = bool(all(r["ok"] for r in crit["checks"]))
     return {
         "suite": "generalized-area acceptance",
         "seed": int(seed),

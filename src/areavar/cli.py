@@ -367,12 +367,11 @@ def cmd_verify(cfg: dict, seed: int, out: str) -> int:
     profile = cfg.get("profile", "full")
     if not isinstance(profile, str):
         raise CliError(2, f"profile must be a string, got {type(profile).__name__}")
-    override = cfg.get("threshold_override", None)
-    if override is not None:
-        with _invalid():
-            override = _number(override, "threshold_override")
+    if "threshold_override" in cfg:
+        raise CliError(2, "threshold_override is no longer accepted: "
+                          "each criterion keeps its own threshold")
     try:
-        report = acceptance.run_all(seed=seed, profile=profile, threshold_override=override)
+        report = acceptance.run_all(seed=seed, profile=profile)
     except ValueError as exc:
         raise CliError(2, str(exc)) from exc
     _write_json(os.path.join(out, "verify_report.json"), report)
@@ -493,7 +492,7 @@ def cmd_decompose(cfg: dict, seed: int, out: str) -> int:
         eps = _number(cfg.get("eps", 0.0), "eps")
     try:
         dec = measures.decompose(nu, measures.add_scaled(mu, nu, eps) if eps else mu)
-        fm, fp = measures.first_variation_pm(mu, nu, eps)
+        line = measures.line_variation(mu, nu, eps)
         report = {
             "command": "decompose",
             "seed": seed,
@@ -504,10 +503,10 @@ def cmd_decompose(cfg: dict, seed: int, out: str) -> int:
             "support": dec.support.tolist(),
             "sites": [str(s) for s in dec.sites],
             "total_variation_mu": measures.total_variation(mu),
-            "line_energy": measures.line_energy(mu, nu, eps),
-            "Fprime_minus": fm,
-            "Fprime_plus": fp,
-            "Fsecond": measures.second_variation(mu, nu, eps),
+            "line_energy": line.F_value,
+            "Fprime_minus": line.Fprime_minus,
+            "Fprime_plus": line.Fprime_plus,
+            "Fsecond": line.Fsecond,
             "singular_epsilons": measures.singular_epsilons(mu, nu),
         }
     except ValueError as exc:

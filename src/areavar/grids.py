@@ -255,6 +255,13 @@ class EnergySpec:
             raise ValueError("per-cell H has the wrong shape")
         return H
 
+    def _bulk_H(self, dom: GridDomain) -> np.ndarray | None:
+        """H_cells, or None for a scalar H = 0: its bulk term would only add
+        +-0 to every cell, so every energy skips it."""
+        if np.isscalar(self.H) and self.H == 0:
+            return None
+        return self.H_cells(dom)
+
 
 # ---- core operations --------------------------------------------------------
 
@@ -311,11 +318,6 @@ def _gradient(dom: GridDomain, v: np.ndarray, g: np.ndarray, t: np.ndarray) -> n
     return g
 
 
-def drift_gradient(u: ScalarField, spec: EnergySpec) -> np.ndarray:
-    """Cell values of grad u + F, shape (nx, ny, 2)."""
-    return gradient(u).values + spec.F_cells(u.dom)
-
-
 def area_energy(u: ScalarField, spec: EnergySpec) -> float:
     """Midpoint quadrature of  |grad u + F| + H * u  over the domain.
 
@@ -345,7 +347,7 @@ def _line_energies(u: ScalarField, spec: EnergySpec | None, phi: np.ndarray | No
     # the drift as F_cells forms it, in two views that allocate nothing
     F = None if spec is None else spec._F_parts(dom, dom.axis_centers(0)[:, None],
                                                  dom.axis_centers(1)[None, :])
-    H = None if spec is None or (np.isscalar(spec.H) and spec.H == 0) else spec.H_cells(dom)
+    H = None if spec is None else spec._bulk_H(dom)
     v = u.values if phi is None else np.empty_like(u.values)
     out = []
     for s in steps:
@@ -414,7 +416,7 @@ def singular_set(u: ScalarField, spec: EnergySpec, tol: float = 1.0) -> Singular
 
 def _singular_set(u: ScalarField, spec: EnergySpec, tol: float) -> SingularSet:
     dom = u.dom
-    m = drift_gradient(u, spec)
+    m = gradient(u).values + spec.F_cells(dom)
     norms = np.sqrt(dot2(m, m))
     h = dom.h_max
     med = float(np.median(norms))

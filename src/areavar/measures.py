@@ -109,7 +109,8 @@ class RNDecomposition:
 
 @dataclass(frozen=True)
 class VariationReport:
-    """One-sided derivatives of eps -> total variation along a direction.
+    """Value, one-sided slopes and curvature of eps -> |mu + eps*nu|(X) at
+    one eps, as line_variation gives them.
 
     Frozen: a solved field keeps the report of the last direction it was
     asked about (variation.minimizer_first_variation) and returns it again.
@@ -175,9 +176,11 @@ def _support(norms: np.ndarray) -> np.ndarray:
     return (norms >= ZERO_REL_TOL * top) & (norms > 0.0)
 
 
-def _combine(mu: VectorMeasure, nu: VectorMeasure, eps: float) -> tuple:
-    (x, y), sites = aligned_masses(mu, nu)
-    return x + eps * y, y, sites
+def _line(mu: VectorMeasure, nu: VectorMeasure, eps: float) -> tuple:
+    """Aligned masses z = mu + eps*nu and y = nu, and the entry norms of z."""
+    (x, y), _ = aligned_masses(mu, nu)
+    z = x + eps * y
+    return z, y, _entry_norms(z)
 
 
 # ---- operations -----------------------------------------------------------
@@ -191,32 +194,22 @@ def total_variation(m: VectorMeasure) -> float:
 
 def line_energy(mu: VectorMeasure, nu: VectorMeasure, eps: float) -> float:
     """Total variation of mu + eps*nu."""
-    z, _, _ = _combine(mu, nu, eps)
-    return pairwise_sum(_entry_norms(z))
+    return pairwise_sum(_line(mu, nu, eps)[2])
 
 
-def _first_pm(z: np.ndarray, y: np.ndarray, nz: np.ndarray) -> tuple[float, float]:
-    """first_variation_pm on aligned masses z = mu + eps*nu and y = nu, with
-    nz the entry norms of z."""
+def _slopes(z: np.ndarray, y: np.ndarray, nz: np.ndarray) -> tuple:
+    """first_variation_pm on _line's output, then the support of z, and |z|
+    and z.y/|z| set to 1 and 0 off it, which the curvature reuses."""
     supp = _support(nz)
-    smooth = np.where(supp, np.einsum("ij,ij->i", z, y) / np.where(supp, nz, 1.0), 0.0)
+    safe = np.where(supp, nz, 1.0)
+    smooth = np.where(supp, np.einsum("ij,ij->i", z, y) / safe, 0.0)
     # the kink term's norms only where z vanishes, written into zeros
     off = ~supp
     kink = np.zeros(nz.shape)
     kink[off] = _entry_norms(y[off])
     interior = pairwise_sum(smooth)
     singular = pairwise_sum(kink)
-    return interior - singular, interior + singular
-
-
-def _second(z: np.ndarray, y: np.ndarray, nz: np.ndarray) -> float:
-    """second_variation on aligned masses, as _first_pm."""
-    supp = _support(nz)
-    safe = np.where(supp, nz, 1.0)
-    ny2 = np.einsum("ij,ij->i", y, y)
-    dot = np.einsum("ij,ij->i", z, y) / safe
-    terms = np.where(supp, (ny2 - dot * dot) / safe, 0.0)
-    return pairwise_sum(np.maximum(terms, 0.0))
+    return interior - singular, interior + singular, supp, safe, smooth
 
 
 def decompose(nu: VectorMeasure, mu: VectorMeasure) -> RNDecomposition:
@@ -248,6 +241,24 @@ def decompose(nu: VectorMeasure, mu: VectorMeasure) -> RNDecomposition:
     return RNDecomposition(N=N, A=A, nu_s=nu_s, support=supp, sites=sites)
 
 
+def line_variation(mu: VectorMeasure, nu: VectorMeasure, eps: float) -> VariationReport:
+    """line_energy, first_variation_pm and second_variation at eps, bit for
+    bit, from one alignment of the pair; is_regular when the slopes F'-,
+    F'+ satisfy F'+ - F'- <= 1e-14 * (1 + |F'-| + |F'+|)."""
+    z, y, nz = _line(mu, nu, eps)
+    fm, fp, supp, safe, smooth = _slopes(z, y, nz)
+    ny2 = np.einsum("ij,ij->i", y, y)
+    terms = np.where(supp, (ny2 - smooth * smooth) / safe, 0.0)
+    return VariationReport(
+        F_value=pairwise_sum(nz),
+        Fprime_minus=fm,
+        Fprime_plus=fp,
+        Fsecond=pairwise_sum(np.maximum(terms, 0.0)),
+        epsilon=eps,
+        is_regular=bool(fp - fm <= 1e-14 * (1.0 + abs(fp) + abs(fm))),
+    )
+
+
 def first_variation_pm(
     mu: VectorMeasure, nu: VectorMeasure, eps: float
 ) -> tuple[float, float]:
@@ -258,8 +269,8 @@ def first_variation_pm(
     +/- depending on the side.  Both values are exact derivatives of the
     piecewise-smooth convex map, not finite differences.
     """
-    z, y, _ = _combine(mu, nu, eps)
-    return _first_pm(z, y, _entry_norms(z))
+    fm, fp, *_ = _slopes(*_line(mu, nu, eps))
+    return fm, fp
 
 
 def second_variation(mu: VectorMeasure, nu: VectorMeasure, eps: float) -> float:
@@ -271,8 +282,7 @@ def second_variation(mu: VectorMeasure, nu: VectorMeasure, eps: float) -> float:
     one-sided slopes are constant on each side).  At a cancellation value of
     eps this equals the matched limit of the one-sided difference quotients.
     """
-    z, y, _ = _combine(mu, nu, eps)
-    return _second(z, y, _entry_norms(z))
+    return line_variation(mu, nu, eps).Fsecond
 
 
 def singular_epsilons(mu: VectorMeasure, nu: VectorMeasure) -> list[float]:

@@ -88,6 +88,8 @@ _QUAD_ORDER = 4
 # Another BLAS may need the loads written without it
 _ONE_STRIP = 2 ** 14
 _STRIP = 2 ** 12
+# comparison_check's slack on both sides of 0 <= u1 - u2 <= max boundary gap
+_COMPARISON_TOL = 1e-6
 
 
 @dataclass
@@ -192,11 +194,10 @@ class _Assembler:
         self.Fx, self.Fy = spec._F_parts(dom, Xg, Yg)
 
         # linear bulk term: integral of H * shape_k over each cell, (cells,
-        # 4); None for a scalar H = 0, whose term would add +-0 to every
-        # cell (as in grids.area_energy)
+        # 4); None for a scalar H = 0 (EnergySpec._bulk_H)
         self.Hlin = None
-        if not (np.isscalar(spec.H) and spec.H == 0):
-            Hc = spec.H_cells(dom)
+        Hc = spec._bulk_H(dom)
+        if Hc is not None:
             Hlin = self.vol * Hc[..., None] * (self.wq[None, None, :] @ self.S)
             self.Hlin = Hlin.reshape(-1, 4)
 
@@ -908,18 +909,17 @@ def comparison_check(
     phi1: ScalarField,
     phi2: ScalarField,
     spec: EnergySpec,
-    tol: float = 1e-6,
 ) -> dict:
     """Ordering and translation bound for two solutions with ordered data.
 
     For boundary data phi1 >= phi2 the solutions must satisfy
-    0 <= u1 - u2 <= max boundary gap, up to the stated tolerance.  The
+    0 <= u1 - u2 <= max boundary gap, up to _COMPARISON_TOL.  The
     check refuses (rather than fails) when the structural hypothesis
     min div(rotated F) > 0 does not hold, since the bound is not implied
     then.
     """
     dom = r1.u.dom
-    report: dict = {"refused": False, "reason": "", "tol": tol}
+    report: dict = {"refused": False, "reason": "", "tol": _COMPARISON_TOL}
     if r1.a_final != r2.a_final:
         report["refused"] = True
         report["reason"] = (
@@ -951,8 +951,8 @@ def comparison_check(
     report["min_diff"] = float(diff.min())
     report["max_diff"] = float(diff.max())
     report["upper_bound"] = float(np.abs(gap).max())
-    report["lower_ok"] = report["min_diff"] >= -tol
-    report["upper_ok"] = report["max_diff"] <= report["upper_bound"] + tol
+    report["lower_ok"] = report["min_diff"] >= -_COMPARISON_TOL
+    report["upper_ok"] = report["max_diff"] <= report["upper_bound"] + _COMPARISON_TOL
     report["passed"] = bool(report["lower_ok"] and report["upper_ok"])
     return report
 

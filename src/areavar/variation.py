@@ -24,7 +24,7 @@ computes each call afresh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -97,11 +97,10 @@ class SingularCurve:
 def _h_term(spec: EnergySpec, f: ScalarField) -> float:
     """The bulk term sum(H * cell average of f) * cell volume; 0.0 for a
     scalar H = 0, skipped as in grids.area_energy."""
-    if np.isscalar(spec.H) and spec.H == 0:
+    H = spec._bulk_H(f.dom)
+    if H is None:
         return 0.0
-    dom = f.dom
-    H = spec.H_cells(dom)
-    return pairwise_sum((H * f.cell_average()).ravel() * dom.cell_volume)
+    return pairwise_sum((H * f.cell_average()).ravel() * f.dom.cell_volume)
 
 
 def _area_second(m: np.ndarray, sing: np.ndarray, gphi: np.ndarray, vol: float) -> float:
@@ -178,9 +177,8 @@ def minimizer_first_variation(
     linear term integral of H*phi.  For a minimizer the report satisfies
     Fprime_minus <= tol <= ... <= Fprime_plus up to the scale-free
     tolerance 1e-4 * (1 + F(0)); this function only reports, the caller
-    asserts.  The measure pair is aligned once, and its entry norms serve
-    the energy and both measure kernels: the values are those of
-    measures.line_energy, first_variation_pm and second_variation at eps = 0.
+    asserts.  The report is measures.line_variation at eps = 0 with the
+    bulk terms of u (in F_value) and of phi (in both slopes) added.
     """
     _same_grid(u, direction)
     return _along(u, spec, direction, "report", lambda: _first_variation(u, spec, direction))
@@ -192,18 +190,10 @@ def _first_variation(u: ScalarField, spec: EnergySpec, direction: DirectionField
     # direction.measure(), on mu's equal weights and the slot's grad phi
     nu = VectorMeasure(mu.dimension, mu.cell_weights,
                        _grad_phi(u, spec, direction).reshape(mu.n_cells, mu.dimension))
-    z, y, _ = measures._combine(mu, nu, 0.0)
-    nz = measures._entry_norms(z)
-    fm, fp = measures._first_pm(z, y, nz)
+    rep = measures.line_variation(mu, nu, 0.0)
     ht = _h_term(spec, direction.phi)
-    return VariationReport(
-        F_value=pairwise_sum(nz) + _h_term(spec, u),
-        Fprime_minus=fm + ht,
-        Fprime_plus=fp + ht,
-        Fsecond=measures._second(z, y, nz),
-        epsilon=0.0,
-        is_regular=bool(fp - fm <= 1e-14 * (1.0 + abs(fp) + abs(fm))),
-    )
+    return replace(rep, F_value=rep.F_value + _h_term(spec, u),
+                   Fprime_minus=rep.Fprime_minus + ht, Fprime_plus=rep.Fprime_plus + ht)
 
 
 def second_variation_graph(

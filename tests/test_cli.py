@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from areavar import acceptance
 from areavar import solver as solver_module
 from areavar.cli import main
 from areavar.grids import GridDomain, ScalarField, read_scalar_csv, write_scalar_csv
@@ -428,18 +429,20 @@ def test_verify_fast_reproducible(tmp_path, capsys):
     assert "PASS: 12/12" in capsys.readouterr().out
 
 
-def test_verify_threshold_override_forces_failures(tmp_path, capsys):
-    cfg = write_cfg(
-        tmp_path,
-        "verify.json",
-        {"profile": "fast", "seed": 2026, "threshold_override": 0.0},
-    )
+def test_verify_failing_criterion_exits_1(tmp_path, capsys, monkeypatch):
+    # a criterion with a row over its threshold fails the report
+    monkeypatch.setattr(acceptance, "_CRITERIA", {
+        1: lambda seed, **_: acceptance._crit(1, "passes", [acceptance._row("small", 0.5, 1.0)]),
+        2: lambda seed, **_: acceptance._crit(2, "fails", [acceptance._row("large", 2.0, 1.0)]),
+    })
+    cfg = write_cfg(tmp_path, "verify.json", {"profile": "fast", "seed": 2026})
     out = tmp_path / "v"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
     stdout = capsys.readouterr().out
-    assert "FAIL" in stdout
+    assert stdout.splitlines() == ["FAIL 2: large (2 > 1)", "FAIL: 1/2 criteria"]
     rep = load(out / "verify_report.json")
     assert rep["all_passed"] is False
+    assert [c["passed"] for c in rep["criteria"]] == [True, False]
 
 
 def test_console_entry_point(tmp_path):
@@ -533,9 +536,11 @@ def _measure(cells=(CELL,), **patch):
         ("area", {"field": {"csv": 1}}, "field.csv"),
         ("area", {"domain": THREE_AXES}, "domain"),
         ("solve", {"domain": THREE_AXES}, "domain"),
-        *[(command, {key: bad}, f"{key} must be a finite number")
-          for command, key in (("decompose", "eps"), ("verify", "threshold_override"))
+        *[("decompose", {"eps": bad}, "eps must be a finite number")
           for bad in (True, "0.5", math.nan, math.inf, -math.inf)],
+        # a removed key, whatever it holds
+        *[("verify", {"threshold_override": value}, "threshold_override is no longer accepted")
+          for value in (0.0, 1.0, None, True, math.inf)],
         ("vary", {"solver": {"quad_order": True}}, "unknown solver option"),   # removed option
         # every number is a finite JSON number, every count an integer
         *[("area", {"domain": dict(GRID4, n_cells=[bad, 8])}, "bad domain: n_cells entry")

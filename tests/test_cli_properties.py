@@ -222,7 +222,6 @@ STRICT_VALID = {
                         "continuation_stop": 1e-6},
              "direction": {"random": True}},
     "decompose": {"mu": PAIR, "nu": PAIR, "eps": 0.25},
-    "verify": {"profile": "fast", "threshold_override": 1.0},
 }
 # (command, path to the leaf, the kind of value the leaf must hold)
 LEAVES = [
@@ -242,7 +241,6 @@ LEAVES = [
     ("decompose", ("mu", "cells", 0, "weight"), float),
     ("decompose", ("nu", "cells", 1, "density", 0), float),
     ("decompose", ("mu", "atoms", 0, "mass", 1), float),
-    ("verify", ("threshold_override",), float),
 ]
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 

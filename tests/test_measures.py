@@ -13,6 +13,7 @@ from areavar.measures import (
     decompose,
     first_variation_pm,
     line_energy,
+    line_variation,
     second_variation,
     singular_epsilons,
     structural_identity_residual,
@@ -330,6 +331,27 @@ def test_matched_one_sided_slopes_near_kink():
             assert abs(fm_right - fp0) <= 1e-2 * scale
         checked += 1
     assert checked >= 20
+
+
+def test_line_variation_has_the_bits_of_the_line_functions():
+    # one alignment gives the value, both slopes and the curvature with the
+    # bits of line_energy, first_variation_pm and second_variation: at a
+    # regular parameter, and at a planted cancellation where the slopes differ
+    rng = np.random.RandomState(31)
+    with_atoms = 0
+    for _ in range(40):
+        mu, nu = rand_pair(rng)
+        with_atoms += bool(mu.atoms and nu.atoms)
+        eps0 = float(rng.uniform(0.2, 1.5) * rng.choice([-1.0, 1.0]))
+        mu.ac_density[0] = -eps0 * nu.ac_density[0]
+        for eps, regular in ((regular_eps(rng, mu, nu), True), (eps0, False)):
+            rep = line_variation(mu, nu, eps)
+            assert rep.epsilon == eps and rep.is_regular is regular
+            got = (rep.F_value, rep.Fprime_minus, rep.Fprime_plus, rep.Fsecond)
+            want = (line_energy(mu, nu, eps), *first_variation_pm(mu, nu, eps),
+                    second_variation(mu, nu, eps))
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert with_atoms >= 10
 
 
 # ---- cancellation parameters -------------------------------------------------------

@@ -490,7 +490,7 @@ def _bits(value):
 def _spies(monkeypatch, u, d):
     """Count grad phi, the closed-form kernels and the base energies E(u)."""
     import areavar.variation as variation_module
-    calls = {"grad_phi": 0, "_first_pm": 0, "_area_second": 0, "_lifted_variations": 0,
+    calls = {"grad_phi": 0, "line_variation": 0, "_area_second": 0, "_lifted_variations": 0,
              "E_area": 0, "E_lifted": 0}
 
     def counted(module, name, key, when=lambda *args: True):
@@ -502,7 +502,7 @@ def _spies(monkeypatch, u, d):
         monkeypatch.setattr(module, name, spy)
 
     counted(grids_module, "_gradient", "grad_phi", lambda dom, v, g, t: v is d.phi.values)
-    counted(measures, "_first_pm", "_first_pm")
+    counted(measures, "line_variation", "line_variation")
     for name in ("_area_second", "_lifted_variations"):
         counted(variation_module, name, name)
     for module in (grids_module, variation_module):
@@ -525,15 +525,15 @@ def test_one_direction_forms_each_quantity_once(monkeypatch):
     d1, d2 = _random_directions(u.dom, np.random.RandomState(7), 2)
     calls = _spies(monkeypatch, u, d1)
     _certify(u, P_AREA, d1)
-    assert calls == {"grad_phi": 1, "_first_pm": 1, "_area_second": 1, "_lifted_variations": 1,
+    assert calls == {"grad_phi": 1, "line_variation": 1, "_area_second": 1, "_lifted_variations": 1,
                      "E_area": 1, "E_lifted": 1}
     # asked again, nothing is formed again
     _certify(u, P_AREA, d1)
-    assert calls == {"grad_phi": 1, "_first_pm": 1, "_area_second": 1, "_lifted_variations": 1,
+    assert calls == {"grad_phi": 1, "line_variation": 1, "_area_second": 1, "_lifted_variations": 1,
                      "E_area": 1, "E_lifted": 1}
     # a second direction forms its own closed forms, but not E(u)
     _certify(u, P_AREA, d2)
-    assert calls == {"grad_phi": 1, "_first_pm": 2, "_area_second": 2, "_lifted_variations": 2,
+    assert calls == {"grad_phi": 1, "line_variation": 2, "_area_second": 2, "_lifted_variations": 2,
                      "E_area": 1, "E_lifted": 1}
 
 
@@ -566,7 +566,7 @@ def test_a_plain_field_or_another_spec_computes_afresh(monkeypatch):
             assert _bits(_certify(field, spec, d)) == ref
     # in each of the four certifications every call forms grad phi afresh,
     # the area fd_validate twice: in the two public calls it reads
-    assert calls["_first_pm"] == calls["_area_second"] == 4 * 2
+    assert calls["line_variation"] == calls["_area_second"] == 4 * 2
     assert calls["_lifted_variations"] == 4 * 2
     assert calls["grad_phi"] == 4 * (1 + 1 + 1 + 2 + 1)
     assert minimizer_first_variation(u, twin, d) is not minimizer_first_variation(u, twin, d)
